@@ -5,6 +5,13 @@ double-Rayleigh fading, uniform phase errors, exact instantaneous rates and
 spatial averaging all live here.  Trials are processed in fixed-size chunks
 whose substreams are keyed by (master_seed, chunk_index); partial sums are
 reduced in chunk order, so estimates are bit-identical for any worker count.
+
+The three fading estimators share one real-arithmetic cascade kernel.  The
+squared magnitude of a CN(0,1) gain is Exp(1), so each per-element amplitude
+product |g||h| is drawn as sqrt(E1*E2) from two standard exponentials, and
+the direct amplitude |h_d| as sqrt(E).  The cascade z = sum |g||h| e^{j tau}
+is summed as its real and imaginary parts, sum a*cos(tau) and sum a*sin(tau);
+with perfect phases (rho = 0) it is the plain sum of the amplitudes.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .params import DeploymentParams, LinkGeometry, RateEstimate, SystemParams
 from .phase_error import attenuation_factor, sample_phase_errors
+from .rate_bounds import mean_power_gain
 from .streams import substream
 
 #: Trials per substream chunk.  Fixed: changing it changes the draws.
@@ -136,6 +144,36 @@ def _sample_serving_distance(
     return np.where(counts > 0, r, np.inf)
 
 
+def _cascade(
+    rng: np.random.Generator, size: int, n_elements: int, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re z, Im z of z = sum |g||h| e^{j tau} over n_elements, and the direct |h|.
+
+    Draws, in order: 2 * size * n_elements standard exponentials for the
+    amplitude products, the phase errors (none at rho = 0), and size
+    exponentials for the direct link.  n_elements = 0 gives z = 0.
+    """
+    amp, other = rng.standard_exponential((2, size, n_elements))
+    amp *= other
+    np.sqrt(amp, out=amp)
+    if rho == 0.0:
+        re = amp.sum(axis=1)
+        im = np.zeros(size)
+    else:
+        tau = sample_phase_errors(rho, size * n_elements, rng).reshape(size, n_elements)
+        trig = np.cos(tau)
+        re = np.einsum("ij,ij->i", amp, trig)
+        im = np.einsum("ij,ij->i", amp, np.sin(tau, out=trig))
+    h_abs = np.sqrt(rng.standard_exponential(size))
+    return re, im, h_abs
+
+
+def _received_power(bl, br, bd, re, im, h_abs):
+    """|sqrt(bl*br) z + sqrt(bd) |h_d||^2: reflections co-phased with the direct link."""
+    cascade = np.sqrt(bl * br)
+    return (cascade * re + np.sqrt(bd) * h_abs) ** 2 + (cascade * im) ** 2
+
+
 def _accumulate(
     chunk_fn: Callable[[int, int], np.ndarray],
     trials: int,
@@ -190,16 +228,8 @@ def simulate_fixed_rate(
 
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)
-        if n_elements > 0:
-            g = _cn01(rng, (size, n_elements))
-            h_ru = _cn01(rng, (size, n_elements))
-            tau = sample_phase_errors(rho, size * n_elements, rng).reshape(size, n_elements)
-            h = _cn01(rng, size)
-            agg = (np.abs(g) * np.abs(h_ru) * np.exp(1j * tau)).sum(axis=1)
-            amp = math.sqrt(bl * br) * agg + math.sqrt(bd) * np.abs(h)
-            return np.log2(1.0 + snr * np.abs(amp) ** 2)
-        h = _cn01(rng, size)
-        return np.log2(1.0 + snr * bd * np.abs(h) ** 2)
+        re, im, h_abs = _cascade(rng, size, n_elements, rho)
+        return np.log2(1.0 + snr * _received_power(bl, br, bd, re, im, h_abs))
 
     mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
     return RateEstimate(
@@ -219,13 +249,7 @@ def _bound_values(
     br = beta * r ** (-params.alpha_ris_ue)
     bd = beta * d ** (-params.alpha_direct)
     served = r <= params.serve_radius
-    inside = np.where(
-        served,
-        bl * br * (m * m * n * n + (1.0 - m * m) * n)
-        + np.sqrt(np.pi * bl * br * bd) * m * n
-        + bd,
-        bd,
-    )
+    inside = np.where(served, mean_power_gain(bl, br, bd, m, n), bd)
     return np.log2(1.0 + snr * inside)
 
 
@@ -264,18 +288,15 @@ def simulate_spatial_exact(
         rng = substream(mc.master_seed, index)
         d = _sample_annulus_distance(params, rng, size)
         r = _sample_serving_distance(dep.density, params.serve_radius, mc, rng, size)
-        g = _cn01(rng, (size, n_el))
-        h_ru = _cn01(rng, (size, n_el))
-        tau = sample_phase_errors(rho, size * n_el, rng).reshape(size, n_el)
-        h = _cn01(rng, size)
-        agg = (np.abs(g) * np.abs(h_ru) * np.exp(1j * tau)).sum(axis=1)
+        re, im, h_abs = _cascade(rng, size, n_el, rho)
         bl = beta * d ** (-params.alpha_bs_ris)
         with np.errstate(divide="ignore"):
             br = beta * r ** (-params.alpha_ris_ue)
         bd = beta * d ** (-params.alpha_direct)
-        amp_served = np.sqrt(bl * br) * agg + np.sqrt(bd) * np.abs(h)
         served = r <= params.serve_radius
-        power = np.where(served, np.abs(amp_served) ** 2, bd * np.abs(h) ** 2)
+        power = np.where(
+            served, _received_power(bl, br, bd, re, im, h_abs), bd * h_abs**2
+        )
         return np.log2(1.0 + snr * power)
 
     mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
@@ -293,11 +314,8 @@ def estimate_reflection_moments(
 
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)
-        g = _cn01(rng, (size, n_elements))
-        h_ru = _cn01(rng, (size, n_elements))
-        tau = sample_phase_errors(rho, size * n_elements, rng).reshape(size, n_elements)
-        z = (np.abs(g) * np.abs(h_ru) * np.exp(1j * tau)).sum(axis=1)
-        return np.column_stack([z.real, np.abs(z) ** 2])
+        re, im, _ = _cascade(rng, size, n_elements, rho)
+        return np.column_stack([re, re**2 + im**2])
 
     mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
     return ReflectionMoments(

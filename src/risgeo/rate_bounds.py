@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 from .params import LinkGeometry, RateEstimate, SystemParams
 from .phase_error import attenuation_factor
@@ -22,6 +24,18 @@ from .phase_error import attenuation_factor
 #: Multiplier operationalizing the "N much larger than ..." precondition of
 #: the large-array asymptote; below it a soft warning is attached.
 _ASYMPTOTE_MARGIN = 10.0
+
+
+def mean_power_gain(bl, br, bd, m, n):
+    """The bracket above: mean received power gain E|sqrt(bl*br) z + sqrt(bd) |h||^2.
+
+    Elementwise over arrays or scalars; n is the element count as a float.
+    """
+    return (
+        bl * br * (m * m * n * n + (1.0 - m * m) * n)
+        + np.sqrt(np.pi * bl * br * bd) * m * n
+        + bd
+    )
 
 
 def rate_bound_ris(
@@ -34,12 +48,7 @@ def rate_bound_ris(
     bl = params.beta_bs_ris(geom.l)
     br = params.beta_ris_ue(geom.r)
     bd = params.beta_direct(geom.d)
-    n = float(n_elements)
-    inside = (
-        bl * br * (m * m * n * n + (1.0 - m * m) * n)
-        + math.sqrt(math.pi * bl * br * bd) * m * n
-        + bd
-    )
+    inside = mean_power_gain(bl, br, bd, m, float(n_elements))
     return RateEstimate(value=math.log2(1.0 + params.snr_gain * inside), method="closed_form")
 
 

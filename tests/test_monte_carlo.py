@@ -8,6 +8,7 @@ from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     FadingDraw,
     McConfig,
+    _cascade,
     draw_fading,
     estimate_reflection_moments,
     hppp_window_radius,
@@ -18,6 +19,7 @@ from risgeo.monte_carlo import (
     simulate_spatial_exact,
 )
 from risgeo.params import DeploymentParams, LinkGeometry, SystemParams
+from risgeo.phase_error import sample_phase_errors
 from risgeo.rate_bounds import rate_bound_ris
 from risgeo.streams import substream
 
@@ -122,6 +124,36 @@ class TestFadingDraw:
         assert isinstance(d, FadingDraw)
 
 
+class TestCascadeKernel:
+    # cos/sin against exp(1j*tau) differ by a few ulp and the summation order
+    # differs, so float64 agreement is about N * 2^-52 * sum|a| (~1e-14 at
+    # N = 64); a wrong draw would be off by O(sum|a|)
+    REL_TOL = 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 64])
+    def test_matches_complex_reference(self, n, rho):
+        size = 1000
+        re, im, h_abs = _cascade(substream(21, n), size, n, rho)
+        rng = substream(21, n)
+        e = rng.standard_exponential((2, size, n))
+        amp = np.sqrt(e[0] * e[1])
+        tau = sample_phase_errors(rho, size * n, rng).reshape(size, n)
+        direct = np.sqrt(rng.standard_exponential(size))
+        want = (amp * np.exp(1j * tau)).sum(axis=1)
+        assert np.all(np.abs(re + 1j * im - want) <= self.REL_TOL * amp.sum(axis=1))
+        assert np.array_equal(h_abs, direct)
+
+    def test_amplitude_law_matches_complex_gaussians(self):
+        # the moment tests pin two moments; the rate depends on the whole law
+        n = 20000
+        amp, _, h_abs = _cascade(substream(23, 0), n, 1, 0.0)
+        ref = draw_fading(n, 0.0, substream(23, 1))
+        critical = 1.628 * math.sqrt(2.0 / n)  # 1% critical value
+        assert stats.ks_2samp(amp, np.abs(ref.bs_ris) * np.abs(ref.ris_ue)).statistic < critical
+        assert stats.ks_2samp(h_abs, np.abs(ref.bs_ris)).statistic < critical
+
+
 class TestSimulateFixedRate:
     def test_worker_determinism(self):
         params = make_params()
@@ -178,6 +210,18 @@ class TestSimulateSpatial:
         )
         assert abs(a.value - c.value) <= 3 * (a.std_error + c.std_error)
 
+    def test_exact_worker_determinism(self):
+        params = make_params(tx_power_dbm=20.0)
+        dep = DeploymentParams(density=0.005, elements_per_ris=32)
+        runs = [
+            simulate_spatial_exact(
+                params, dep, 0.5, McConfig(trials=10000, master_seed=4, workers=w)
+            )
+            for w in (1, 2, 8)
+        ]
+        assert runs[0].value == runs[1].value == runs[2].value
+        assert runs[0].std_error == runs[1].std_error == runs[2].std_error
+
     def test_exact_below_bound_and_gap_small(self):
         params = make_params(tx_power_dbm=20.0)
         dep = DeploymentParams(density=0.005, elements_per_ris=200)
@@ -202,6 +246,13 @@ class TestSimulateSpatial:
 
 
 class TestReflectionMoments:
+    def test_worker_determinism(self):
+        runs = [
+            estimate_reflection_moments(16, 0.5, McConfig(trials=10000, master_seed=4, workers=w))
+            for w in (1, 2, 8)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
     def test_single_element_ideal(self):
         got = estimate_reflection_moments(1, 0.0, McConfig(trials=400000, master_seed=3))
         assert abs(got.mean_re_z - math.pi / 4.0) <= 3 * got.stderr_re_z
