@@ -12,6 +12,8 @@ import argparse
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import monte_carlo, rate_bounds, validation
 from .rate_loss import rate_loss, rate_loss_asymptote
 from .config import ConfigError, RunConfig, resolve
@@ -166,8 +168,8 @@ def cmd_optimize(cfg: RunConfig) -> list[str]:
     from .deployment import deployment_objective
 
     n_max = min(cfg["n_max"], max(64, 4 * opt.n_star))
-    for n in range(1, n_max + 1):
-        lines.append(f"{n},{_fmt(deployment_objective(eta / n, eta, params, rho, regime))}")
+    values = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime)
+    lines.extend(f"{n},{_fmt(value)}" for n, value in enumerate(values, start=1))
     return lines
 
 

@@ -116,74 +116,74 @@ def objective_offset(params: SystemParams, regime: OptimizerRegime) -> float:
 
 
 def deployment_objective(
-    lam: float,
+    lam,
     eta: float,
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+):
     """Reduced objective: the density-dependent part of the spatial rate.
 
-    The array size is treated as continuous here; integrality enters only
-    through the final ceiling in optimize_density.
+    `lam` may be a scalar or an array of densities in (0, eta].  The array
+    size is treated as continuous here; integrality enters only through the
+    final ceiling in optimize_density.
     """
     _check_regime(regime, rho)
     if eta <= 0:
         raise DomainError("element budget must be positive")
-    if not 0.0 < lam <= eta:
-        raise DomainError(f"lam must lie in (0, eta], got {lam}")
+    lam_flat = np.ravel(lam)
+    outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
+    if outside.any():
+        raise DomainError(f"lam must lie in (0, eta], got {lam_flat[outside][0]}")
     c = params.serve_radius
-    x = math.pi * lam * c * c
+    x = np.pi * lam * c * c
     n = eta / lam
     ei_part = (
-        exp_integral_ei(-x, tol)
-        - math.exp(-x) * math.log(c * c)
-        - math.log(math.pi * lam)
+        exp_integral_ei(-x)
+        - np.exp(-x) * math.log(c * c)
+        - np.log(np.pi * lam)
     )
     offset = objective_offset(params, regime)
     h = array_gain_term(n, rho, lam, c)
     common = -params.alpha_ris_ue / (2.0 * _LN2) * ei_part + h
     if regime.snr == "high":
-        return common - math.exp(-x) * (offset + math.log2(params.beta_ref))
-    return (
-        common
-        - math.exp(-x) * offset
-        + noise_residual_term(n, rho, lam, params, tol)
-    )
+        return common - np.exp(-x) * (offset + math.log2(params.beta_ref))
+    return common - np.exp(-x) * offset + noise_residual_term(n, rho, lam, params)
 
 
 def _slope_scaled(
-    lam: float,
+    lam,
     eta: float,
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Slope factor scaled by exp(-pi lam C^2): same sign, safe from exp overflow."""
+):
+    """Slope factor scaled by exp(-pi lam C^2): same sign, safe from exp overflow.
+
+    `lam` may be a scalar or an array.
+    """
     m = attenuation_factor(rho)
     c = params.serve_radius
     a3 = params.alpha_ris_ue
-    x = math.pi * lam * c * c
-    ex = math.exp(-x)
-    grow = -math.expm1(-x)  # 1 - e^{-x}
+    x = np.pi * lam * c * c
+    ex = np.exp(-x)
+    grow = -np.expm1(-x)  # 1 - e^{-x}
     offset = objective_offset(params, regime)
     n = eta / lam
     if regime.snr == "high":
         # log argument: 2^D * beta * C^-a3 * N * (m^2 N + 1 - m^2), in log space
-        log_arg = offset * _LN2 + math.log(params.beta_ref) - a3 * math.log(c) + math.log(n)
+        log_arg = offset * _LN2 + math.log(params.beta_ref) - a3 * math.log(c) + np.log(n)
         if regime.phase == "random":
             coef = a3 / 2.0 - 1.0  # m = 0 collapses the bounded form to this
         else:
-            log_arg += math.log(m * m * n + 1.0 - m * m)
+            log_arg += np.log(m * m * n + 1.0 - m * m)
             coef = a3 / 2.0 - 2.0 + (1.0 - m * m) / (m * m * n + 1.0 - m * m)
         return x * ex * log_arg + coef * grow
     k3 = annulus_moment(3, params)
-    gam = lower_incomplete_gamma(a3 / 2.0 + 1.0, x, tol)
+    gam = lower_incomplete_gamma(a3 / 2.0 + 1.0, x)
     snr_beta_sq = params.snr_gain * params.beta_ref**2
     if regime.phase == "random":
-        log_arg = offset * _LN2 - a3 * math.log(c) + math.log(n)
+        log_arg = offset * _LN2 - a3 * math.log(c) + np.log(n)
         coef = a3 / 2.0 - 1.0
         extra = (
             (x ** (a3 / 2.0 + 1.0) * ex + (1.0 - a3 / 2.0) * gam)
@@ -192,7 +192,7 @@ def _slope_scaled(
             / (snr_beta_sq * math.pi ** (a3 / 2.0) * eta)
         )
     else:
-        log_arg = offset * _LN2 - a3 * math.log(c) + math.log(m * m * n * n)
+        log_arg = offset * _LN2 - a3 * math.log(c) + np.log(m * m * n * n)
         coef = a3 / 2.0 - 2.0
         extra = (
             (x ** (a3 / 2.0 + 1.0) * ex + (2.0 - a3 / 2.0) * gam)
@@ -209,7 +209,6 @@ def objective_slope(
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Sign-carrier of the objective's density derivative.
 
@@ -234,7 +233,7 @@ def objective_slope(
                 stacklevel=2,
             )
     x = math.pi * lam * params.serve_radius**2
-    return math.exp(x) * _slope_scaled(lam, eta, params, rho, regime, tol)
+    return math.exp(x) * _slope_scaled(lam, eta, params, rho, regime)
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
@@ -268,19 +267,18 @@ def _finish(
     rho: float,
     regime: OptimizerRegime,
     branch: str,
-    tol: Tolerance,
 ) -> DeploymentOptimum:
     n_star = _ceil_quotient(eta, lam_star)
     floor_n = max(1, n_star - 1)
     floor_better = False
-    if floor_n != n_star and eta / floor_n <= eta:
-        f_ceil = deployment_objective(eta / n_star, eta, params, rho, regime, tol)
-        f_floor = deployment_objective(eta / floor_n, eta, params, rho, regime, tol)
-        floor_better = f_floor > f_ceil
+    if floor_n != n_star:
+        f_ceil = deployment_objective(eta / n_star, eta, params, rho, regime)
+        f_floor = deployment_objective(eta / floor_n, eta, params, rho, regime)
+        floor_better = bool(f_floor > f_ceil)
     return DeploymentOptimum(
         lambda_star=lam_star,
         n_star=n_star,
-        objective=deployment_objective(lam_star, eta, params, rho, regime, tol),
+        objective=float(deployment_objective(lam_star, eta, params, rho, regime)),
         branch=branch,
         d_constant=objective_offset(params, regime),
         floor_scores_higher=floor_better,
@@ -314,11 +312,11 @@ def optimize_density(
         m = attenuation_factor(rho)
         # lam1 = m * eta * C^-2 * sqrt(2^D beta), evaluated in log space
         lam1 = m * eta / (c * c) * math.exp(0.5 * (offset * _LN2 + math.log(beta)))
-        return _finish(min(lam1, eta), eta, params, rho, regime, "bounded_closed_form", tol)
+        return _finish(min(lam1, eta), eta, params, rho, regime, "bounded_closed_form")
 
     if regime.snr == "high" and regime.phase == "random" and a3 == 2.0:
         lam3 = eta / (c * c) * math.exp(offset * _LN2 + math.log(beta))
-        return _finish(min(lam3, eta), eta, params, rho, regime, "random_closed_form", tol)
+        return _finish(min(lam3, eta), eta, params, rho, regime, "random_closed_form")
 
     if regime.phase == "random" and 2.0 < a3 <= 4.0:
         # Monotone-increase condition: eta >= 2 C^(a3-2) / ((a3-2) pi e beta 2^D)
@@ -332,20 +330,20 @@ def optimize_density(
             - offset * _LN2
         )
         if regime.snr == "high" and math.log(eta) >= log_threshold:
-            return _finish(eta, eta, params, rho, regime, "monotone_boundary", tol)
+            return _finish(eta, eta, params, rho, regime, "monotone_boundary")
 
     # Numerical branch: scan, bisect the first sign change of the slope, and guard
     # with a direct objective scan plus the eta boundary (the single-crossing
     # structure can fail outside the closed-form derivation regimes).
     def fobj(lam):
-        return deployment_objective(lam, eta, params, rho, regime, tol)
+        return deployment_objective(lam, eta, params, rho, regime)
 
     def jsc(lam):
-        return _slope_scaled(lam, eta, params, rho, regime, tol)
+        return _slope_scaled(lam, eta, params, rho, regime)
 
     grid = np.geomspace(_SCAN_FLOOR * eta, eta, _SCAN_POINTS)
-    signs = np.array([jsc(l) for l in grid])
-    fvals = np.array([fobj(l) for l in grid])
+    signs = jsc(grid)
+    fvals = fobj(grid)
 
     candidates = {"boundary_eta": eta}
     crossings = np.nonzero((signs[:-1] > 0) & (signs[1:] <= 0))[0]
@@ -373,7 +371,7 @@ def optimize_density(
         del candidates["bisection"]
 
     branch, lam_star = max(candidates.items(), key=lambda kv: fobj(kv[1]))
-    return _finish(lam_star, eta, params, rho, regime, branch, tol)
+    return _finish(lam_star, eta, params, rho, regime, branch)
 
 
 def grid_search_oracle(
@@ -382,27 +380,22 @@ def grid_search_oracle(
     rho: float,
     regime: OptimizerRegime,
     n_max: int,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> DeploymentOptimum:
     """Exhaustive maximization over integer array sizes 1..n_max.
 
-    Independent of the dispatch logic above; ties break toward the smallest
-    array size.
+    Independent of the dispatch logic above; one objective evaluation over
+    all sizes, and ties break toward the smallest array size (np.argmax
+    returns the first maximum).
     """
     _check_regime(regime, rho)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    best_n = 1
-    best_f = -math.inf
-    for n in range(1, n_max + 1):
-        f = deployment_objective(eta / n, eta, params, rho, regime, tol)
-        if f > best_f:
-            best_f = f
-            best_n = n
+    fvals = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime)
+    best_n = int(np.argmax(fvals)) + 1
     return DeploymentOptimum(
         lambda_star=eta / best_n,
         n_star=best_n,
-        objective=best_f,
+        objective=float(fvals[best_n - 1]),
         branch="grid",
         d_constant=objective_offset(params, regime),
     )

@@ -39,6 +39,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
 from scipy import integrate, special
 
 from .errors import DomainError, NumericError
@@ -70,13 +71,16 @@ def nearest_ris_pdf(lam: float, r: float) -> float:
     return 2.0 * math.pi * lam * r * math.exp(-math.pi * lam * r * r)
 
 
-def association_probability(lam: float, serve_radius: float) -> float:
-    """Probability that the nearest reflector lies within the serving radius."""
-    if lam <= 0:
+def association_probability(lam, serve_radius: float):
+    """Probability that the nearest reflector lies within the serving radius.
+
+    `lam` may be an array of densities.
+    """
+    if np.any(np.asarray(lam) <= 0):
         raise DomainError("density must be positive")
     if serve_radius < 0:
         raise DomainError("serve_radius must be nonnegative")
-    return -math.expm1(-math.pi * lam * serve_radius * serve_radius)
+    return -np.expm1(-np.pi * lam * serve_radius * serve_radius)
 
 
 def expected_log2_d(d_min: float, d_max: float) -> float:
@@ -183,32 +187,34 @@ def _upper_gamma(s: float, x: float) -> float:
         return special.gammaincc(s, x) * special.gamma(s)
     if s == 0.0:
         return special.exp1(x)
-    return (_upper_gamma(s + 1.0, x) - x**s * math.exp(-x)) / s
+    return (_upper_gamma(s + 1.0, x) - x**s * np.exp(-x)) / s
 
 
-def _radial_moment(
-    p: float, lam: float, inner: float, outer: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def _radial_moment(p: float, lam, inner: float, outer: float):
     """Partial moment E{r^p ; inner < r <= outer} of the nearest-reflector distance.
 
     Equals [Gamma(p/2+1, pi lam inner^2) - Gamma(p/2+1, pi lam outer^2)]
     / (pi lam)^(p/2); on a disk (inner = 0) the lower incomplete gamma
-    gamma(p/2+1, pi lam outer^2) is used, which requires p > -2.
+    gamma(p/2+1, pi lam outer^2) is used, which requires p > -2.  `lam` may
+    be an array.
     """
     s = p / 2.0 + 1.0
-    x_outer = math.pi * lam * outer * outer
+    x_outer = np.pi * lam * outer * outer
     if inner == 0.0:
-        gam = lower_incomplete_gamma(s, x_outer, tol)
+        gam = lower_incomplete_gamma(s, x_outer)
     else:
-        gam = _upper_gamma(s, math.pi * lam * inner * inner) - _upper_gamma(s, x_outer)
-    return gam / (math.pi * lam) ** (p / 2.0)
+        gam = _upper_gamma(s, np.pi * lam * inner * inner) - _upper_gamma(s, x_outer)
+    return gam / (np.pi * lam) ** (p / 2.0)
 
 
-def array_gain_term(n_elements: float, rho: float, lam: float, serve_radius: float) -> float:
-    """Association-weighted array gain: P(served) * log2(N (m^2 N + 1 - m^2))."""
+def array_gain_term(n_elements, rho: float, lam, serve_radius: float):
+    """Association-weighted array gain: P(served) * log2(N (m^2 N + 1 - m^2)).
+
+    `n_elements` and `lam` may be arrays of matching shape.
+    """
     m = attenuation_factor(rho)
-    n = float(n_elements)
-    return association_probability(lam, serve_radius) * math.log2(
+    n = n_elements
+    return association_probability(lam, serve_radius) * np.log2(
         n * (m * m * n + 1.0 - m * m)
     )
 
@@ -218,7 +224,6 @@ def cascade_residual_term(
     rho: float,
     lam: float,
     params: SystemParams,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Linearized bound on the cascaded-link residual of the served branch.
 
@@ -235,23 +240,20 @@ def cascade_residual_term(
         k1
         * math.sqrt(math.pi * params.beta_ref)
         * m
-        * _radial_moment(params.alpha_ris_ue / 2.0, lam, 0.0, c, tol)
+        * _radial_moment(params.alpha_ris_ue / 2.0, lam, 0.0, c)
         / denom
     )
-    t2 = k2 * _radial_moment(params.alpha_ris_ue, lam, 0.0, c, tol) / (n * denom)
+    t2 = k2 * _radial_moment(params.alpha_ris_ue, lam, 0.0, c) / (n * denom)
     return (t1 + t2) / (params.beta_ref * _LN2)
 
 
-def noise_residual_term(
-    n_elements: float,
-    rho: float,
-    lam: float,
-    params: SystemParams,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Extra residual of the low-SNR closed form (noise-to-signal correction)."""
+def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
+    """Extra residual of the low-SNR closed form (noise-to-signal correction).
+
+    `n_elements` and `lam` may be arrays of matching shape.
+    """
     m = attenuation_factor(rho)
-    n = float(n_elements)
+    n = n_elements
     k3 = annulus_moment(3, params)
     denom = (
         params.snr_gain
@@ -261,7 +263,7 @@ def noise_residual_term(
     )
     return (
         k3
-        * _radial_moment(params.alpha_ris_ue, lam, 0.0, params.serve_radius, tol)
+        * _radial_moment(params.alpha_ris_ue, lam, 0.0, params.serve_radius)
         / denom
         / (params.beta_ref * _LN2)
     )
@@ -311,7 +313,7 @@ def _direct_term_jensen(params: SystemParams, lam: float) -> float:
 
 
 def _served_branch(
-    params: SystemParams, n_elements: float, rho: float, lam: float, tol: Tolerance
+    params: SystemParams, n_elements: float, rho: float, lam: float
 ) -> tuple[float, float, float, float]:
     """Served-branch terms on the disk r <= params.serve_radius.
 
@@ -323,8 +325,8 @@ def _served_branch(
     mass = association_probability(lam, params.serve_radius)
     baseline = _baseline_term(params, lam)
     h = array_gain_term(n_elements, rho, lam, params.serve_radius)
-    cascade_mean = cascade_residual_term(n_elements, rho, lam, params, tol) * _LN2
-    noise_mean = noise_residual_term(n_elements, rho, lam, params, tol) * _LN2
+    cascade_mean = cascade_residual_term(n_elements, rho, lam, params) * _LN2
+    noise_mean = noise_residual_term(n_elements, rho, lam, params) * _LN2
     g = _jensen_log2(mass, cascade_mean)
     return baseline, h, g, _jensen_log2(mass, cascade_mean + noise_mean) - g
 
@@ -476,15 +478,12 @@ def spatial_rate_integral(
 
 
 def spatial_rate_high_snr(
-    params: SystemParams,
-    dep: DeploymentParams,
-    rho: float,
-    tol: Tolerance = DEFAULT_TOL,
+    params: SystemParams, dep: DeploymentParams, rho: float
 ) -> SpatialRateBreakdown:
     """High-SNR closed form: Jensen residual without the noise term on r <= C,
     Jensen direct branch."""
     lam = dep.density
-    baseline, h, g, _ = _served_branch(params, dep.elements_per_ris, rho, lam, tol)
+    baseline, h, g, _ = _served_branch(params, dep.elements_per_ris, rho, lam)
     direct = _direct_term_jensen(params, lam)
     return SpatialRateBreakdown(
         total=baseline + h + g + direct,
@@ -499,17 +498,14 @@ def spatial_rate_high_snr(
 
 
 def spatial_rate_low_snr(
-    params: SystemParams,
-    dep: DeploymentParams,
-    rho: float,
-    tol: Tolerance = DEFAULT_TOL,
+    params: SystemParams, dep: DeploymentParams, rho: float
 ) -> SpatialRateBreakdown:
     """Low-SNR closed form: log split with the noise term on r <= r0, Jensen on
     the whole rate over r0 < r <= C, Jensen direct branch."""
     lam = dep.density
     n = dep.elements_per_ris
     r0 = _split_radius(params, n, rho)
-    baseline, h, g, g_noise = _served_branch(replace(params, serve_radius=r0), n, rho, lam, tol)
+    baseline, h, g, g_noise = _served_branch(replace(params, serve_radius=r0), n, rho, lam)
     g_low = g_noise + _outer_annulus_term(params, n, rho, lam, r0)
     direct = _direct_term_jensen(params, lam)
     return SpatialRateBreakdown(

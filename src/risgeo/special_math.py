@@ -1,10 +1,11 @@
-"""Scalar special functions used by every analytic rate expression.
+"""Special functions used by every analytic rate expression.
 
-The exponential integral Ei and the lower incomplete gamma function are
-evaluated from scratch with series / continued-fraction switching; both are
-cross-checked against adaptive quadrature in the test suite.  A stabilized
-power integral absorbs the degenerate exponents (p -> -1) that appear in the
-distance-moment constants for realistic pathloss combinations.
+The exponential integral Ei and the lower incomplete gamma function are thin
+wrappers over `scipy.special` that take scalars or arrays and reject
+arguments outside their domain; both are cross-checked against adaptive
+quadrature in the test suite.  A stabilized power integral absorbs the
+degenerate exponents (p -> -1) that appear in the distance-moment constants
+for realistic pathloss combinations.
 """
 
 from __future__ import annotations
@@ -12,19 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericError
+import numpy as np
+from scipy import special
+
+from .errors import DomainError
 
 #: Euler-Mascheroni constant, full double precision.
 _EULER_GAMMA = 0.57721566490153286061
-
-#: Negative-side switch: the alternating series loses absolute precision to
-#: cancellation beyond |x| ~ 8 (its largest term grows like e^|x|), while the
-#: continued fraction is already at machine accuracy there.
-_EI_SERIES_CUTOFF_NEG = 8.0
-
-#: Positive-side switch: all series terms are positive (no cancellation), so
-#: the series stays usable until the asymptotic expansion takes over.
-_EI_SERIES_CUTOFF_POS = 40.0
 
 #: |p + 1| below which power_integral switches to its log-limit branch.
 _POWER_LIMIT_SWITCH = 1e-8
@@ -32,7 +27,7 @@ _POWER_LIMIT_SWITCH = 1e-8
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Convergence control for the iterative special-function evaluations."""
+    """Convergence control for the quadratures and the optimizer's bisection."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -53,133 +48,27 @@ def euler_constant() -> float:
     return _EULER_GAMMA
 
 
-def exp_integral_ei(x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def exp_integral_ei(x):
     """Exponential integral Ei(x) = PV integral of e^t / t from -inf to x.
 
-    Near the origin the convergent series E0 + ln|x| + sum x^k/(k k!) is
-    used; for larger arguments a Lentz continued fraction (x < 0) or the
-    asymptotic series (x > 0) takes over.  Raises DomainError at the
-    logarithmic singularity x = 0 and NumericError when the iteration budget
-    is exhausted.
+    Thin wrapper over `scipy.special.expi`; takes a scalar or an array.
+    Raises DomainError at the logarithmic singularity x = 0.
     """
-    if x == 0.0:
+    if np.any(np.asarray(x) == 0.0):
         raise DomainError("Ei(x) has a logarithmic singularity at x = 0")
-    if x < 0.0:
-        if -x <= _EI_SERIES_CUTOFF_NEG:
-            return _ei_series(x, tol)
-        return -_e1_continued_fraction(-x, tol)
-    if x <= _EI_SERIES_CUTOFF_POS:
-        return _ei_series(x, tol)
-    return _ei_asymptotic(x)
+    return special.expi(x)
 
 
-def _ei_series(x: float, tol: Tolerance) -> float:
-    total = _EULER_GAMMA + math.log(abs(x))
-    term = 1.0
-    for k in range(1, tol.max_iterations + 1):
-        term *= x / k
-        contrib = term / k
-        total += contrib
-        if abs(contrib) < max(tol.abs_tol, tol.rel_tol * abs(total)):
-            return total
-    raise NumericError(
-        f"Ei series did not converge within {tol.max_iterations} terms at x={x}",
-        estimate=total,
-    )
-
-
-def _e1_continued_fraction(z: float, tol: Tolerance) -> float:
-    # E1(z) = e^{-z} * (1 / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))), z > 0.
-    # Modified Lentz evaluation.
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for k in range(1, tol.max_iterations + 1):
-        a = -k * k
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
-            return math.exp(-z) * f
-    raise NumericError(
-        f"E1 continued fraction did not converge at z={z}",
-        estimate=math.exp(-z) * f,
-    )
-
-
-def _ei_asymptotic(x: float) -> float:
-    # Ei(x) ~ e^x/x * sum k!/x^k; truncated at the smallest term.
-    total = 1.0
-    term = 1.0
-    for k in range(1, 80):
-        nxt = term * k / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        total += term
-    return math.exp(x) / x * total
-
-
-def lower_incomplete_gamma(a: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def lower_incomplete_gamma(a: float, x):
     """Lower incomplete gamma gamma(a, x) = integral of e^-t t^(a-1), 0..x.
 
-    Series for x < a + 1, complement via continued fraction otherwise.
+    The regularized `scipy.special.gammainc` times Gamma(a); x may be an array.
     """
     if a <= 0.0:
         raise DomainError("lower_incomplete_gamma requires a > 0")
-    if x < 0.0:
+    if np.any(np.asarray(x) < 0.0):
         raise DomainError("lower_incomplete_gamma requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lig_series(a, x, tol)
-    return math.gamma(a) - _uig_continued_fraction(a, x, tol)
-
-
-def _lig_series(a: float, x: float, tol: Tolerance) -> float:
-    # gamma(a,x) = x^a e^{-x} sum_{n>=0} x^n / (a (a+1) ... (a+n))
-    term = 1.0 / a
-    total = term
-    for n in range(1, tol.max_iterations + 1):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < max(tol.abs_tol, tol.rel_tol * abs(total)):
-            return total * math.exp(a * math.log(x) - x)
-    raise NumericError(
-        f"incomplete gamma series did not converge (a={a}, x={x})",
-        estimate=total * math.exp(a * math.log(x) - x),
-    )
-
-
-def _uig_continued_fraction(a: float, x: float, tol: Tolerance) -> float:
-    # Gamma(a,x) via Lentz; standard gammcf layout.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for k in range(1, tol.max_iterations + 1):
-        an = -k * (k - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
-            return math.exp(a * math.log(x) - x) * f
-    raise NumericError(
-        f"upper incomplete gamma continued fraction did not converge (a={a}, x={x})",
-        estimate=math.exp(a * math.log(x) - x) * f,
-    )
+    return special.gammainc(a, x) * special.gamma(a)
 
 
 def power_integral(p: float, a: float, b: float) -> float:

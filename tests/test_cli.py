@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risgeo import validation
 from risgeo.cli import main
 from risgeo.config import ConfigError, parse_sweep, read_config_file, resolve
 from risgeo.rate_loss import rate_loss
@@ -274,10 +275,11 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "summary" in out and "FAIL" not in out.replace("FAIL(statistical)", "")
 
-    def test_corrupted_tolerance_fails_named_checks(self, tmp_path, capsys):
-        cfg = tmp_path / "bad_tol.cfg"
-        cfg.write_text("abs_tol = 10\n")
-        assert run_cli(["validate", "--config", str(cfg), "--trials", "30000"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "ei_quadrature_agreement" in out
+    def test_corrupted_special_function_fails_named_check(self, monkeypatch, capsys):
+        exact = validation.exp_integral_ei
+        monkeypatch.setattr(validation, "exp_integral_ei", lambda x: exact(x) + 1e-6)
+        assert run_cli(["validate", "--trials", "30000"]) == 1
+        failed = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")
+        ]
+        assert any("ei_quadrature_agreement" in line for line in failed)

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from risgeo import deployment
 from risgeo.deployment import (
     DeploymentOptimum,
+    _slope_scaled,
     OptimizerRegime,
     deployment_objective,
     grid_search_oracle,
@@ -152,6 +154,40 @@ class TestObjectiveSlope:
         with pytest.raises(DomainError):
             deployment_objective(20.0, 10.0, params, 1.0, HIGH_RANDOM)
 
+    def test_array_domain_error_names_offending_value(self):
+        params = make_params()
+        for lam, bad in (([0.375, 12.5, 0.625], "12.5"), ([0.375, 0.0], "0.0")):
+            with pytest.raises(DomainError) as err:
+                deployment_objective(np.array(lam), 10.0, params, 1.0, HIGH_RANDOM)
+            message = str(err.value)
+            assert message.endswith(f"got {bad}")
+            assert "0.375" not in message
+
+
+# One instance per regime, each off its closed-form branches, so the numeric
+# scan and bisection run on it.
+REGIME_CASES = [
+    (HIGH_BOUNDED, 0.25, dict(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)),
+    (HIGH_RANDOM, 1.0, dict(tx_power_dbm=30.0, alpha_ris_ue=2.5)),
+    (LOW_BOUNDED, 0.25, dict(tx_power_dbm=3.0, alpha_ris_ue=2.5)),
+    (LOW_RANDOM, 1.0, dict(tx_power_dbm=3.0, alpha_ris_ue=3.2)),
+]
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
+    @pytest.mark.parametrize("fn", [deployment_objective, _slope_scaled])
+    def test_matches_scalar_calls(self, fn, regime, rho, kwargs):
+        # elementwise, not bitwise: vectorized exp/log loops may differ by an ulp
+        params = make_params(**kwargs)
+        eta = 10.0
+        lam = np.concatenate([np.geomspace(1e-12 * eta, eta, 64), eta / np.arange(1, 513)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            vectorized = fn(lam, eta, params, rho, regime)
+            scalar = np.array([fn(float(l), eta, params, rho, regime) for l in lam])
+        np.testing.assert_allclose(vectorized, scalar, rtol=1e-14, atol=0.0)
+
 
 class TestOptimizeDensity:
     def test_budget_quotient_anchor(self):
@@ -206,8 +242,6 @@ class TestOptimizeDensity:
         params = make_params(alpha_ris_ue=2.5)
         eta = 10.0
         # monotone-increase condition holds here; the slope never goes negative
-        from risgeo.deployment import _slope_scaled
-
         for lam in np.geomspace(1e-9 * eta, eta, 1000):
             assert _slope_scaled(lam, eta, params, 1.0, HIGH_RANDOM) >= -1e-9
 
@@ -284,6 +318,30 @@ class TestGridSearchOracle:
         ]
         assert opt.n_star == int(np.argmax(vals)) + 1
         assert opt.n_star == 45
+
+    @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
+    def test_matches_scalar_reference_loop(self, regime, rho, kwargs):
+        params = make_params(**kwargs)
+        eta, n_max = 10.0, 512
+        best_n, best_f = 1, -math.inf
+        for n in range(1, n_max + 1):
+            f = deployment_objective(eta / n, eta, params, rho, regime)
+            if f > best_f:
+                best_n, best_f = n, f
+        opt = grid_search_oracle(eta, params, rho, regime, n_max)
+        assert opt.n_star == best_n
+        assert opt.objective == pytest.approx(best_f, rel=1e-14)
+        assert opt.lambda_star == eta / best_n
+
+    def test_plateau_ties_go_to_smallest_size(self, monkeypatch):
+        # objective rises to N = 7, stays flat through N = 12, then falls
+        def plateau(lam, eta, params, rho, regime):
+            n = np.rint(eta / lam)
+            return np.minimum(n, 7.0) - np.maximum(n - 12.0, 0.0)
+
+        monkeypatch.setattr(deployment, "deployment_objective", plateau)
+        opt = grid_search_oracle(10.0, make_params(), 1.0, HIGH_RANDOM, n_max=40)
+        assert (opt.n_star, opt.objective) == (7, 7.0)
 
 
 class TestObjectiveContinuity:
