@@ -68,8 +68,6 @@ from .spatial_rate import (
     spatial_rate_low_snr,
 )
 from .special_math import (
-    DEFAULT_TOL,
-    Tolerance,
     euler_constant,
     exp_integral_ei,
     lower_incomplete_gamma,
@@ -80,7 +78,6 @@ from .streams import substream
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "DeploymentOptimum",
     "DeploymentParams",
     "DomainError",
@@ -95,7 +92,6 @@ __all__ = [
     "RegimeWarning",
     "SpatialRateBreakdown",
     "SystemParams",
-    "Tolerance",
     "annulus_distance_moment",
     "annulus_moment",
     "array_gain_term",

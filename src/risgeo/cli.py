@@ -24,7 +24,6 @@ from .spatial_rate import (
     spatial_rate_integral,
     spatial_rate_low_snr,
 )
-from .special_math import Tolerance
 
 _FIXED_AXES = ("n_elements", "tx_power_dbm", "rho", "r", "d")
 _SPATIAL_AXES = ("serve_radius", "density", "tx_power_dbm", "n_elements", "rho")
@@ -43,10 +42,14 @@ def _emit(lines: list[str], out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _element_count(value: float) -> int:
+    return max(1, int(round(value)))
+
+
 def _with_axis(cfg: RunConfig, axis: str, value: float) -> dict:
     values = dict(cfg.values)
-    if axis in ("n_elements",):
-        values["elements_per_ris"] = max(1, int(round(value)))
+    if axis == "n_elements":
+        values["elements_per_ris"] = _element_count(value)
     elif axis == "rho":
         values["rho"] = float(value)
         values.pop("quant_bits", None)
@@ -56,9 +59,9 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> dict:
     return values
 
 
-def _axis_echo(cfg: RunConfig, axis: str, value: float):
+def _axis_echo(axis: str, value: float):
     if axis == "n_elements":
-        return max(1, int(round(value)))
+        return _element_count(value)
     return value
 
 
@@ -81,7 +84,7 @@ def cmd_rate_fixed(cfg: RunConfig) -> list[str]:
         lines.append(
             ",".join(
                 [
-                    _fmt(_axis_echo(cfg, axis, value)),
+                    _fmt(_axis_echo(axis, value)),
                     _fmt(bound.value),
                     _fmt(est.value),
                     _fmt(est.std_error),
@@ -133,7 +136,7 @@ def cmd_rate_spatial(cfg: RunConfig) -> list[str]:
         lines.append(
             ",".join(
                 [
-                    _fmt(_axis_echo(cfg, axis, value)),
+                    _fmt(_axis_echo(axis, value)),
                     _fmt(closed_value),
                     _fmt(quad.total),
                     _fmt(mc_bound.value),
@@ -187,7 +190,7 @@ def cmd_rate_loss(cfg: RunConfig) -> list[str]:
     lam = cfg["density"]
     c = cfg["serve_radius"]
     for value in cfg.sweep.values():
-        n = max(1, int(round(value)))
+        n = _element_count(value)
         row = [str(n)]
         for rho in rhos:
             row.append(_fmt(rate_loss(n, rho, lam, c)))
@@ -201,8 +204,7 @@ def cmd_rate_loss(cfg: RunConfig) -> list[str]:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    tol = Tolerance(abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"])
-    results = validation.run_all(tol, cfg["validate_trials"], cfg["seed"])
+    results = validation.run_all(cfg["validate_trials"], cfg["seed"])
     hard_fail = flake = 0
     for res in results:
         if res.ok:

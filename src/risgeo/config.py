@@ -68,7 +68,7 @@ def _nonneg(x: float) -> bool:
     return x >= 0
 
 
-# key -> (parser, validator or None, description)
+# key -> (parser, validator or None)
 _SCHEMA = {
     "tx_power_dbm": (float, None),
     "noise_dbm": (float, None),
@@ -90,8 +90,6 @@ _SCHEMA = {
     "r": (float, _positive),
     "trials": (int, lambda v: v >= 1),
     "validate_trials": (int, lambda v: v >= 1),
-    "abs_tol": (float, _positive),
-    "rel_tol": (float, _positive),
     "seed": (int, _nonneg),
     "workers": (int, lambda v: v >= 1),
     "regime": (str, lambda v: v in ("high", "low", "auto", "integral")),
@@ -119,8 +117,6 @@ _DEFAULTS = {
     "r": 10.0,
     "trials": 100_000,
     "validate_trials": 1_000_000,
-    "abs_tol": 1e-12,
-    "rel_tol": 1e-10,
     "seed": 0,
     "workers": 1,
     "regime": "auto",
@@ -213,16 +209,9 @@ class RunConfig:
         except DomainError as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
 
-    def deployment_params(self, budget: bool = False) -> DeploymentParams:
+    def deployment_params(self) -> DeploymentParams:
         v = self.values
         try:
-            if budget:
-                density = v["element_budget"] / v["elements_per_ris"]
-                return DeploymentParams(
-                    density=density,
-                    elements_per_ris=v["elements_per_ris"],
-                    element_budget=v["element_budget"],
-                )
             return DeploymentParams(
                 density=v["density"], elements_per_ris=v["elements_per_ris"]
             )
@@ -262,22 +251,20 @@ def resolve(
     require: tuple = (),
 ) -> RunConfig:
     """Merge defaults, an optional config file, and CLI overrides (that order)."""
-    values = dict(_DEFAULTS)
-    if config_path:
-        values.update(read_config_file(config_path))
+    given = read_config_file(config_path) if config_path else {}
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
-        values[key] = _coerce(key, value, "command line")
+        given[key] = _coerce(key, value, "command line")
+    values = {**_DEFAULTS, **given}
     for key in require:
         if key not in values or values.get(key) is None:
             raise ConfigError(f"missing required key {key!r}")
-    if "quant_bits" in values and "rho" in values:
-        expected = 2.0 ** (-values["quant_bits"])
-        # explicit rho wins only if consistent; quantizer bits pin rho exactly
-        if not math.isclose(values["rho"], expected) and values["rho"] != _DEFAULTS["rho"]:
+    if "quant_bits" in values and "rho" in given:
+        # quantizer bits pin rho exactly; an explicit rho must agree with them
+        if not math.isclose(values["rho"], 2.0 ** (-values["quant_bits"])):
             raise ConfigError(
                 f"rho={values['rho']} conflicts with quant_bits={values['quant_bits']}"
             )

@@ -29,12 +29,7 @@ from .spatial_rate import (
     expected_log2_d,
     noise_residual_term,
 )
-from .special_math import (
-    DEFAULT_TOL,
-    Tolerance,
-    exp_integral_ei,
-    lower_incomplete_gamma,
-)
+from .special_math import exp_integral_ei, lower_incomplete_gamma
 
 _LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,6 +41,11 @@ _BOUNDED_REGIME_FRACTION = 0.1
 #: Scan resolution for bracketing the root of J.
 _SCAN_POINTS = 64
 _SCAN_FLOOR = 1e-12
+
+#: Bisection of the bracketed root stops after this many halvings, or once
+#: the bracket ratio hi/lo falls below 1 + _BISECT_REL_WIDTH.
+_BISECT_MAX_STEPS = 500
+_BISECT_REL_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,6 @@ def optimize_density(
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> DeploymentOptimum:
     """Maximize the reduced objective over density in (0, eta].
 
@@ -349,13 +348,13 @@ def optimize_density(
     crossings = np.nonzero((signs[:-1] > 0) & (signs[1:] <= 0))[0]
     if crossings.size:
         lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
-        for _ in range(tol.max_iterations):
+        for _ in range(_BISECT_MAX_STEPS):
             mid = math.sqrt(lo * hi)
             if jsc(mid) > 0:
                 lo = mid
             else:
                 hi = mid
-            if hi / lo < 1.0 + tol.rel_tol:
+            if hi / lo < 1.0 + _BISECT_REL_WIDTH:
                 break
         candidates["bisection"] = min(math.sqrt(lo * hi), eta)
     k = int(np.argmax(fvals))

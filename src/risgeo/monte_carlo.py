@@ -44,7 +44,6 @@ class McConfig:
     trials: int
     master_seed: int = 0
     window_policy: str = "direct_nearest"  # or "full_hppp"
-    disk_radius: Optional[float] = None
     workers: int = 1
 
     def __post_init__(self):
@@ -111,15 +110,15 @@ def sample_nearest_distance(lam: float, stream: np.random.Generator, size=None):
 
 
 def sample_hppp_nearest(
-    lam: float, disk_radius: float, stream: np.random.Generator
+    lam: float, radius: float, stream: np.random.Generator
 ) -> Optional[float]:
     """Nearest distance from an explicit Poisson scatter in a disk; None if empty."""
-    if lam <= 0 or disk_radius <= 0:
-        raise DomainError("density and disk_radius must be positive")
-    count = stream.poisson(lam * math.pi * disk_radius**2)
+    if lam <= 0 or radius <= 0:
+        raise DomainError("density and disk radius must be positive")
+    count = stream.poisson(lam * math.pi * radius**2)
     if count == 0:
         return None
-    return float(disk_radius * math.sqrt(stream.random(count).min()))
+    return float(radius * math.sqrt(stream.random(count).min()))
 
 
 def _sample_annulus_distance(params: SystemParams, rng: np.random.Generator, size) -> np.ndarray:
@@ -133,9 +132,8 @@ def _sample_serving_distance(
     """Nearest-reflector distance per trial under the configured window policy."""
     if mc.window_policy == "direct_nearest":
         return sample_nearest_distance(lam, rng, size)
-    # auto-sizing floor: the window must make a beyond-window nearest
-    # reflector negligible even when a radius was given explicitly
-    radius = max(mc.disk_radius or 0.0, hppp_window_radius(lam, serve_radius))
+    # auto-sized so that a nearest reflector beyond the window is negligible
+    radius = hppp_window_radius(lam, serve_radius)
     counts = rng.poisson(lam * math.pi * radius**2, size)
     v = rng.random(size)
     with np.errstate(divide="ignore", invalid="ignore"):

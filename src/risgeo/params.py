@@ -124,34 +124,18 @@ class LinkGeometry:
             raise DomainError("all link distances must be positive")
 
 
-#: Relative slack allowed on the density * array-size = budget coupling.
-_BUDGET_COUPLING_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class DeploymentParams:
-    """Reflector deployment: density (per m^2), elements per reflector, optional budget.
-
-    When element_budget is present the coupling density * elements_per_ris
-    == element_budget must hold to within 1e-9 relative.
-    """
+    """Reflector deployment: density (per m^2) and elements per reflector."""
 
     density: float
     elements_per_ris: int
-    element_budget: Optional[float] = None
 
     def __post_init__(self):
         if self.density <= 0:
             raise DomainError("density must be positive")
         if self.elements_per_ris < 1:
             raise DomainError("elements_per_ris must be at least 1")
-        if self.element_budget is not None:
-            lhs = self.density * self.elements_per_ris
-            if abs(lhs - self.element_budget) > _BUDGET_COUPLING_TOL * self.element_budget:
-                raise DomainError(
-                    "density * elements_per_ris must equal element_budget "
-                    f"({lhs} vs {self.element_budget})"
-                )
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,6 @@ from .errors import DomainError, NumericError
 from .params import DeploymentParams, SystemParams
 from .phase_error import attenuation_factor
 from .special_math import (
-    DEFAULT_TOL,
-    Tolerance,
     euler_constant,
     exp_integral_ei,
     lower_incomplete_gamma,
@@ -60,6 +58,10 @@ _LN2 = math.log(2.0)
 _HIGH_SNR_EDGE_MIN = 10.0   # direct-link SNR at the far annulus edge
 _LOW_SNR_EDGE_MAX = 0.5     # direct-link SNR at the near annulus edge
 _MIN_CLOSED_FORM_N = 8      # "moderate-to-large" array size
+
+#: Absolute and relative targets of the exact form's quadratures.
+_QUAD_EPSABS = 1e-12
+_QUAD_EPSREL = 1e-10
 
 
 def nearest_ris_pdf(lam: float, r: float) -> float:
@@ -278,7 +280,7 @@ def _baseline_term(params: SystemParams, lam: float) -> float:
     ) - params.alpha_ris_ue * expected_log2_r_truncated(lam, params.serve_radius)
 
 
-def _direct_term_exact(params: SystemParams, lam: float, tol: Tolerance) -> float:
+def _direct_term_exact(params: SystemParams, lam: float) -> float:
     snr_beta = params.snr_gain * params.beta_ref
     a1 = params.alpha_direct
     d1, d2 = params.d_min, params.d_max
@@ -287,9 +289,7 @@ def _direct_term_exact(params: SystemParams, lam: float, tol: Tolerance) -> floa
     def integrand(d):
         return math.log2(1.0 + snr_beta * d ** (-a1)) * norm * d
 
-    val, _ = integrate.quad(
-        integrand, d1, d2, epsabs=max(tol.abs_tol, 1e-13), epsrel=max(tol.rel_tol, 1e-11)
-    )
+    val, _ = integrate.quad(integrand, d1, d2, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL)
     return math.exp(-math.pi * lam * params.serve_radius**2) * val
 
 
@@ -380,7 +380,7 @@ def _split_radius(params: SystemParams, n_elements: float, rho: float) -> float:
 
 
 def _residual_integral(
-    params: SystemParams, n_elements: int, rho: float, lam: float, tol: Tolerance
+    params: SystemParams, n_elements: int, rho: float, lam: float
 ) -> float:
     """2-D quadrature of the exact served-branch residual over (r, d)."""
     m = attenuation_factor(rho)
@@ -409,8 +409,8 @@ def _residual_integral(
                 d2,
                 0.0,
                 c,
-                epsabs=max(tol.abs_tol, 1e-12),
-                epsrel=max(tol.rel_tol, 1e-10),
+                epsabs=_QUAD_EPSABS,
+                epsrel=_QUAD_EPSREL,
             )
         except integrate.IntegrationWarning as exc:
             with warnings.catch_warnings():
@@ -456,15 +456,14 @@ def spatial_rate_integral(
     params: SystemParams,
     dep: DeploymentParams,
     rho: float,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> SpatialRateBreakdown:
     """Exact spatial average of the fixed-geometry rate bounds (all SNRs)."""
     lam = dep.density
     n = dep.elements_per_ris
     baseline = _baseline_term(params, lam)
     h = array_gain_term(n, rho, lam, params.serve_radius)
-    g = _residual_integral(params, n, rho, lam, tol)
-    direct = _direct_term_exact(params, lam, tol)
+    g = _residual_integral(params, n, rho, lam)
+    direct = _direct_term_exact(params, lam)
     total = baseline + h + g + direct
     return SpatialRateBreakdown(
         total=total,

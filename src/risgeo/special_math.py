@@ -11,7 +11,6 @@ for realistic pathloss combinations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -23,24 +22,6 @@ _EULER_GAMMA = 0.57721566490153286061
 
 #: |p + 1| below which power_integral switches to its log-limit branch.
 _POWER_LIMIT_SWITCH = 1e-8
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence control for the quadratures and the optimizer's bisection."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iterations: int = 500
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be strictly positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def euler_constant() -> float:

@@ -18,7 +18,7 @@ from scipy import integrate, stats
 from . import deployment, monte_carlo, phase_error, rate_bounds, spatial_rate
 from .rate_loss import rate_loss, rate_loss_asymptote
 from .params import DeploymentParams, LinkGeometry, SystemParams
-from .special_math import Tolerance, euler_constant, exp_integral_ei, lower_incomplete_gamma, power_integral
+from .special_math import euler_constant, exp_integral_ei, lower_incomplete_gamma, power_integral
 from .streams import substream
 
 
@@ -51,7 +51,7 @@ def _ei_oracle(x: float) -> float:
     return -val
 
 
-def _check_ei(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_ei(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for x in (-0.1, -0.5, -1.0, -2.261946711, -8.0, -16.0):
         worst = max(worst, abs(exp_integral_ei(x) - _ei_oracle(x)))
@@ -60,7 +60,7 @@ def _check_ei(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-def _check_gamma(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_gamma(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for a in (0.5, 1.625, 2.25, 4.0):
         for x in (0.25, 1.5708, 6.0, 15.708):
@@ -73,7 +73,7 @@ def _check_gamma(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-def _check_power_integral(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_power_integral(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for a, b in ((180.0, 220.0), (1.0, 3.0), (0.5, 40.0)):
         ref = math.log(b / a)
@@ -84,7 +84,7 @@ def _check_power_integral(tol: Tolerance, trials: int, seed: int) -> CheckResult
     )
 
 
-def _check_euler(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_euler(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for eps in (1e-6, 1e-7, 1e-8):
         worst = max(worst, abs(exp_integral_ei(-eps) + math.log(1.0 / eps) - euler_constant()))
@@ -92,7 +92,7 @@ def _check_euler(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     return CheckResult("euler_constant_limit", ok, False, f"limit residual {worst:.3e}")
 
 
-def _check_attenuation(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_attenuation(trials: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for rho in rng.uniform(1e-6, 1.0, 100):
@@ -105,7 +105,7 @@ def _check_attenuation(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     return CheckResult("attenuation_identities", worst <= 1e-12, False, f"max residual {worst:.3e}")
 
 
-def _check_diff_density(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_diff_density(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for rho in (0.1, 0.4, 1.0):
         total, _ = integrate.quad(
@@ -118,7 +118,7 @@ def _check_diff_density(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     return CheckResult("diff_density_normalization", worst <= 1e-9, False, f"max |int - 1| = {worst:.3e}")
 
 
-def _check_association(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_association(trials: int, seed: int) -> CheckResult:
     p12 = spatial_rate.association_probability(0.005, 12.0)
     p16 = spatial_rate.association_probability(0.005, 16.0)
     quad12, _ = integrate.quad(lambda r: spatial_rate.nearest_ris_pdf(0.005, r), 0, 12.0)
@@ -132,7 +132,7 @@ def _check_association(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-def _check_log_moments(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_log_moments(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for lam, c in ((0.005, 10.0), (0.05, 10.0), (0.005, 30.0)):
         oracle, _ = integrate.quad(
@@ -151,7 +151,7 @@ def _check_log_moments(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     return CheckResult("log_moment_quadrature", worst <= 1e-8, False, f"max gap {worst:.3e}")
 
 
-def _check_annulus_moments(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_annulus_moments(trials: int, seed: int) -> CheckResult:
     params = _default_params()
     worst = 0.0
     for which, p in ((1, -0.5), (2, -1.0), (3, 2.0)):
@@ -167,7 +167,7 @@ def _check_annulus_moments(tol: Tolerance, trials: int, seed: int) -> CheckResul
     return CheckResult("annulus_moment_quadrature", worst <= 1e-9, False, f"max rel gap {worst:.3e}")
 
 
-def _check_breakdown(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_breakdown(trials: int, seed: int) -> CheckResult:
     params = _default_params(tx_power_dbm=20.0)
     dep = DeploymentParams(density=0.005, elements_per_ris=200)
     worst = 0.0
@@ -185,7 +185,7 @@ def _check_breakdown(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     return CheckResult("breakdown_resum", worst <= 1e-9, False, f"max residual {worst:.3e}")
 
 
-def _check_jensen(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_jensen(trials: int, seed: int) -> CheckResult:
     params = _default_params()
     geom = LinkGeometry(d=200.0, l=200.0, r=10.0)
     mc = monte_carlo.McConfig(trials=min(trials, 20000), master_seed=seed)
@@ -199,7 +199,7 @@ def _check_jensen(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-def _check_moments(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_moments(trials: int, seed: int) -> CheckResult:
     mc = monte_carlo.McConfig(trials=min(trials, 200000), master_seed=seed + 1)
     fails = []
     for rho in (0.25, 0.5, 1.0):
@@ -218,7 +218,7 @@ def _check_moments(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-def _check_nearest(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_nearest(trials: int, seed: int) -> CheckResult:
     rng = substream(seed, 977)
     n = min(trials, 1_000_000)
     r = monte_carlo.sample_nearest_distance(0.005, rng, n)
@@ -231,7 +231,7 @@ def _check_nearest(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-def _check_sampler_ks(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_sampler_ks(trials: int, seed: int) -> CheckResult:
     lam = 0.02
     n = min(trials, 30000)
     rng = substream(seed, 31)
@@ -250,7 +250,7 @@ def _check_sampler_ks(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-def _check_optimizer_anchor(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_optimizer_anchor(trials: int, seed: int) -> CheckResult:
     params = _default_params(alpha_ris_ue=2.0, serve_radius=3.0, tx_power_dbm=15.0)
     regime = deployment.OptimizerRegime(snr="high", phase="random")
     opt = deployment.optimize_density(10.0, params, 1.0, regime)
@@ -262,7 +262,7 @@ def _check_optimizer_anchor(tol: Tolerance, trials: int, seed: int) -> CheckResu
     )
 
 
-def _check_optimizer_grid(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_optimizer_grid(trials: int, seed: int) -> CheckResult:
     params = _default_params(tx_power_dbm=30.0, serve_radius=6.0, alpha_ris_ue=3.0)
     regime = deployment.OptimizerRegime(snr="high", phase="bounded")
     opt = deployment.optimize_density(10.0, params, 0.25, regime)
@@ -273,7 +273,7 @@ def _check_optimizer_grid(tol: Tolerance, trials: int, seed: int) -> CheckResult
     return CheckResult("optimizer_grid_spot", gap <= 0.02, False, f"grid - dispatched = {gap:.4f}")
 
 
-def _check_determinism(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_determinism(trials: int, seed: int) -> CheckResult:
     params = _default_params()
     dep = DeploymentParams(density=0.005, elements_per_ris=32)
     runs = [
@@ -286,7 +286,7 @@ def _check_determinism(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     return CheckResult("mc_worker_determinism", ok, False, f"values={[r.value for r in runs]}")
 
 
-def _check_invariance(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_invariance(trials: int, seed: int) -> CheckResult:
     params = _default_params()
     geom = LinkGeometry(d=200.0, l=200.0, r=10.0)
     base = rate_bounds.rate_asymptotic(params, geom, 200.0, 0.0).value
@@ -307,7 +307,7 @@ def _check_invariance(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     return CheckResult("compensation_invariance", worst <= 1e-12, False, f"max gap {worst:.3e}")
 
 
-def _check_rate_loss(tol: Tolerance, trials: int, seed: int) -> CheckResult:
+def _check_rate_loss(trials: int, seed: int) -> CheckResult:
     asym = rate_loss_asymptote(0.5, 0.05, 10.0)
     big = rate_loss(10**4, 0.5, 0.05, 10.0)
     alt = spatial_rate.association_probability(0.05, 10.0) * math.log2(
@@ -319,7 +319,7 @@ def _check_rate_loss(tol: Tolerance, trials: int, seed: int) -> CheckResult:
     )
 
 
-_CHECKS: list[Callable[[Tolerance, int, int], CheckResult]] = [
+_CHECKS: list[Callable[[int, int], CheckResult]] = [
     _check_ei,
     _check_gamma,
     _check_power_integral,
@@ -342,11 +342,11 @@ _CHECKS: list[Callable[[Tolerance, int, int], CheckResult]] = [
 ]
 
 
-def run_all(tol: Tolerance, trials: int, seed: int) -> list[CheckResult]:
+def run_all(trials: int, seed: int) -> list[CheckResult]:
     results = []
     for check in _CHECKS:
         try:
-            results.append(check(tol, trials, seed))
+            results.append(check(trials, seed))
         except Exception as exc:  # a crashed check is a failed check
             name = check.__name__.lstrip("_")
             results.append(CheckResult(name, False, False, f"raised {type(exc).__name__}: {exc}"))

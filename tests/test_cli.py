@@ -5,6 +5,11 @@ from risgeo import validation
 from risgeo.cli import main
 from risgeo.config import ConfigError, parse_sweep, read_config_file, resolve
 from risgeo.rate_loss import rate_loss
+from risgeo.spatial_rate import (
+    spatial_rate_high_snr,
+    spatial_rate_integral,
+    spatial_rate_low_snr,
+)
 
 
 def run_cli(args):
@@ -54,6 +59,30 @@ class TestConfigParsing:
         cfg = tmp_path / "q.cfg"
         cfg.write_text("quant_bits = 2\n")
         assert resolve(str(cfg), {}).rho == 0.25
+
+    @pytest.mark.parametrize("rho", ["0", "0.5"])
+    def test_explicit_rho_conflicting_with_quant_bits(self, tmp_path, rho):
+        # rho = 0 is also the default value; setting it must still count
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(f"rho = {rho}\nquant_bits = 2\n")
+        with pytest.raises(ConfigError, match="conflicts with quant_bits"):
+            resolve(str(cfg), {})
+        bits_only = tmp_path / "bits.cfg"
+        bits_only.write_text("quant_bits = 2\n")
+        with pytest.raises(ConfigError, match="conflicts with quant_bits"):
+            resolve(str(bits_only), {"rho": float(rho)})
+
+    def test_explicit_rho_agreeing_with_quant_bits(self, tmp_path):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("rho = 0.25\nquant_bits = 2\n")
+        assert resolve(str(cfg), {}).rho == 0.25
+
+    @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
+    def test_retired_tolerance_keys_are_unknown(self, tmp_path, capsys, key):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"{key} = 1e-12\n")
+        assert run_cli(["validate", "--config", str(cfg), "--trials", "10"]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_unit_round_trip(self):
         cfg = resolve(None, {})
@@ -203,6 +232,72 @@ class TestRateSpatialCommand:
             closed = float(row[header.index("closed_form_bpshz")])
             quad = float(row[header.index("quadrature_bpshz")])
             assert abs(closed - quad) <= 0.1
+
+
+class TestRegimeDispatch:
+    """`--regime` at the default geometry, where the far-edge direct SNR is
+    0.0187, 2.97 and 297 at 3, 25 and 45 dBm."""
+
+    @staticmethod
+    def _spatial_row(tmp_path, tx_power_dbm, regime):
+        out = tmp_path / f"s{tx_power_dbm}{regime}.csv"
+        args = ["rate-spatial", "--sweep", f"tx_power_dbm:{tx_power_dbm}:{tx_power_dbm}:1"]
+        args += ["--trials", "200", "--regime", regime, "--out", str(out)]
+        assert run_cli(args) == 0
+        _, header, rows = read_rows(out)
+        (row,) = rows
+        return row[header.index("closed_form_bpshz")], row[header.index("quadrature_bpshz")]
+
+    @staticmethod
+    def _optimize_header(tmp_path, tx_power_dbm, regime, capsys):
+        cfg = tmp_path / f"o{tx_power_dbm}.cfg"
+        cfg.write_text(f"tx_power_dbm = {tx_power_dbm}\n")
+        code = run_cli(["optimize", "--config", str(cfg), "--regime", regime])
+        captured = capsys.readouterr()
+        return code, captured
+
+    @pytest.mark.parametrize(
+        "tx_power_dbm, edge_snr", [(3, 0.0187), (25, 2.97), (45, 297.0)]
+    )
+    def test_edge_snr_at_default_geometry(self, tx_power_dbm, edge_snr):
+        params = resolve(None, {"tx_power_dbm": tx_power_dbm}).system_params()
+        got = params.snr_gain * params.beta_direct(params.d_max)
+        assert got == pytest.approx(edge_snr, rel=0.005)
+
+    @pytest.mark.parametrize(
+        "tx_power_dbm, form",
+        [(3, spatial_rate_low_snr), (25, spatial_rate_integral), (45, spatial_rate_high_snr)],
+    )
+    def test_rate_spatial_auto(self, tmp_path, tx_power_dbm, form):
+        cfg = resolve(None, {"tx_power_dbm": tx_power_dbm})
+        params, dep = cfg.system_params(), cfg.deployment_params()
+        values = {
+            f: format(f(params, dep, cfg.rho).total, ".12g")
+            for f in (spatial_rate_low_snr, spatial_rate_integral, spatial_rate_high_snr)
+        }
+        assert len(set(values.values())) == 3  # the three forms are told apart
+        closed, quad = self._spatial_row(tmp_path, tx_power_dbm, "auto")
+        assert closed == values[form]
+        assert quad == values[spatial_rate_integral]
+
+    @pytest.mark.parametrize("tx_power_dbm", [3, 45])
+    def test_rate_spatial_integral_reuses_quadrature(self, tmp_path, tx_power_dbm):
+        closed, quad = self._spatial_row(tmp_path, tx_power_dbm, "integral")
+        assert closed == quad
+
+    @pytest.mark.parametrize(
+        "tx_power_dbm, regime", [(3, "low"), (25, "high"), (45, "high")]
+    )
+    def test_optimize_auto(self, tmp_path, capsys, tx_power_dbm, regime):
+        code, captured = self._optimize_header(tmp_path, tx_power_dbm, "auto", capsys)
+        assert code == 0
+        report = next(l for l in captured.out.splitlines() if l.startswith("# optimum:"))
+        assert report.endswith(f" regime={regime}")
+
+    def test_optimize_integral_is_config_error(self, tmp_path, capsys):
+        code, captured = self._optimize_header(tmp_path, 25, "integral", capsys)
+        assert code == 2
+        assert "optimize requires regime" in captured.err
 
 
 class TestOptimizeCommand:
