@@ -5,7 +5,7 @@ one within the serving radius and falls back to the direct link otherwise.
 Three routes to the same number are compared along a serving-radius sweep:
 
   * exact integral form (quadrature),
-  * high-SNR closed form (valid for large arrays),
+  * closed form (an upper bound on the integral at every SNR),
   * Monte-Carlo average of the per-position bounds.
 
 The rate saturates once nearly every user has a reflector in range.
@@ -37,7 +37,7 @@ print(f"{'C [m]':>6} {'P(served)':>10} {'integral':>9} {'closed':>9} {'mc_bound'
 for c in (4.0, 8.0, 12.0, 16.0, 20.0):
     params = make_params(c)
     quad = rg.spatial_rate_integral(params, dep, rho=0.0)
-    closed = rg.spatial_rate_high_snr(params, dep, rho=0.0)
+    closed = rg.spatial_rate_closed_form(params, dep, rho=0.0)
     est = rg.simulate_spatial_bound(params, dep, 0.0, mc)
     print(
         f"{c:6.1f} {quad.assoc_probability:10.3f} {quad.total:9.3f} "

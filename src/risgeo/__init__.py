@@ -16,10 +16,8 @@ from .deployment import (
 )
 from .errors import DomainError, NumericError, RegimeWarning
 from .monte_carlo import (
-    FadingDraw,
     McConfig,
     ReflectionMoments,
-    draw_fading,
     estimate_reflection_moments,
     hppp_window_radius,
     sample_hppp_nearest,
@@ -63,9 +61,8 @@ from .spatial_rate import (
     expected_log2_r_truncated,
     nearest_ris_pdf,
     noise_residual_term,
-    spatial_rate_high_snr,
+    spatial_rate_closed_form,
     spatial_rate_integral,
-    spatial_rate_low_snr,
 )
 from .special_math import (
     euler_constant,
@@ -81,7 +78,6 @@ __all__ = [
     "DeploymentOptimum",
     "DeploymentParams",
     "DomainError",
-    "FadingDraw",
     "LinkGeometry",
     "McConfig",
     "NumericError",
@@ -102,7 +98,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "deployment_objective",
-    "draw_fading",
     "error_difference_pdf",
     "estimate_reflection_moments",
     "euler_constant",
@@ -132,9 +127,8 @@ __all__ = [
     "simulate_fixed_rate",
     "simulate_spatial_bound",
     "simulate_spatial_exact",
-    "spatial_rate_high_snr",
+    "spatial_rate_closed_form",
     "spatial_rate_integral",
-    "spatial_rate_low_snr",
     "substream",
     "watts_to_dbm",
 ]

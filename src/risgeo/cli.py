@@ -19,11 +19,10 @@ from .rate_loss import rate_loss, rate_loss_asymptote
 from .config import ConfigError, RunConfig, resolve
 from .deployment import OptimizerRegime, optimize_density
 from .errors import DomainError, NumericError
-from .spatial_rate import (
-    spatial_rate_high_snr,
-    spatial_rate_integral,
-    spatial_rate_low_snr,
-)
+from .spatial_rate import spatial_rate_closed_form, spatial_rate_integral
+
+# Former names of the closed form; bench/tracer.py wraps them on this module.
+from .spatial_rate import spatial_rate_high_snr, spatial_rate_low_snr  # noqa: F401
 
 _FIXED_AXES = ("n_elements", "tx_power_dbm", "rho", "r", "d")
 _SPATIAL_AXES = ("serve_radius", "density", "tx_power_dbm", "n_elements", "rho")
@@ -94,23 +93,6 @@ def cmd_rate_fixed(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _closed_form_branch(cfg: RunConfig, params, dep, rho):
-    regime = cfg["regime"]
-    if regime == "auto":
-        edge_snr = params.snr_gain * params.beta_direct(params.d_max)
-        if edge_snr >= 10.0:
-            regime = "high"
-        elif edge_snr <= 0.1:
-            regime = "low"
-        else:
-            regime = "integral"
-    if regime == "high":
-        return spatial_rate_high_snr(params, dep, rho)
-    if regime == "low":
-        return spatial_rate_low_snr(params, dep, rho)
-    return None  # integral: caller reuses the quadrature value
-
-
 def cmd_rate_spatial(cfg: RunConfig) -> list[str]:
     axis = cfg.sweep.axis
     if axis not in _SPATIAL_AXES:
@@ -126,8 +108,7 @@ def cmd_rate_spatial(cfg: RunConfig) -> list[str]:
         dep = sub.deployment_params()
         rho = sub.rho
         quad = spatial_rate_integral(params, dep, rho)
-        closed = _closed_form_branch(sub, params, dep, rho)
-        closed_value = closed.total if closed is not None else quad.total
+        closed = spatial_rate_closed_form(params, dep, rho)
         mc = monte_carlo.McConfig(
             trials=sub["trials"], master_seed=sub["seed"], workers=sub["workers"]
         )
@@ -137,7 +118,7 @@ def cmd_rate_spatial(cfg: RunConfig) -> list[str]:
             ",".join(
                 [
                     _fmt(_axis_echo(axis, value)),
-                    _fmt(closed_value),
+                    _fmt(closed.total),
                     _fmt(quad.total),
                     _fmt(mc_bound.value),
                     _fmt(mc_bound.std_error),
@@ -156,8 +137,6 @@ def cmd_optimize(cfg: RunConfig) -> list[str]:
     if snr_regime == "auto":
         edge_snr = params.snr_gain * params.beta_direct(params.d_max)
         snr_regime = "high" if edge_snr >= 1.0 else "low"
-    if snr_regime == "integral":
-        raise ConfigError("optimize requires regime high, low, or auto")
     regime = OptimizerRegime.for_conditions(snr_regime, rho)
     eta = cfg["element_budget"]
     opt = optimize_density(eta, params, rho, regime)
@@ -232,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("rate-fixed", "fixed-geometry rate bound vs Monte-Carlo over a sweep"),
-        ("rate-spatial", "spatially averaged rate: closed forms, quadrature, Monte-Carlo"),
+        ("rate-spatial", "spatially averaged rate: closed form, quadrature, Monte-Carlo"),
         ("optimize", "optimal density / array size under an element budget"),
         ("rate-loss", "phase-error rate loss and its saturation levels vs array size"),
         ("validate", "run the self-check suite"),
@@ -244,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write CSV here instead of stdout")
         p.add_argument("--sweep", help="AXIS:MIN:MAX:POINTS[:log]")
         p.add_argument(
-            "--regime", choices=("high", "low", "auto", "integral"), help="closed-form branch"
+            "--regime",
+            choices=("high", "low", "auto"),
+            help="SNR regime of the optimize objective (optimize only)",
         )
         p.add_argument(
             "--dump-linear",

@@ -92,7 +92,7 @@ _SCHEMA = {
     "validate_trials": (int, lambda v: v >= 1),
     "seed": (int, _nonneg),
     "workers": (int, lambda v: v >= 1),
-    "regime": (str, lambda v: v in ("high", "low", "auto", "integral")),
+    "regime": (str, lambda v: v in ("high", "low", "auto")),
     "sweep": (str, None),
     "out": (str, None),
     "n_max": (int, lambda v: v >= 1),

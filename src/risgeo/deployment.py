@@ -47,6 +47,12 @@ _SCAN_FLOOR = 1e-12
 _BISECT_MAX_STEPS = 500
 _BISECT_REL_WIDTH = 1e-10
 
+#: The golden-section refinement of the objective scan replaces the bisected
+#: root only if it scores higher by more than this (bps/Hz); on a flat maximum
+#: it locates lambda* only to about sqrt(machine eps), so smaller wins are
+#: rounding noise.
+_REFINE_MIN_GAIN = 1e-9
+
 
 @dataclass(frozen=True)
 class OptimizerRegime:
@@ -360,14 +366,11 @@ def optimize_density(
     k = int(np.argmax(fvals))
     scan_lo = grid[max(k - 1, 0)]
     scan_hi = grid[min(k + 1, len(grid) - 1)]
-    if scan_hi > scan_lo:
-        candidates.setdefault("bisection", None)
-        # clamp: exp/log round-tripping at the eta edge can exceed it by 1 ulp
-        refined = min(_golden_max(lambda l: fobj(min(l, eta)), scan_lo, scan_hi), eta)
-        if candidates["bisection"] is None or fobj(refined) > fobj(candidates["bisection"]):
-            candidates["bisection"] = refined
-    if candidates.get("bisection") is None:
-        del candidates["bisection"]
+    # clamp: exp/log round-tripping at the eta edge can exceed it by 1 ulp
+    refined = min(_golden_max(lambda l: fobj(min(l, eta)), scan_lo, scan_hi), eta)
+    root = candidates.get("bisection")
+    if root is None or fobj(refined) > fobj(root) + _REFINE_MIN_GAIN:
+        candidates["bisection"] = refined
 
     branch, lam_star = max(candidates.items(), key=lambda kv: fobj(kv[1]))
     return _finish(lam_star, eta, params, rho, regime, branch)

@@ -56,16 +56,6 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class FadingDraw:
-    """One realization of all small-scale channels for an N-element link."""
-
-    direct: complex
-    bs_ris: np.ndarray
-    ris_ue: np.ndarray
-    phase_errors: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReflectionMoments:
     """Empirical first/second moments of the aggregated reflection coefficient."""
 
@@ -73,22 +63,6 @@ class ReflectionMoments:
     mean_abs_z_sq: float
     stderr_re_z: float
     stderr_abs_z_sq: float
-
-
-def _cn01(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
-def draw_fading(n_elements: int, rho: float, stream: np.random.Generator) -> FadingDraw:
-    """Draw one i.i.d. CN(0,1) fading realization plus uniform phase errors."""
-    if n_elements < 1:
-        raise DomainError("n_elements must be at least 1")
-    return FadingDraw(
-        direct=complex(_cn01(stream, ())),
-        bs_ris=_cn01(stream, n_elements),
-        ris_ue=_cn01(stream, n_elements),
-        phase_errors=sample_phase_errors(rho, n_elements, stream),
-    )
 
 
 def hppp_window_radius(lam: float, serve_radius: float) -> float:
@@ -256,7 +230,7 @@ def simulate_spatial_bound(
 ) -> RateEstimate:
     """Monte-Carlo average of the fixed-geometry bounds over random positions.
 
-    Estimates exactly the quantity the spatial closed forms integrate.
+    Estimates exactly the quantity `spatial_rate_integral` computes.
     """
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)

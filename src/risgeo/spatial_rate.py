@@ -7,29 +7,25 @@ nearest-reflector distance (Rayleigh-type density 2 pi lam r exp(-pi lam r^2))
 and the annulus position density f_d ~ d gives
 
   * an exact integral form (all SNRs, 2-D quadrature for the residual term),
-  * a high-SNR closed form, and
-  * a low-SNR closed form,
+    the reference, and
+  * one closed form, an upper bound on it at every SNR,
 
 each reported as a component breakdown that re-sums to the total.
 
 On a served disk r <= R the rate splits exactly as log2(snr A) + log2(1 + y),
 with A = beta^2 d^-a2 r^-a3 N (m^2 N + 1 - m^2) the array-gain SNR and y the
-cascaded-link (and noise) residual.  The first piece has an exact closed form.
-The closed forms bound the second by Jensen's inequality,
+cascaded-link and noise residual.  The first piece has an exact closed form.
+The closed form bounds the second by Jensen's inequality,
 P log2(1 + E{y ; r <= R} / P) with P = P(r <= R), which needs only the gamma
 moments of r; the paper's linearization E{y ; r <= R} / ln 2 is larger still
 and stays available as `cascade_residual_term` / `noise_residual_term`.  The
 direct branch is bounded the same way, (1 - P) log2(1 + snr beta E{d^-a1}).
 
-  * High-SNR form: one disk R = C; the residual drops the noise term, so the
-    form can undershoot when the direct link is not itself at high SNR.
-  * Low-SNR form: where snr A is small the log split is loose, so the disk is
-    cut at r0 = min(C, (snr beta^2 E{d^-a2} N (m^2 N + 1 - m^2))^(1/a3)), the
-    radius where the mean array-gain SNR crosses 1.  Inside r0 the log split
-    is kept with the noise term in the residual; on r0 < r <= C Jensen bounds
-    the whole rate.  Every piece is an upper bound for any r0.
-
-The integral form is the reference.
+Where snr A is small the log split is loose, so the closed form cuts the
+serving disk at r0 = min(C, (snr beta^2 E{d^-a2} N (m^2 N + 1 - m^2))^(1/a3)),
+the radius where the mean array-gain SNR crosses 1.  Inside r0 the log split
+is kept; on r0 < r <= C Jensen bounds the whole rate.  Every piece is an
+upper bound for any r0.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ from .special_math import (
 
 _LN2 = math.log(2.0)
 
-#: Soft-precondition thresholds for the closed-form branches.
-_HIGH_SNR_EDGE_MIN = 10.0   # direct-link SNR at the far annulus edge
+#: Soft-precondition thresholds for the closed form.
 _LOW_SNR_EDGE_MAX = 0.5     # direct-link SNR at the near annulus edge
 _MIN_CLOSED_FORM_N = 8      # "moderate-to-large" array size
 
@@ -147,20 +142,20 @@ class SpatialRateBreakdown:
             + direct_term.
 
     The first three terms cover the disk r <= R on which the served rate is
-    split as log2(snr A) + log2(1 + y); R = C, except R = r0 for the low-SNR
-    form (see the module docstring).
+    split as log2(snr A) + log2(1 + y); R = C for the integral form and
+    R = r0 for the closed form (see the module docstring).
 
     * baseline_term: E{log2(snr beta^2 d^-a2 r^-a3) ; r <= R}, the SNR and
       geometry offset weighted by the disk mass P(r <= R).
     * h_term: the array gain P(r <= R) log2(N (m^2 N + 1 - m^2)).
     * g_bar_term: the residual E{log2(1 + y) ; r <= R}; exact quadrature with
       the noise term for the integral form, the Jensen bound without the
-      noise term for the closed forms.
-    * g_bar_low_term: low-SNR form only, else None.  What the noise term adds
-      to the Jensen residual on r <= r0, plus the Jensen bound on the whole
-      served rate over r0 < r <= C; always positive.
+      noise term for the closed form.
+    * g_bar_low_term: None for the integral form.  For the closed form, what
+      the noise term adds to the Jensen residual on r <= r0, plus the Jensen
+      bound on the whole served rate over r0 < r <= C; always positive.
     * direct_term: users served by the direct link only (r > C); exact for
-      the integral form, the Jensen bound for the closed forms.
+      the integral form, the Jensen bound for the closed form.
     """
 
     total: float
@@ -250,7 +245,7 @@ def cascade_residual_term(
 
 
 def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
-    """Extra residual of the low-SNR closed form (noise-to-signal correction).
+    """Linearized noise-to-signal residual of the served branch (low-SNR objective).
 
     `n_elements` and `lam` may be arrays of matching shape.
     """
@@ -272,7 +267,7 @@ def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
 
 
 def _baseline_term(params: SystemParams, lam: float) -> float:
-    # Association-weighted SNR/geometry offsets common to all three forms.
+    # Association-weighted SNR/geometry offsets common to both forms.
     assoc = association_probability(lam, params.serve_radius)
     return assoc * (
         math.log2(params.snr_gain * params.beta_ref**2)
@@ -424,26 +419,14 @@ def _residual_integral(
     return val
 
 
-def _closed_form_preconditions(
-    params: SystemParams, dep: DeploymentParams, branch: str
-) -> Optional[str]:
+def _closed_form_preconditions(params: SystemParams, dep: DeploymentParams) -> Optional[str]:
     notes = []
-    if branch == "high":
-        edge_snr = params.snr_gain * params.beta_direct(params.d_max)
-        if edge_snr < _HIGH_SNR_EDGE_MIN:
-            notes.append(
-                f"direct-link SNR at the far edge is {edge_snr:.3g}; "
-                "high-SNR closed form drops the noise term of the served "
-                "residual and may undershoot"
-            )
-    else:
-        edge_snr = params.snr_gain * params.beta_direct(params.d_min)
-        if edge_snr > _LOW_SNR_EDGE_MAX:
-            notes.append(
-                f"direct-link SNR at the near edge is {edge_snr:.3g}; "
-                "the Jensen residual of the low-SNR closed form loosens "
-                "as the SNR grows"
-            )
+    edge_snr = params.snr_gain * params.beta_direct(params.d_min)
+    if edge_snr > _LOW_SNR_EDGE_MAX:
+        notes.append(
+            f"direct-link SNR at the near edge is {edge_snr:.3g}; "
+            "the Jensen residual of the closed form loosens as the SNR grows"
+        )
     if dep.elements_per_ris < _MIN_CLOSED_FORM_N:
         notes.append(
             f"elements_per_ris={dep.elements_per_ris} is below the "
@@ -476,31 +459,11 @@ def spatial_rate_integral(
     )
 
 
-def spatial_rate_high_snr(
+def spatial_rate_closed_form(
     params: SystemParams, dep: DeploymentParams, rho: float
 ) -> SpatialRateBreakdown:
-    """High-SNR closed form: Jensen residual without the noise term on r <= C,
-    Jensen direct branch."""
-    lam = dep.density
-    baseline, h, g, _ = _served_branch(params, dep.elements_per_ris, rho, lam)
-    direct = _direct_term_jensen(params, lam)
-    return SpatialRateBreakdown(
-        total=baseline + h + g + direct,
-        assoc_probability=association_probability(lam, params.serve_radius),
-        h_term=h,
-        g_bar_term=g,
-        direct_term=direct,
-        baseline_term=baseline,
-        method="closed_form",
-        warning=_closed_form_preconditions(params, dep, "high"),
-    )
-
-
-def spatial_rate_low_snr(
-    params: SystemParams, dep: DeploymentParams, rho: float
-) -> SpatialRateBreakdown:
-    """Low-SNR closed form: log split with the noise term on r <= r0, Jensen on
-    the whole rate over r0 < r <= C, Jensen direct branch."""
+    """Closed-form upper bound: log split with the noise term on r <= r0,
+    Jensen on the whole rate over r0 < r <= C, Jensen direct branch."""
     lam = dep.density
     n = dep.elements_per_ris
     r0 = _split_radius(params, n, rho)
@@ -516,5 +479,10 @@ def spatial_rate_low_snr(
         baseline_term=baseline,
         g_bar_low_term=g_low,
         method="closed_form",
-        warning=_closed_form_preconditions(params, dep, "low"),
+        warning=_closed_form_preconditions(params, dep),
     )
+
+
+# Former names of the closed form, kept because bench/tracer.py and
+# bench/workloads.py look them up.
+spatial_rate_high_snr = spatial_rate_low_snr = spatial_rate_closed_form

@@ -171,11 +171,7 @@ def _check_breakdown(trials: int, seed: int) -> CheckResult:
     params = _default_params(tx_power_dbm=20.0)
     dep = DeploymentParams(density=0.005, elements_per_ris=200)
     worst = 0.0
-    for fn in (
-        spatial_rate.spatial_rate_high_snr,
-        spatial_rate.spatial_rate_low_snr,
-        spatial_rate.spatial_rate_integral,
-    ):
+    for fn in (spatial_rate.spatial_rate_closed_form, spatial_rate.spatial_rate_integral):
         br = fn(params, dep, 0.25)
         worst = max(worst, abs(br.total - br.component_sum()))
         worst = max(

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; criteria
 carry their stated tolerances and runtime budgets.  Criteria 6 and 7 hold the
-Jensen-tightened spatial closed forms to the integral and to Monte-Carlo at a
-10 m serving radius with N = 20 and 200.  Criterion 3 checks the compensation
+one Jensen-tightened spatial closed form to the integral and to Monte-Carlo at
+20 and 3 dBm, a 10 m serving radius and N = 20 and 200.  Criterion 3 checks the compensation
 factors of `compensation()`: both routes are exact on the large-array
 asymptote, element compensation on the full bound at N = 200, and power
 compensation on the full bound only inside the asymptote's regime; the
@@ -39,9 +39,8 @@ from risgeo.rate_bounds import compensation, rate_asymptotic, rate_bound_ris
 from risgeo.rate_loss import rate_loss
 from risgeo.spatial_rate import (
     association_probability,
-    spatial_rate_high_snr,
+    spatial_rate_closed_form,
     spatial_rate_integral,
-    spatial_rate_low_snr,
 )
 from risgeo.special_math import exp_integral_ei, lower_incomplete_gamma, power_integral
 from risgeo.streams import substream
@@ -155,12 +154,12 @@ def test_criterion_04_rate_loss_saturation():
         (abs(got - limit) <= 1e-3 and abs(limit - 1.303) <= 1e-3,
          f"loss(1e4,0.5)={got:.6f} limit={limit:.6f}")
     )
-    # desk-scale curve: full high-SNR closed-form loss (array-gain + residual)
+    # desk-scale curve: full closed-form loss (array-gain + residual)
     params = baseline_params(tx_power_dbm=15.0, serve_radius=c)
     for rho, n, quoted in ((0.25, 40, 0.3), (0.5, 120, 1.2), (0.6, 160, 1.8)):
         dep = DeploymentParams(density=lam, elements_per_ris=n)
-        ideal = spatial_rate_high_snr(params, dep, 0.0)
-        impaired = spatial_rate_high_snr(params, dep, rho)
+        ideal = spatial_rate_closed_form(params, dep, 0.0)
+        impaired = spatial_rate_closed_form(params, dep, rho)
         loss = ideal.total - impaired.total
         parts.append(
             (abs(loss - quoted) <= 0.1, f"loss(N={n},rho={rho})={loss:.3f} vs {quoted}")
@@ -194,7 +193,7 @@ def test_criterion_06_spatial_high_snr_triangle():
         for rho in (0.0, 0.5):
             dep = DeploymentParams(density=0.005, elements_per_ris=n)
             quad = spatial_rate_integral(params, dep, rho).total
-            closed = spatial_rate_high_snr(params, dep, rho).total
+            closed = spatial_rate_closed_form(params, dep, rho).total
             mcb = simulate_spatial_bound(params, dep, rho, mc)
             gap_ic = abs(quad - closed)
             gap_cm = abs(closed - mcb.value)
@@ -205,7 +204,7 @@ def test_criterion_06_spatial_high_snr_triangle():
             parts.append(
                 (gap_cm <= tol_cm, f"N={n} rho={rho}: |closed-mc|={gap_cm:.3f} (tol {tol_cm:.3f})")
             )
-    report(6, "high-SNR closed-form triangle", parts, 120.0, time.perf_counter() - start)
+    report(6, "closed-form triangle at high SNR", parts, 120.0, time.perf_counter() - start)
 
 
 def test_criterion_07_spatial_low_snr_vs_mc():
@@ -216,14 +215,14 @@ def test_criterion_07_spatial_low_snr_vs_mc():
     for n in (20, 200):
         for rho in (0.0, 0.5):
             dep = DeploymentParams(density=0.005, elements_per_ris=n)
-            closed = spatial_rate_low_snr(params, dep, rho).total
+            closed = spatial_rate_closed_form(params, dep, rho).total
             mcb = simulate_spatial_bound(params, dep, rho, mc)
             gap = abs(closed - mcb.value)
             tol = max(3 * mcb.std_error, 0.1)
             parts.append(
                 (gap <= tol, f"N={n} rho={rho}: |closed-mc|={gap:.3f} (tol {tol:.3f})")
             )
-    report(7, "low-SNR closed form vs MC", parts, 120.0, time.perf_counter() - start)
+    report(7, "closed form vs MC at low SNR", parts, 120.0, time.perf_counter() - start)
 
 
 def test_criterion_08_optimizer_cross_validation():

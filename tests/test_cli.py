@@ -5,11 +5,7 @@ from risgeo import validation
 from risgeo.cli import main
 from risgeo.config import ConfigError, parse_sweep, read_config_file, resolve
 from risgeo.rate_loss import rate_loss
-from risgeo.spatial_rate import (
-    spatial_rate_high_snr,
-    spatial_rate_integral,
-    spatial_rate_low_snr,
-)
+from risgeo.spatial_rate import spatial_rate_closed_form, spatial_rate_integral
 
 
 def run_cli(args):
@@ -189,8 +185,6 @@ class TestRateSpatialCommand:
                 "density:0.005:0.04:3:log",
                 "--trials",
                 "20000",
-                "--regime",
-                "integral",
                 "--out",
                 str(out),
             ]
@@ -219,8 +213,6 @@ class TestRateSpatialCommand:
                     "serve_radius:8:16:2",
                     "--trials",
                     "20000",
-                    "--regime",
-                    "high",
                     "--out",
                     str(out),
                 ]
@@ -236,7 +228,7 @@ class TestRateSpatialCommand:
 
 class TestRegimeDispatch:
     """`--regime` at the default geometry, where the far-edge direct SNR is
-    0.0187, 2.97 and 297 at 3, 25 and 45 dBm."""
+    0.0187, 2.97 and 297 at 3, 25 and 45 dBm.  It steers `optimize` only."""
 
     @staticmethod
     def _spatial_row(tmp_path, tx_power_dbm, regime):
@@ -264,26 +256,15 @@ class TestRegimeDispatch:
         got = params.snr_gain * params.beta_direct(params.d_max)
         assert got == pytest.approx(edge_snr, rel=0.005)
 
-    @pytest.mark.parametrize(
-        "tx_power_dbm, form",
-        [(3, spatial_rate_low_snr), (25, spatial_rate_integral), (45, spatial_rate_high_snr)],
-    )
-    def test_rate_spatial_auto(self, tmp_path, tx_power_dbm, form):
+    @pytest.mark.parametrize("regime", ["high", "low", "auto"])
+    @pytest.mark.parametrize("tx_power_dbm", [3, 25, 45])
+    def test_rate_spatial_closed_column(self, tmp_path, tx_power_dbm, regime):
         cfg = resolve(None, {"tx_power_dbm": tx_power_dbm})
         params, dep = cfg.system_params(), cfg.deployment_params()
-        values = {
-            f: format(f(params, dep, cfg.rho).total, ".12g")
-            for f in (spatial_rate_low_snr, spatial_rate_integral, spatial_rate_high_snr)
-        }
-        assert len(set(values.values())) == 3  # the three forms are told apart
-        closed, quad = self._spatial_row(tmp_path, tx_power_dbm, "auto")
-        assert closed == values[form]
-        assert quad == values[spatial_rate_integral]
-
-    @pytest.mark.parametrize("tx_power_dbm", [3, 45])
-    def test_rate_spatial_integral_reuses_quadrature(self, tmp_path, tx_power_dbm):
-        closed, quad = self._spatial_row(tmp_path, tx_power_dbm, "integral")
-        assert closed == quad
+        closed, quad = self._spatial_row(tmp_path, tx_power_dbm, regime)
+        assert closed == format(spatial_rate_closed_form(params, dep, cfg.rho).total, ".12g")
+        assert quad == format(spatial_rate_integral(params, dep, cfg.rho).total, ".12g")
+        assert closed != quad
 
     @pytest.mark.parametrize(
         "tx_power_dbm, regime", [(3, "low"), (25, "high"), (45, "high")]
@@ -294,10 +275,18 @@ class TestRegimeDispatch:
         report = next(l for l in captured.out.splitlines() if l.startswith("# optimum:"))
         assert report.endswith(f" regime={regime}")
 
-    def test_optimize_integral_is_config_error(self, tmp_path, capsys):
-        code, captured = self._optimize_header(tmp_path, 25, "integral", capsys)
-        assert code == 2
-        assert "optimize requires regime" in captured.err
+    def test_integral_regime_in_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "i.cfg"
+        cfg.write_text("regime = integral\n")
+        for command in (["optimize"], ["rate-spatial", "--sweep", "tx_power_dbm:3:3:1"]):
+            assert run_cli(command + ["--config", str(cfg)]) == 2
+            assert "out of domain" in capsys.readouterr().err
+
+    def test_integral_regime_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["optimize", "--regime", "integral"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'integral'" in capsys.readouterr().err
 
 
 class TestOptimizeCommand:

@@ -290,6 +290,26 @@ class TestOptimizeDensity:
             want = deployment_objective(opt.lambda_star, 10.0, params, 0.3, HIGH_BOUNDED)
         assert opt.objective == pytest.approx(want, abs=1e-9)
 
+    def test_root_stable_under_special_function_noise(self, monkeypatch):
+        # on a flat maximum the golden-section refinement wanders by ~1e-8
+        # relative; it must not displace the bisected root on rounding noise
+        params = make_params(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)
+
+        def solve():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                return optimize_density(10.0, params, 0.25, HIGH_BOUNDED)
+
+        base = solve()
+        assert (base.branch, base.n_star) == ("bisection", 341)
+        exact = deployment.exp_integral_ei
+        for eps in (-1e-11, 1e-11, 1e-10):
+            monkeypatch.setattr(deployment, "exp_integral_ei", lambda x, e=eps: exact(x) + e)
+            opt = solve()
+            assert (opt.branch, opt.n_star) == (base.branch, base.n_star)
+            assert opt.lambda_star == pytest.approx(base.lambda_star, rel=1e-9)
+            assert opt.objective == pytest.approx(base.objective, abs=1e-8)
+
     def test_domain(self):
         params = make_params()
         with pytest.raises(DomainError):

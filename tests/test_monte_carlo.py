@@ -6,10 +6,8 @@ from scipy import integrate, stats
 
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
-    FadingDraw,
     McConfig,
     _cascade,
-    draw_fading,
     estimate_reflection_moments,
     hppp_window_radius,
     sample_hppp_nearest,
@@ -108,22 +106,6 @@ class TestHpppSampler:
         assert math.exp(-math.pi * lam * r * r) < 1e-9
 
 
-class TestFadingDraw:
-    def test_unit_power_channels(self):
-        rng = substream(11, 0)
-        sq = np.array([abs(draw_fading(8, 0.3, rng).direct) ** 2 for _ in range(20000)])
-        se = sq.std(ddof=1) / math.sqrt(len(sq))
-        assert abs(sq.mean() - 1.0) <= 3 * se
-
-    def test_shapes_and_error_support(self):
-        d = draw_fading(16, 0.25, substream(11, 1))
-        assert d.bs_ris.shape == (16,) and d.ris_ue.shape == (16,)
-        assert np.all(np.abs(d.phase_errors) <= 0.25 * math.pi)
-        with pytest.raises(DomainError):
-            draw_fading(0, 0.25, substream(11, 2))
-        assert isinstance(d, FadingDraw)
-
-
 class TestCascadeKernel:
     # cos/sin against exp(1j*tau) differ by a few ulp and the summation order
     # differs, so float64 agreement is about N * 2^-52 * sum|a| (~1e-14 at
@@ -148,10 +130,16 @@ class TestCascadeKernel:
         # the moment tests pin two moments; the rate depends on the whole law
         n = 20000
         amp, _, h_abs = _cascade(substream(23, 0), n, 1, 0.0)
-        ref = draw_fading(n, 0.0, substream(23, 1))
+        rng = substream(23, 1)
+
+        def cn01(shape):  # reference CN(0,1) sampler
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+        cn01(())  # one direct-link gain, drawn first as a link realization does
+        g, h = np.abs(cn01(n)), np.abs(cn01(n))
         critical = 1.628 * math.sqrt(2.0 / n)  # 1% critical value
-        assert stats.ks_2samp(amp, np.abs(ref.bs_ris) * np.abs(ref.ris_ue)).statistic < critical
-        assert stats.ks_2samp(h_abs, np.abs(ref.bs_ris)).statistic < critical
+        assert stats.ks_2samp(amp, g * h).statistic < critical
+        assert stats.ks_2samp(h_abs, g).statistic < critical
 
 
 class TestSimulateFixedRate:

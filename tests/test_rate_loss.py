@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from risgeo.errors import DomainError
-from risgeo.params import DeploymentParams, SystemParams
 from risgeo.phase_error import attenuation_factor
 from risgeo.rate_loss import rate_loss, rate_loss_asymptote, rate_loss_regime
-from risgeo.spatial_rate import association_probability, spatial_rate_high_snr
+from risgeo.spatial_rate import array_gain_term, association_probability
 
 ASSOC = association_probability(0.05, 10.0)  # essentially 1 at these values
 
@@ -38,13 +37,9 @@ class TestRateLoss:
             assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_matches_array_gain_difference(self):
-        params = SystemParams.from_engineering(
-            15.0, -80.0, -30.0, 3.0, 2.0, 2.5, 180.0, 220.0, 10.0
-        )
-        dep = DeploymentParams(density=0.05, elements_per_ris=144)
-        ideal = spatial_rate_high_snr(params, dep, 0.0).h_term
+        ideal = array_gain_term(144, 0.0, 0.05, 10.0)
         for rho in (0.25, 0.5, 1.0):
-            actual = spatial_rate_high_snr(params, dep, rho).h_term
+            actual = array_gain_term(144, rho, 0.05, 10.0)
             assert rate_loss(144, rho, 0.05, 10.0) == pytest.approx(ideal - actual, abs=1e-12)
 
     def test_domain(self):

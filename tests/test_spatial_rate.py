@@ -18,9 +18,8 @@ from risgeo.spatial_rate import (
     expected_log2_r_truncated,
     nearest_ris_pdf,
     noise_residual_term,
-    spatial_rate_high_snr,
+    spatial_rate_closed_form,
     spatial_rate_integral,
-    spatial_rate_low_snr,
 )
 from risgeo.special_math import euler_constant
 from risgeo.streams import substream
@@ -142,7 +141,7 @@ class TestSpatialRateForms:
     def test_components_resum(self):
         params = make_params()
         dep = DeploymentParams(density=0.005, elements_per_ris=200)
-        for fn in (spatial_rate_integral, spatial_rate_high_snr, spatial_rate_low_snr):
+        for fn in (spatial_rate_integral, spatial_rate_closed_form):
             br = fn(params, dep, 0.25)
             assert br.total == pytest.approx(br.component_sum(), abs=1e-9)
             assert br.assoc_probability == pytest.approx(
@@ -152,10 +151,9 @@ class TestSpatialRateForms:
     def test_low_snr_has_extra_component(self):
         params = make_params(tx_power_dbm=3.0)
         dep = DeploymentParams(density=0.005, elements_per_ris=200)
-        low = spatial_rate_low_snr(params, dep, 0.0)
-        high = spatial_rate_high_snr(params, dep, 0.0)
-        assert low.g_bar_low_term is not None and low.g_bar_low_term > 0.0
-        assert high.g_bar_low_term is None
+        closed = spatial_rate_closed_form(params, dep, 0.0)
+        assert closed.g_bar_low_term is not None and closed.g_bar_low_term > 0.0
+        assert spatial_rate_integral(params, dep, 0.0).g_bar_low_term is None
 
     def test_vanishing_power(self):
         params = make_params(tx_power_dbm=-150.0)
@@ -191,7 +189,7 @@ class TestSpatialRateForms:
         dep = DeploymentParams(density=lam, elements_per_ris=n)
         gap = abs(
             spatial_rate_integral(params, dep, 0.0).total
-            - spatial_rate_high_snr(params, dep, 0.0).total
+            - spatial_rate_closed_form(params, dep, 0.0).total
         )
         assert gap <= 0.1
 
@@ -202,10 +200,10 @@ class TestSpatialRateForms:
         params = make_params(tx_power_dbm=3.0, serve_radius=c)
         dep = DeploymentParams(density=0.005, elements_per_ris=n)
         quad_total = spatial_rate_integral(params, dep, 0.0).total
-        low_total = spatial_rate_low_snr(params, dep, 0.0).total
-        assert abs(quad_total - low_total) <= 0.1
+        closed_total = spatial_rate_closed_form(params, dep, 0.0).total
+        assert abs(quad_total - closed_total) <= 0.1
         est = simulate_spatial_bound(params, dep, 0.0, McConfig(trials=300_000, master_seed=9))
-        assert abs(low_total - est.value) <= max(3 * est.std_error, 0.1)
+        assert abs(closed_total - est.value) <= max(3 * est.std_error, 0.1)
 
     def test_residual_small_against_array_gain(self):
         # residual-to-gain ratio below 2% for arrays of 256+ elements, and
@@ -214,7 +212,7 @@ class TestSpatialRateForms:
         for lam in (0.005, 0.05):
             ratios = []
             for n in (256, 512, 1024):
-                br = spatial_rate_high_snr(params, DeploymentParams(density=lam, elements_per_ris=n), 0.0)
+                br = spatial_rate_closed_form(params, DeploymentParams(density=lam, elements_per_ris=n), 0.0)
                 ratios.append(br.g_bar_term / br.h_term)
             assert ratios[0] <= 0.02
             assert ratios[0] > ratios[1] > ratios[2]
@@ -234,23 +232,21 @@ class TestSpatialRateForms:
         # dense deployment: association -> 1 and the direct-only branch dies off
         params = make_params()
         dep = DeploymentParams(density=5.0, elements_per_ris=64)
-        br = spatial_rate_high_snr(params, dep, 0.0)
+        br = spatial_rate_closed_form(params, dep, 0.0)
         assert br.assoc_probability == pytest.approx(1.0, abs=1e-12)
         assert abs(br.direct_term) < 1e-12
 
     def test_soft_precondition_flags(self):
         dep = DeploymentParams(density=0.005, elements_per_ris=200)
-        assert spatial_rate_high_snr(make_params(tx_power_dbm=20.0), dep, 0.0).warning
-        assert spatial_rate_high_snr(make_params(tx_power_dbm=45.0), dep, 0.0).warning is None
-        assert spatial_rate_low_snr(make_params(tx_power_dbm=-10.0), dep, 0.0).warning is None
-        assert spatial_rate_low_snr(make_params(tx_power_dbm=20.0), dep, 0.0).warning
+        assert spatial_rate_closed_form(make_params(tx_power_dbm=-10.0), dep, 0.0).warning is None
+        assert spatial_rate_closed_form(make_params(tx_power_dbm=20.0), dep, 0.0).warning
         small = DeploymentParams(density=0.005, elements_per_ris=2)
-        assert "moderate-to-large" in spatial_rate_high_snr(
+        assert "moderate-to-large" in spatial_rate_closed_form(
             make_params(tx_power_dbm=45.0), small, 0.0
         ).warning
 
 
-#: (P dBm, C m, lambda, N, rho) at which each closed form is held to account:
+#: (P dBm, C m, lambda, N, rho) at which the closed form is held to account:
 #: the criterion-6 / criterion-7 points and the in-regime closure points above.
 _HIGH_POINTS = [(20.0, 10.0, 0.005, n, rho) for n in (20, 200) for rho in (0.0, 0.5)] + [
     (30.0, 10.0, 0.05, 200, 0.0),
@@ -262,31 +258,36 @@ _LOW_POINTS = [(3.0, 10.0, 0.005, n, rho) for n in (20, 200) for rho in (0.0, 0.
     (3.0, 3.0, 0.005, 400, 0.0),
     (3.0, 2.0, 0.005, 100, 0.0),
 ]
+#: (P dBm, C m, lambda, N, rho, a3) at the SNR extremes, where a closed form
+#: without the split radius missed the integral by -6.81, +2.27 and +1.81 bps/Hz.
+_EXTREME_POINTS = [
+    (-10.0, 10.0, 0.005, 2, 0.0, 2.5),
+    (45.0, 10.0, 0.05, 2, 1.0, 4.0),
+    (45.0, 20.0, 0.005, 1000, 1.0, 4.0),
+]
 
 
 class TestTightenedClosedForms:
-    @pytest.mark.parametrize("p_dbm,c,lam,n,rho", _HIGH_POINTS)
-    def test_high_snr_residual_below_linearized(self, p_dbm, c, lam, n, rho):
+    @pytest.mark.parametrize("p_dbm,c,lam,n,rho", _HIGH_POINTS + _LOW_POINTS)
+    def test_residual_below_linearized(self, p_dbm, c, lam, n, rho):
         params = make_params(tx_power_dbm=p_dbm, serve_radius=c)
-        br = spatial_rate_high_snr(params, DeploymentParams(density=lam, elements_per_ris=n), rho)
-        assert 0.0 < br.g_bar_term <= cascade_residual_term(n, rho, lam, params)
-
-    @pytest.mark.parametrize("p_dbm,c,lam,n,rho", _LOW_POINTS)
-    def test_low_snr_residual_below_linearized(self, p_dbm, c, lam, n, rho):
-        params = make_params(tx_power_dbm=p_dbm, serve_radius=c)
-        br = spatial_rate_low_snr(params, DeploymentParams(density=lam, elements_per_ris=n), rho)
+        br = spatial_rate_closed_form(params, DeploymentParams(density=lam, elements_per_ris=n), rho)
         paper = cascade_residual_term(n, rho, lam, params) + noise_residual_term(n, rho, lam, params)
+        assert 0.0 < br.g_bar_term <= cascade_residual_term(n, rho, lam, params)
         assert br.g_bar_low_term > 0.0
         assert br.g_bar_term + br.g_bar_low_term <= paper
 
-    @pytest.mark.parametrize("p_dbm,c,lam,n,rho", _HIGH_POINTS + _LOW_POINTS)
-    def test_low_snr_bounds_integral(self, p_dbm, c, lam, n, rho):
-        # every piece of the low-SNR form is an upper bound, at any SNR
-        params = make_params(tx_power_dbm=p_dbm, serve_radius=c)
+    @pytest.mark.parametrize(
+        "p_dbm,c,lam,n,rho,a3",
+        [(*pt, 2.5) for pt in _HIGH_POINTS + _LOW_POINTS] + _EXTREME_POINTS,
+    )
+    def test_low_snr_bounds_integral(self, p_dbm, c, lam, n, rho, a3):
+        # every piece of the closed form is an upper bound, at any SNR
+        params = make_params(tx_power_dbm=p_dbm, serve_radius=c, alpha_ris_ue=a3)
         dep = DeploymentParams(density=lam, elements_per_ris=n)
-        low = spatial_rate_low_snr(params, dep, rho)
-        assert low.total >= spatial_rate_integral(params, dep, rho).total - 1e-9
-        assert low.total == pytest.approx(low.component_sum(), abs=1e-9)
+        closed = spatial_rate_closed_form(params, dep, rho)
+        assert closed.total >= spatial_rate_integral(params, dep, rho).total - 1e-9
+        assert closed.total == pytest.approx(closed.component_sum(), abs=1e-9)
 
     @pytest.mark.parametrize("alpha_ris_ue,n", [(2.0, 20), (4.0, 20), (4.0, 200)])
     def test_low_snr_integer_gamma_exponents(self, alpha_ris_ue, n):
@@ -296,8 +297,8 @@ class TestTightenedClosedForms:
         dep = DeploymentParams(density=0.005, elements_per_ris=n)
         assert _split_radius(params, n, 0.0) < params.serve_radius
         quad_total = spatial_rate_integral(params, dep, 0.0).total
-        low_total = spatial_rate_low_snr(params, dep, 0.0).total
-        assert quad_total - 1e-9 <= low_total <= quad_total + 0.05
+        closed_total = spatial_rate_closed_form(params, dep, 0.0).total
+        assert quad_total - 1e-9 <= closed_total <= quad_total + 0.05
 
     @pytest.mark.parametrize("p", [-4.0, -3.0, -2.0, -1.0, 1.25, 2.5])
     def test_annulus_radial_moment_vs_quadrature(self, p):
