@@ -32,7 +32,6 @@ from .spatial_rate import (
 from .special_math import exp_integral_ei, lower_incomplete_gamma
 
 _LN2 = math.log(2.0)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Bounded-error branches drop a term that is small only when
 #: lam << attenuation^2 * budget / (1 - attenuation^2); flag beyond this fraction.
@@ -47,10 +46,15 @@ _SCAN_FLOOR = 1e-12
 _BISECT_MAX_STEPS = 500
 _BISECT_REL_WIDTH = 1e-10
 
-#: The golden-section refinement of the objective scan replaces the bisected
-#: root only if it scores higher by more than this (bps/Hz); on a flat maximum
-#: it locates lambda* only to about sqrt(machine eps), so smaller wins are
-#: rounding noise.
+#: The zoom refining the objective scan's argmax rescans 64 log-spaced points
+#: per round until hi/lo < 1 + _ZOOM_REL_WIDTH, about sqrt(machine eps): no
+#: finer location of a flat maximum survives rounding.
+_ZOOM_STEPS = np.linspace(0.0, 1.0, 64)
+_ZOOM_REL_WIDTH = 1e-8
+
+#: A later candidate (eta boundary, bisected root, zoom refinement) displaces
+#: an earlier one only if it scores higher by more than this (bps/Hz); smaller
+#: wins are rounding noise on a flat maximum.
 _REFINE_MIN_GAIN = 1e-9
 
 
@@ -242,22 +246,18 @@ def objective_slope(
     return math.exp(x) * _slope_scaled(lam, eta, params, rho, regime)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
-    # Golden-section maximization on a log axis.
-    a, b = math.log(lo), math.log(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(math.exp(d))
-    return math.exp(0.5 * (a + b))
+def _zoom_max(f, grid: np.ndarray, fvals: np.ndarray) -> tuple[float, float]:
+    """(lam, f(lam)) at the argmax of a log-spaced scan, refined by rescanning
+    between the argmax's neighbours with one array call of f per round."""
+    k = int(np.argmax(fvals))
+    while True:
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        if hi / lo < 1.0 + _ZOOM_REL_WIDTH:
+            return float(grid[k]), float(fvals[k])
+        grid = lo * (hi / lo) ** _ZOOM_STEPS
+        grid[0], grid[-1] = lo, hi  # exact ends: no point may pass eta
+        fvals = f(grid)
+        k = int(np.argmax(fvals))
 
 
 def _ceil_quotient(eta: float, lam: float) -> int:
@@ -301,8 +301,9 @@ def optimize_density(
 
     Dispatch: closed forms where they exist (ideal-exponent bounded branch,
     random-phase branches), otherwise a 64-point log scan of the slope
-    factor bisected at its first sign change, cross-checked against a direct
-    scan of the objective and the eta boundary.  The returned array size is
+    factor bisected at its first sign change, cross-checked against the eta
+    boundary and a direct scan of the objective, whose argmax is refined by
+    zooming in with one array call per round.  The returned array size is
     the ceiling of the budget quotient.
     """
     _check_regime(regime, rho)
@@ -350,7 +351,7 @@ def optimize_density(
     signs = jsc(grid)
     fvals = fobj(grid)
 
-    candidates = {"boundary_eta": eta}
+    root = None
     crossings = np.nonzero((signs[:-1] > 0) & (signs[1:] <= 0))[0]
     if crossings.size:
         lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
@@ -362,18 +363,14 @@ def optimize_density(
                 hi = mid
             if hi / lo < 1.0 + _BISECT_REL_WIDTH:
                 break
-        candidates["bisection"] = min(math.sqrt(lo * hi), eta)
-    k = int(np.argmax(fvals))
-    scan_lo = grid[max(k - 1, 0)]
-    scan_hi = grid[min(k + 1, len(grid) - 1)]
-    # clamp: exp/log round-tripping at the eta edge can exceed it by 1 ulp
-    refined = min(_golden_max(lambda l: fobj(min(l, eta)), scan_lo, scan_hi), eta)
-    root = candidates.get("bisection")
-    if root is None or fobj(refined) > fobj(root) + _REFINE_MIN_GAIN:
-        candidates["bisection"] = refined
-
-    branch, lam_star = max(candidates.items(), key=lambda kv: fobj(kv[1]))
-    return _finish(lam_star, eta, params, rho, regime, branch)
+        root = min(math.sqrt(lo * hi), eta)
+    refined, f_refined = _zoom_max(fobj, grid, fvals)
+    f_root = -math.inf if root is None else float(fobj(root))
+    if f_refined > f_root + _REFINE_MIN_GAIN:
+        root, f_root = refined, f_refined
+    if f_root > fvals[-1] + _REFINE_MIN_GAIN:  # the scan ends at eta itself
+        return _finish(root, eta, params, rho, regime, "bisection")
+    return _finish(eta, eta, params, rho, regime, "boundary_eta")
 
 
 def grid_search_oracle(

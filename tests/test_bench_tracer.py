@@ -1,18 +1,29 @@
 """The benchmark tracer wraps package names by attribute; a rename must fail here."""
 
 import sys
+import warnings
 from pathlib import Path
 
+import pytest
+
 from risgeo import deployment, spatial_rate
+from risgeo.deployment import OptimizerRegime
+from risgeo.errors import RegimeWarning
+from risgeo.params import SystemParams
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_install_finds_and_uninstall_restores_every_name(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     import tracer
 
+    return tracer
+
+
+def test_install_finds_and_uninstall_restores_every_name(tracer):
     t = tracer.Tracer()
     try:
         t.install()
@@ -31,3 +42,36 @@ def test_install_finds_and_uninstall_restores_every_name(monkeypatch):
         (deployment, "deployment_objective"),
     ):
         assert (owner, attr) in names
+
+
+def test_objective_spans_nest_under_solve_and_count_every_call(tracer, monkeypatch):
+    # the optimizer must reach the objective through the module global, inside
+    # its own span, for objective_evals_per_solve to count its work
+    calls = []
+    exact = deployment.deployment_objective
+
+    def counted(*args):
+        calls.append(args[0])
+        return exact(*args)
+
+    monkeypatch.setattr(deployment, "deployment_objective", counted)
+    params = SystemParams.from_engineering(
+        tx_power_dbm=30.0, noise_dbm=-80.0, beta_db=-30.0, alpha_direct=3.0,
+        alpha_bs_ris=2.0, alpha_ris_ue=3.0, d_min=180.0, d_max=220.0, serve_radius=6.0,
+    )
+    t = tracer.Tracer()
+    try:
+        t.install()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            opt = deployment.optimize_density(10.0, params, 0.25, OptimizerRegime("high", "bounded"))
+    finally:
+        t.uninstall()
+    assert opt.branch == "bisection"
+    spans = t.spans
+    objective = [s for s in spans if s[tracer.NAME] == "deployment.objective"]
+    assert all(spans[s[tracer.PARENT]][tracer.NAME] == "deployment.optimize" for s in objective)
+    assert len(objective) == len(calls)
+    metrics, _ = tracer.layer_metrics(t)
+    assert metrics["deployment.solves"] == 1
+    assert metrics["deployment.objective_evals_per_solve"] == len(calls)

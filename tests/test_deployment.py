@@ -49,6 +49,33 @@ LOW_RANDOM = OptimizerRegime(snr="low", phase="random")
 LOW_BOUNDED = OptimizerRegime(snr="low", phase="bounded")
 
 
+def criterion8_instances():
+    """Eight seeded draws per regime over the criterion-8 parameter ranges."""
+    rng = np.random.default_rng(42)
+    for regime in (HIGH_BOUNDED, HIGH_RANDOM, LOW_BOUNDED, LOW_RANDOM):
+        for _ in range(8):
+            beta_db = -rng.uniform(25.0, 35.0)
+            if regime.snr == "high":
+                a3 = rng.uniform(2.1, 3.9)
+                c = rng.uniform(2.0, 12.0)
+                eta = rng.uniform(1.0, 20.0)
+                p_dbm = rng.uniform(25.0, 40.0)
+                rho = 1.0 if regime.phase == "random" else rng.uniform(0.0, 0.8)
+            else:
+                a3 = rng.uniform(2.1, 3.5)
+                c = rng.uniform(2.0, 4.0)
+                eta = rng.uniform(5.0, 20.0)
+                p_dbm = rng.uniform(0.0, 6.0)
+                rho = 1.0 if regime.phase == "random" else rng.uniform(0.0, 0.5)
+            params = make_params(
+                tx_power_dbm=p_dbm,
+                beta_db=beta_db,
+                alpha_ris_ue=a3,
+                serve_radius=c,
+            )
+            yield regime, rho, eta, params
+
+
 class TestObjectiveOffset:
     def test_matched_exponents_vanish(self):
         params = make_params(alpha_direct=2.0, alpha_bs_ris=2.0)
@@ -164,8 +191,9 @@ class TestObjectiveSlope:
             assert "0.375" not in message
 
 
-# One instance per regime, each off its closed-form branches, so the numeric
-# scan and bisection run on it.
+# One instance per regime, each off the closed-form roots; all but the high-SNR
+# random one (which meets the monotone condition) run the numeric scan,
+# bisection and zoom.
 REGIME_CASES = [
     (HIGH_BOUNDED, 0.25, dict(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)),
     (HIGH_RANDOM, 1.0, dict(tx_power_dbm=30.0, alpha_ris_ue=2.5)),
@@ -246,41 +274,15 @@ class TestOptimizeDensity:
             assert _slope_scaled(lam, eta, params, 1.0, HIGH_RANDOM) >= -1e-9
 
     def test_bisection_beats_or_matches_grid(self):
-        rng = np.random.default_rng(42)
-        for regime, rho_mode in (
-            (HIGH_BOUNDED, "bounded"),
-            (HIGH_RANDOM, "random"),
-            (LOW_BOUNDED, "bounded"),
-            (LOW_RANDOM, "random"),
-        ):
-            for _ in range(8):
-                beta_db = -rng.uniform(25.0, 35.0)
-                if regime.snr == "high":
-                    a3 = rng.uniform(2.1, 3.9)
-                    c = rng.uniform(2.0, 12.0)
-                    eta = rng.uniform(1.0, 20.0)
-                    p_dbm = rng.uniform(25.0, 40.0)
-                    rho = 1.0 if rho_mode == "random" else rng.uniform(0.0, 0.8)
-                else:
-                    a3 = rng.uniform(2.1, 3.5)
-                    c = rng.uniform(2.0, 4.0)
-                    eta = rng.uniform(5.0, 20.0)
-                    p_dbm = rng.uniform(0.0, 6.0)
-                    rho = 1.0 if rho_mode == "random" else rng.uniform(0.0, 0.5)
-                params = make_params(
-                    tx_power_dbm=p_dbm,
-                    beta_db=beta_db,
-                    alpha_ris_ue=a3,
-                    serve_radius=c,
-                )
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RegimeWarning)
-                    opt = optimize_density(eta, params, rho, regime)
-                    n_max = min(max(64, 4 * opt.n_star), 8192)
-                    oracle = grid_search_oracle(eta, params, rho, regime, n_max)
-                assert opt.objective >= oracle.objective - 0.02
-                assert opt.lambda_star <= eta
-                assert opt.n_star == math.ceil(eta / opt.lambda_star - 1e-12)
+        for regime, rho, eta, params in criterion8_instances():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                opt = optimize_density(eta, params, rho, regime)
+                n_max = min(max(64, 4 * opt.n_star), 8192)
+                oracle = grid_search_oracle(eta, params, rho, regime, n_max)
+            assert opt.objective >= oracle.objective - 0.02
+            assert opt.lambda_star <= eta
+            assert opt.n_star == math.ceil(eta / opt.lambda_star - 1e-12)
 
     def test_objective_field_consistency(self):
         params = make_params(alpha_ris_ue=2.5, tx_power_dbm=30.0)
@@ -291,7 +293,7 @@ class TestOptimizeDensity:
         assert opt.objective == pytest.approx(want, abs=1e-9)
 
     def test_root_stable_under_special_function_noise(self, monkeypatch):
-        # on a flat maximum the golden-section refinement wanders by ~1e-8
+        # on a flat maximum the zoom refinement locates lambda* only to ~1e-8
         # relative; it must not displace the bisected root on rounding noise
         params = make_params(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)
 
@@ -310,12 +312,107 @@ class TestOptimizeDensity:
             assert opt.lambda_star == pytest.approx(base.lambda_star, rel=1e-9)
             assert opt.objective == pytest.approx(base.objective, abs=1e-8)
 
+    @pytest.mark.parametrize("p_dbm,eta", [(3.0, 1.0), (0.0, 20.0)])
+    def test_boundary_maximum_returns_eta(self, p_dbm, eta):
+        # the objective peaks at eta; a refinement landing an ulp below it
+        # scores the same up to rounding and must not displace the boundary
+        params = make_params(tx_power_dbm=p_dbm, alpha_ris_ue=2.2, serve_radius=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            opt = optimize_density(eta, params, 0.25, LOW_BOUNDED)
+        assert (opt.branch, opt.lambda_star, opt.n_star) == ("boundary_eta", eta, 1)
+
+    def test_objective_evaluation_budget(self, monkeypatch):
+        # scan, zoom rounds, root score and the ceiling/floor check are each
+        # one call; the count goes through the module global the tracer wraps
+        exact = deployment.deployment_objective
+        counts = {}
+        for regime, rho, kwargs in REGIME_CASES:
+            calls = []
+
+            def counted(*args):
+                calls.append(args[0])
+                return exact(*args)
+
+            monkeypatch.setattr(deployment, "deployment_objective", counted)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                opt = optimize_density(10.0, make_params(**kwargs), rho, regime)
+            if opt.branch in ("bisection", "boundary_eta"):
+                counts[regime] = len(calls)
+        assert len(counts) == 3
+        assert max(counts.values()) <= 16
+
     def test_domain(self):
         params = make_params()
         with pytest.raises(DomainError):
             optimize_density(0.0, params, 1.0, HIGH_RANDOM)
         with pytest.raises(DomainError):
             DeploymentOptimum(lambda_star=0.0, n_star=1, objective=0.0, branch="grid", d_constant=0.0)
+
+
+def golden_section_max(f, lo, hi, iters=80):
+    """Reference maximizer: the scalar golden-section search on a log axis
+    that the zoom refinement replaced."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(lo), math.log(hi)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(math.exp(c)), f(math.exp(d))
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(math.exp(d))
+    return math.exp(0.5 * (a + b))
+
+
+def scan_bracket(grid, fvals):
+    k = int(np.argmax(fvals))
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+
+
+REFINEMENT_CASES = list(criterion8_instances()) + [
+    (regime, rho, 10.0, make_params(**kwargs)) for regime, rho, kwargs in REGIME_CASES
+]
+
+
+class TestZoomRefinement:
+    @pytest.mark.parametrize("regime,rho,eta,params", REFINEMENT_CASES)
+    def test_matches_golden_section_reference(self, monkeypatch, regime, rho, eta, params):
+        def golden_refinement(f, grid, fvals):
+            # clamp: exp/log round-tripping at the eta edge can exceed it by 1 ulp
+            lo, hi = scan_bracket(grid, fvals)
+            lam = min(golden_section_max(lambda l: f(min(l, eta)), lo, hi), eta)
+            return lam, float(f(lam))
+
+        def solve():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                return optimize_density(eta, params, rho, regime)
+
+        opt = solve()
+        monkeypatch.setattr(deployment, "_zoom_max", golden_refinement)
+        reference = solve()
+        assert opt.n_star == reference.n_star
+        assert abs(opt.objective - reference.objective) <= 1e-12
+
+    @pytest.mark.parametrize("regime,rho,eta,params", REFINEMENT_CASES)
+    def test_beats_dense_scan_of_bracket(self, regime, rho, eta, params):
+        def fobj(lam):
+            return deployment_objective(lam, eta, params, rho, regime)
+
+        grid = np.geomspace(deployment._SCAN_FLOOR * eta, eta, deployment._SCAN_POINTS)
+        fvals = fobj(grid)
+        lam, f_lam = deployment._zoom_max(fobj, grid, fvals)
+        lo, hi = scan_bracket(grid, fvals)
+        assert lo <= lam <= hi
+        assert f_lam == pytest.approx(fobj(lam), rel=1e-14)
+        assert f_lam >= fobj(np.geomspace(lo, hi, 4097)).max() - 1e-12
 
 
 class TestGridSearchOracle:
