@@ -49,8 +49,13 @@ _BISECT_REL_WIDTH = 1e-10
 #: The zoom refining the objective scan's argmax rescans 64 log-spaced points
 #: per round until hi/lo < 1 + _ZOOM_REL_WIDTH, about sqrt(machine eps): no
 #: finer location of a flat maximum survives rounding.
-_ZOOM_STEPS = np.linspace(0.0, 1.0, 64)
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _SCAN_POINTS)
 _ZOOM_REL_WIDTH = 1e-8
+
+#: Rounding leaves a flat maximum up to ~1e-7 (relative) to either side of
+#: the true one; a zoom result this close to an integer budget quotient is put
+#: on it, so the side it fell on cannot move the array size.
+_ZOOM_SNAP_REL = 1e-6
 
 #: A later candidate (eta boundary, bisected root, zoom refinement) displaces
 #: an earlier one only if it scores higher by more than this (bps/Hz); smaller
@@ -303,7 +308,8 @@ def optimize_density(
     random-phase branches), otherwise a 64-point log scan of the slope
     factor bisected at its first sign change, cross-checked against the eta
     boundary and a direct scan of the objective, whose argmax is refined by
-    zooming in with one array call per round.  The returned array size is
+    zooming in with one array call per round and put on an integer budget
+    quotient within the zoom's resolution of it.  The returned array size is
     the ceiling of the budget quotient.
     """
     _check_regime(regime, rho)
@@ -365,6 +371,10 @@ def optimize_density(
                 break
         root = min(math.sqrt(lo * hi), eta)
     refined, f_refined = _zoom_max(fobj, grid, fvals)
+    n_near = round(eta / refined)
+    if 0.0 < abs(eta / refined - n_near) <= _ZOOM_SNAP_REL * n_near:
+        refined = eta / n_near
+        f_refined = float(fobj(refined))
     f_root = -math.inf if root is None else float(fobj(root))
     if f_refined > f_root + _REFINE_MIN_GAIN:
         root, f_root = refined, f_refined

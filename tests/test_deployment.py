@@ -322,6 +322,20 @@ class TestOptimizeDensity:
             opt = optimize_density(eta, params, 0.25, LOW_BOUNDED)
         assert (opt.branch, opt.lambda_star, opt.n_star) == ("boundary_eta", eta, 1)
 
+    @pytest.mark.parametrize("rho,n_opt", [(0.25, 3), (0.5, 9)])
+    @pytest.mark.parametrize("p_dbm,eta", [(0.0, 1.0), (0.0, 10.0), (3.0, 1.0), (10.0, 1.0)])
+    def test_maximum_on_integer_quotient_keeps_its_size(self, rho, n_opt, p_dbm, eta):
+        # the continuous optimum sits on eta / n_opt (N* = 3 (1 - m^2) / m^2
+        # here) and the objective is flat to rounding over ~1e-7 around it;
+        # the side the refinement lands on must not round n_star up to n_opt + 1
+        params = make_params(tx_power_dbm=p_dbm, alpha_ris_ue=3.5, serve_radius=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            opt = optimize_density(eta, params, rho, LOW_BOUNDED)
+        assert (opt.branch, opt.n_star, opt.floor_scores_higher) == ("bisection", n_opt, False)
+        sizes = deployment_objective(eta / np.array([n_opt, n_opt + 1]), eta, params, rho, LOW_BOUNDED)
+        assert sizes[0] > sizes[1]
+
     def test_objective_evaluation_budget(self, monkeypatch):
         # scan, zoom rounds, root score and the ceiling/floor check are each
         # one call; the count goes through the module global the tracer wraps
