@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError
+from .monte_carlo import usable_cores
 from .params import DeploymentParams, LinkGeometry, SystemParams, dbm_to_watts, db_to_linear
 
 
@@ -118,7 +119,7 @@ _DEFAULTS = {
     "trials": 100_000,
     "validate_trials": 1_000_000,
     "seed": 0,
-    "workers": 1,
+    "workers": usable_cores(),
     "regime": "auto",
     "n_max": 512,
 }

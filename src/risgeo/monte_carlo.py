@@ -10,15 +10,18 @@ The three fading estimators share one real-arithmetic cascade kernel.  The
 squared magnitude of a CN(0,1) gain is Exp(1), so each per-element amplitude
 product |g||h| is drawn as sqrt(E1*E2) from two standard exponentials, and
 the direct amplitude |h_d| as sqrt(E).  The cascade z = sum |g||h| e^{j tau}
-is summed as its real and imaginary parts, sum a*cos(tau) and sum a*sin(tau);
-with perfect phases (rho = 0) it is the plain sum of the amplitudes.
+is summed as its real and imaginary parts, sum a*cos(tau) and sum a*sin(tau),
+with the rotation evaluated from the half-angle tangent t = tan(tau/2):
+cos(tau) = (1 - t^2)/(1 + t^2) and sin(tau) = 2t/(1 + t^2).  With perfect
+phases (rho = 0) z is the plain sum of the amplitudes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,14 +40,26 @@ _CHUNK = 4096
 _WINDOW_MISS_PROB = 1e-9
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: the default number of chunk workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation size, seeding and geometry-window policy."""
+    """Simulation size, seeding, geometry-window policy and worker threads.
+
+    Estimates are bit-identical for any worker count, so `workers` defaults
+    to every usable core.
+    """
 
     trials: int
     master_seed: int = 0
     window_policy: str = "direct_nearest"  # or "full_hppp"
-    workers: int = 1
+    workers: int = field(default_factory=usable_cores)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -124,6 +139,13 @@ def _cascade(
     Draws, in order: 2 * size * n_elements standard exponentials for the
     amplitude products, the phase errors (none at rho = 0), and size
     exponentials for the direct link.  n_elements = 0 gives z = 0.
+
+    The rotation e^{j tau} is evaluated from one half-angle tangent
+    t = tan(tau/2) rather than from cos and sin: 1/(1 + t^2) is folded into
+    the amplitudes, so Re z = sum a (1 - t^2) / (1 + t^2) and
+    Im z = 2 sum a t / (1 + t^2).  This is accurate at every tau, including
+    tau = -pi (t is large but finite, giving cos = -1), and works in three
+    size x n_elements arrays.
     """
     amp, other = rng.standard_exponential((2, size, n_elements))
     amp *= other
@@ -133,9 +155,13 @@ def _cascade(
         im = np.zeros(size)
     else:
         tau = sample_phase_errors(rho, size * n_elements, rng).reshape(size, n_elements)
-        trig = np.cos(tau)
-        re = np.einsum("ij,ij->i", amp, trig)
-        im = np.einsum("ij,ij->i", amp, np.sin(tau, out=trig))
+        # `other` is dead once folded into amp and holds w = 1 + t^2
+        t = np.tan(np.multiply(tau, 0.5, out=tau), out=tau)
+        w = np.multiply(t, t, out=other)
+        w += 1.0
+        amp /= w
+        re = np.einsum("ij,ij->i", amp, np.subtract(2.0, w, out=w))
+        im = 2.0 * np.einsum("ij,ij->i", amp, t)
     h_abs = np.sqrt(rng.standard_exponential(size))
     return re, im, h_abs
 

@@ -1,9 +1,12 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from risgeo import config, monte_carlo
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
@@ -107,13 +110,14 @@ class TestHpppSampler:
 
 
 class TestCascadeKernel:
-    # cos/sin against exp(1j*tau) differ by a few ulp and the summation order
-    # differs, so float64 agreement is about N * 2^-52 * sum|a| (~1e-14 at
-    # N = 64); a wrong draw would be off by O(sum|a|)
+    # the half-angle rotation (1 - t^2, 2t) / (1 + t^2), t = tan(tau/2), and
+    # exp(1j*tau) differ by a few ulp and the summation order differs, so
+    # float64 agreement is about N * 2^-52 * sum|a| (~5e-14 at N = 200); a
+    # wrong draw would be off by O(sum|a|)
     REL_TOL = 1e-12
 
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("n", [0, 1, 64])
+    @pytest.mark.parametrize("rho", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 64, 200])
     def test_matches_complex_reference(self, n, rho):
         size = 1000
         re, im, h_abs = _cascade(substream(21, n), size, n, rho)
@@ -125,6 +129,35 @@ class TestCascadeKernel:
         want = (amp * np.exp(1j * tau)).sum(axis=1)
         assert np.all(np.abs(re + 1j * im - want) <= self.REL_TOL * amp.sum(axis=1))
         assert np.array_equal(h_abs, direct)
+
+    def test_edge_phases_match_cos_sin(self, monkeypatch):
+        # the ends of uniform(-pi, pi) and the phases where cos or sin is 0
+        # or tiny; tan(-pi/2) is large but finite, so tau = -pi gives cos -1
+        edges = np.array(
+            [-math.pi, -math.pi / 2, -1e-10, 0.0, 5e-324, math.pi / 2, math.pi * (1 - 2.0**-53)]
+        )
+        size, n = 3, edges.size
+        monkeypatch.setattr(
+            monte_carlo, "sample_phase_errors", lambda rho, count, rng: np.tile(edges, size)
+        )
+        re, im, _ = _cascade(substream(29, 0), size, n, 1.0)
+        e = substream(29, 0).standard_exponential((2, size, n))
+        amp = np.sqrt(e[0] * e[1])
+        tol = 4 * np.finfo(float).eps * amp.sum(axis=1)
+        assert np.all(np.abs(re - amp @ np.cos(edges)) <= tol)
+        assert np.all(np.abs(im - amp @ np.sin(edges)) <= tol)
+
+    def test_peak_memory_three_arrays(self):
+        # amplitudes, the exponentials folded into them, and the phases:
+        # the rotation allocates no further size x n array
+        size, n = 4096, 200
+        tracemalloc.start()
+        try:
+            _cascade(substream(31, 0), size, n, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * 3 * size * n * 8
 
     def test_amplitude_law_matches_complex_gaussians(self):
         # the moment tests pin two moments; the rate depends on the whole law
@@ -254,6 +287,11 @@ class TestReflectionMoments:
         # N + sin^2(pi/2)/(16/4) N(N-1) = 16 + 60 = 76 at 16 elements
         got = estimate_reflection_moments(16, 0.5, McConfig(trials=400000, master_seed=7))
         assert abs(got.mean_abs_z_sq - 76.0) <= 3 * got.stderr_abs_z_sq
+
+    def test_workers_default_to_usable_cores(self):
+        cores = len(os.sched_getaffinity(0))
+        assert McConfig(trials=1).workers == cores
+        assert config.resolve()["workers"] == cores
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
