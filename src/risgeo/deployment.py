@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -136,12 +137,15 @@ def deployment_objective(
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
+    offset: Optional[float] = None,
 ):
     """Reduced objective: the density-dependent part of the spatial rate.
 
     `lam` may be a scalar or an array of densities in (0, eta].  The array
     size is treated as continuous here; integrality enters only through the
-    final ceiling in optimize_density.
+    final ceiling in optimize_density.  `offset` is
+    `objective_offset(params, regime)`, computed here when not given; the
+    optimizer computes it once per solve.
     """
     _check_regime(regime, rho)
     if eta <= 0:
@@ -158,7 +162,8 @@ def deployment_objective(
         - np.exp(-x) * math.log(c * c)
         - np.log(np.pi * lam)
     )
-    offset = objective_offset(params, regime)
+    if offset is None:
+        offset = objective_offset(params, regime)
     h = array_gain_term(n, rho, lam, c)
     common = -params.alpha_ris_ue / (2.0 * _LN2) * ei_part + h
     if regime.snr == "high":
@@ -172,10 +177,11 @@ def _slope_scaled(
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
+    offset: Optional[float] = None,
 ):
     """Slope factor scaled by exp(-pi lam C^2): same sign, safe from exp overflow.
 
-    `lam` may be a scalar or an array.
+    `lam` may be a scalar or an array; `offset` as in deployment_objective.
     """
     m = attenuation_factor(rho)
     c = params.serve_radius
@@ -183,7 +189,8 @@ def _slope_scaled(
     x = np.pi * lam * c * c
     ex = np.exp(-x)
     grow = -np.expm1(-x)  # 1 - e^{-x}
-    offset = objective_offset(params, regime)
+    if offset is None:
+        offset = objective_offset(params, regime)
     n = eta / lam
     if regime.snr == "high":
         # log argument: 2^D * beta * C^-a3 * N * (m^2 N + 1 - m^2), in log space
@@ -277,21 +284,22 @@ def _finish(
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
+    offset: float,
     branch: str,
 ) -> DeploymentOptimum:
     n_star = _ceil_quotient(eta, lam_star)
     floor_n = max(1, n_star - 1)
     floor_better = False
     if floor_n != n_star:
-        f_ceil = deployment_objective(eta / n_star, eta, params, rho, regime)
-        f_floor = deployment_objective(eta / floor_n, eta, params, rho, regime)
+        f_ceil = deployment_objective(eta / n_star, eta, params, rho, regime, offset)
+        f_floor = deployment_objective(eta / floor_n, eta, params, rho, regime, offset)
         floor_better = bool(f_floor > f_ceil)
     return DeploymentOptimum(
         lambda_star=lam_star,
         n_star=n_star,
-        objective=float(deployment_objective(lam_star, eta, params, rho, regime)),
+        objective=float(deployment_objective(lam_star, eta, params, rho, regime, offset)),
         branch=branch,
-        d_constant=objective_offset(params, regime),
+        d_constant=offset,
         floor_scores_higher=floor_better,
     )
 
@@ -324,11 +332,11 @@ def optimize_density(
         m = attenuation_factor(rho)
         # lam1 = m * eta * C^-2 * sqrt(2^D beta), evaluated in log space
         lam1 = m * eta / (c * c) * math.exp(0.5 * (offset * _LN2 + math.log(beta)))
-        return _finish(min(lam1, eta), eta, params, rho, regime, "bounded_closed_form")
+        return _finish(min(lam1, eta), eta, params, rho, regime, offset, "bounded_closed_form")
 
     if regime.snr == "high" and regime.phase == "random" and a3 == 2.0:
         lam3 = eta / (c * c) * math.exp(offset * _LN2 + math.log(beta))
-        return _finish(min(lam3, eta), eta, params, rho, regime, "random_closed_form")
+        return _finish(min(lam3, eta), eta, params, rho, regime, offset, "random_closed_form")
 
     if regime.phase == "random" and 2.0 < a3 <= 4.0:
         # Monotone-increase condition: eta >= 2 C^(a3-2) / ((a3-2) pi e beta 2^D)
@@ -342,16 +350,18 @@ def optimize_density(
             - offset * _LN2
         )
         if regime.snr == "high" and math.log(eta) >= log_threshold:
-            return _finish(eta, eta, params, rho, regime, "monotone_boundary")
+            return _finish(eta, eta, params, rho, regime, offset, "monotone_boundary")
 
     # Numerical branch: scan, bisect the first sign change of the slope, and guard
     # with a direct objective scan plus the eta boundary (the single-crossing
-    # structure can fail outside the closed-form derivation regimes).
+    # structure can fail outside the closed-form derivation regimes).  Every
+    # objective call goes through the module global, so a substitute or the
+    # benchmark tracer sees it, and passes the solve's one offset.
     def fobj(lam):
-        return deployment_objective(lam, eta, params, rho, regime)
+        return deployment_objective(lam, eta, params, rho, regime, offset)
 
     def jsc(lam):
-        return _slope_scaled(lam, eta, params, rho, regime)
+        return _slope_scaled(lam, eta, params, rho, regime, offset)
 
     grid = np.geomspace(_SCAN_FLOOR * eta, eta, _SCAN_POINTS)
     signs = jsc(grid)
@@ -379,8 +389,8 @@ def optimize_density(
     if f_refined > f_root + _REFINE_MIN_GAIN:
         root, f_root = refined, f_refined
     if f_root > fvals[-1] + _REFINE_MIN_GAIN:  # the scan ends at eta itself
-        return _finish(root, eta, params, rho, regime, "bisection")
-    return _finish(eta, eta, params, rho, regime, "boundary_eta")
+        return _finish(root, eta, params, rho, regime, offset, "bisection")
+    return _finish(eta, eta, params, rho, regime, offset, "boundary_eta")
 
 
 def grid_search_oracle(
@@ -399,12 +409,13 @@ def grid_search_oracle(
     _check_regime(regime, rho)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    fvals = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime)
+    offset = objective_offset(params, regime)
+    fvals = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime, offset)
     best_n = int(np.argmax(fvals)) + 1
     return DeploymentOptimum(
         lambda_star=eta / best_n,
         n_star=best_n,
         objective=float(fvals[best_n - 1]),
         branch="grid",
-        d_constant=objective_offset(params, regime),
+        d_constant=offset,
     )

@@ -6,6 +6,16 @@ spatial averaging all live here.  Trials are processed in fixed-size chunks
 whose substreams are keyed by (master_seed, chunk_index); partial sums are
 reduced in chunk order, so estimates are bit-identical for any worker count.
 
+A spatial chunk draws, in order: one uniform per trial for the BS-UE
+distance on the annulus, then the serving distance.  Under the
+`direct_nearest` policy that is one uniform per trial through the inverse
+nearest-distance CDF.  Under `full_hppp` it is one uniform per trial for the
+reflector count in the simulation window, mapped to a Poisson count by
+guide-table inversion (built once per estimate, see `_serving_window`), then
+one uniform per trial for the minimum of that many uniform squared radii.
+The count table leaves out the upper tail below 2^-53, the resolution of
+the uniforms, and a uniform of exactly 0 maps to count 0 (an empty window).
+
 The three fading estimators share one real-arithmetic cascade kernel.  The
 squared magnitude of a CN(0,1) gain is Exp(1), so each per-element amplitude
 product |g||h| is drawn as sqrt(E1*E2) from two standard exponentials, and
@@ -22,7 +32,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,12 +42,19 @@ from .phase_error import attenuation_factor, sample_phase_errors
 from .rate_bounds import mean_power_gain
 from .streams import substream
 
+if TYPE_CHECKING:
+    from scipy.stats.sampling import DiscreteGuideTable
+
 #: Trials per substream chunk.  Fixed: changing it changes the draws.
 _CHUNK = 4096
 
 #: Residual nearest-miss probability targeted when auto-sizing the
 #: simulation window of the full point-process policy.
 _WINDOW_MISS_PROB = 1e-9
+
+#: Upper-tail mass of the window count left out of its inversion table: below
+#: the 2^-53 resolution of `Generator.random`'s uniforms.
+_COUNT_TAIL = 2.0**-53
 
 
 def usable_cores() -> int:
@@ -101,7 +118,11 @@ def sample_nearest_distance(lam: float, stream: np.random.Generator, size=None):
 def sample_hppp_nearest(
     lam: float, radius: float, stream: np.random.Generator
 ) -> Optional[float]:
-    """Nearest distance from an explicit Poisson scatter in a disk; None if empty."""
+    """Nearest distance from an explicit Poisson scatter in a disk; None if empty.
+
+    A scalar oracle independent of the vectorized full-scatter draw: it keeps
+    numpy's own Poisson sampler for the count.
+    """
     if lam <= 0 or radius <= 0:
         raise DomainError("density and disk radius must be positive")
     count = stream.poisson(lam * math.pi * radius**2)
@@ -115,19 +136,58 @@ def _sample_annulus_distance(params: SystemParams, rng: np.random.Generator, siz
     return np.sqrt(params.d_min**2 + u * (params.d_max**2 - params.d_min**2))
 
 
-def _sample_serving_distance(
-    lam: float, serve_radius: float, mc: McConfig, rng: np.random.Generator, size
-) -> np.ndarray:
-    """Nearest-reflector distance per trial under the configured window policy."""
+class _HpppWindow(NamedTuple):
+    """Simulation window of the full point-process policy and its count sampler."""
+
+    radius: float
+    counts: "DiscreteGuideTable"
+
+
+def _serving_window(lam: float, serve_radius: float, mc: McConfig) -> Optional[_HpppWindow]:
+    """Per-estimate state of the serving-distance draw: None for `direct_nearest`.
+
+    The full-scatter window is auto-sized by `hppp_window_radius`, and its
+    reflector count is sampled exactly by inverting the Poisson(lam pi
+    radius^2) CDF with a guide table, one uniform per count, drawn straight
+    from the generator's bit stream.  The probability vector stops at the
+    first count whose upper tail is below 2^-53, the resolution of
+    `Generator.random`, so the cut tail is below what any uniform resolves.
+    A uniform of exactly 0 maps to count 0.
+    """
     if mc.window_policy == "direct_nearest":
-        return sample_nearest_distance(lam, rng, size)
-    # auto-sized so that a nearest reflector beyond the window is negligible
+        return None
+    from scipy.stats import poisson, sampling  # loads UNU.RAN only when used
+
     radius = hppp_window_radius(lam, serve_radius)
-    counts = rng.poisson(lam * math.pi * radius**2, size)
+    mu = lam * math.pi * radius**2
+    k_max = int(poisson.isf(_COUNT_TAIL, mu))
+    while poisson.sf(k_max, mu) >= _COUNT_TAIL:  # isf is loose this far out
+        k_max += 1
+    pmf = poisson.pmf(np.arange(k_max + 1), mu)
+    return _HpppWindow(radius, sampling.DiscreteGuideTable(pmf))
+
+
+def _sample_serving_distance(
+    lam: float, window: Optional[_HpppWindow], rng: np.random.Generator, size
+) -> np.ndarray:
+    """Nearest-reflector distance per trial under the configured window policy.
+
+    `direct_nearest` (window None) inverts the nearest-distance CDF, one
+    uniform per trial.  The full-scatter window draws, in order, one uniform
+    per trial for the Poisson count by table inversion (the tail below 2^-53
+    is cut; u = 0 gives count 0), then one per trial for the nearest of that
+    many reflectors, the minimum of `count` uniform squared radii.  An empty
+    window gives inf.
+    """
+    if window is None:
+        return sample_nearest_distance(lam, rng, size)
+    # rvs accepts only a true Generator, and the benchmark tracer hands chunks a
+    # wrapper; a Generator over the chunk's bit generator draws the same stream
+    counts = window.counts.rvs(size, random_state=np.random.Generator(rng.bit_generator))
     v = rng.random(size)
     with np.errstate(divide="ignore", invalid="ignore"):
         min_u = -np.expm1(np.log1p(-v) / counts)  # min of `counts` uniforms
-    r = radius * np.sqrt(min_u)
+    r = window.radius * np.sqrt(min_u)
     return np.where(counts > 0, r, np.inf)
 
 
@@ -258,10 +318,12 @@ def simulate_spatial_bound(
 
     Estimates exactly the quantity `spatial_rate_integral` computes.
     """
+    window = _serving_window(dep.density, params.serve_radius, mc)
+
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)
         d = _sample_annulus_distance(params, rng, size)
-        r = _sample_serving_distance(dep.density, params.serve_radius, mc, rng, size)
+        r = _sample_serving_distance(dep.density, window, rng, size)
         return _bound_values(params, dep.elements_per_ris, rho, d, r)
 
     mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
@@ -281,11 +343,12 @@ def simulate_spatial_exact(
     n_el = dep.elements_per_ris
     snr = params.snr_gain
     beta = params.beta_ref
+    window = _serving_window(dep.density, params.serve_radius, mc)
 
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)
         d = _sample_annulus_distance(params, rng, size)
-        r = _sample_serving_distance(dep.density, params.serve_radius, mc, rng, size)
+        r = _sample_serving_distance(dep.density, window, rng, size)
         re, im, h_abs = _cascade(rng, size, n_el, rho)
         bl = beta * d ** (-params.alpha_bs_ris)
         with np.errstate(divide="ignore"):

@@ -218,6 +218,27 @@ class TestArrayEvaluation:
 
 
 class TestOptimizeDensity:
+    @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
+    def test_offset_computed_once_per_solve(self, monkeypatch, regime, rho, kwargs):
+        # the offset depends only on (params, regime); the scan, bisection,
+        # zoom and finishing step all reuse one value
+        calls = []
+        exact = deployment.objective_offset
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(deployment, "objective_offset", counted)
+        params = make_params(**kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            opt = optimize_density(10.0, params, rho, regime)
+            grid = grid_search_oracle(10.0, params, rho, regime, 64)
+        assert len(calls) == 2
+        assert opt.d_constant == grid.d_constant == exact(params, regime)
+        assert opt.objective == deployment_objective(opt.lambda_star, 10.0, params, rho, regime)
+
     def test_budget_quotient_anchor(self):
         # with matched feeder/access exponents of 2 and a 3 m serving radius
         # the random-phase closed form lands on a 45-element array
@@ -466,7 +487,7 @@ class TestGridSearchOracle:
 
     def test_plateau_ties_go_to_smallest_size(self, monkeypatch):
         # objective rises to N = 7, stays flat through N = 12, then falls
-        def plateau(lam, eta, params, rho, regime):
+        def plateau(lam, eta, params, rho, regime, offset=None):
             n = np.rint(eta / lam)
             return np.minimum(n, 7.0) - np.maximum(n - 12.0, 0.0)
 

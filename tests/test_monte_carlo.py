@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
     _cascade,
+    _sample_serving_distance,
+    _serving_window,
     estimate_reflection_moments,
     hppp_window_radius,
     sample_hppp_nearest,
@@ -107,6 +110,69 @@ class TestHpppSampler:
         lam = 0.005
         r = hppp_window_radius(lam, 10.0)
         assert math.exp(-math.pi * lam * r * r) < 1e-9
+
+
+class TestFullScatterWindow:
+    """The vectorized full-scatter draw used by the spatial estimators."""
+
+    FULL = McConfig(trials=1, window_policy="full_hppp")
+
+    def test_nearest_distance_matches_inverse_cdf(self):
+        # at the ln(1e9) floor of the window's mean count, where one count more
+        # or less shifts the nearest distance by ~2.5%
+        lam, n = 0.005, 30000
+        direct = sample_nearest_distance(lam, substream(9, 0), n)
+        window = _serving_window(lam, 10.0, self.FULL)
+        scatter = _sample_serving_distance(lam, window, substream(9, 1), n)
+        scatter = scatter[np.isfinite(scatter)]
+        m = scatter.size
+        assert m > n - 5  # an empty window has probability 1e-9
+        stat = stats.ks_2samp(direct, scatter).statistic
+        assert stat < 1.628 * math.sqrt((n + m) / (n * m))  # 1% critical value
+
+    @pytest.mark.parametrize(
+        "lam,serve_radius",
+        [
+            (0.005, 10.0),  # mean count at the ln(1e9) floor, ~20.7
+            (0.01, 15.0),  # window set by 3C, mean count ~63.6
+        ],
+    )
+    def test_window_counts_are_poisson(self, lam, serve_radius):
+        window = _serving_window(lam, serve_radius, self.FULL)
+        mu = lam * math.pi * window.radius**2
+        n = 200000
+        counts = window.counts.rvs(n, random_state=substream(10, 0))
+        # bins 0..hi, with both tails folded into the end bins so that every
+        # bin expects at least 5 counts
+        lo = int(stats.poisson.ppf(5.0 / n, mu))
+        hi = int(stats.poisson.isf(5.0 / n, mu))
+        k = np.arange(lo, hi + 1)
+        expected = n * stats.poisson.pmf(k, mu)
+        expected[0] += n * stats.poisson.cdf(lo - 1, mu)
+        expected[-1] += n * stats.poisson.sf(hi, mu)
+        observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=k.size)
+        assert observed.sum() == n
+        assert stats.chisquare(observed, expected).pvalue > 0.01
+
+    def test_count_table_stops_below_uniform_resolution(self):
+        # mean counts 20.7, 63.6 and 190.9; scipy's poisson.isf alone stops one
+        # count short at the last
+        for lam, serve_radius in ((0.005, 10.0), (0.01, 15.0), (0.03, 15.0)):
+            window = _serving_window(lam, serve_radius, self.FULL)
+            mu = lam * math.pi * window.radius**2
+            top = int(window.counts.ppf(1.0))  # last count in the table
+            assert stats.poisson.sf(top, mu) < 2.0**-53 <= stats.poisson.sf(top - 1, mu)
+
+    def test_draw_order_is_count_uniform_then_min_uniform(self):
+        # one uniform per count, inverted through the table, then one per trial
+        # for the minimum; both from the chunk's own stream
+        lam, n = 0.005, 4096
+        window = _serving_window(lam, 10.0, self.FULL)
+        r = _sample_serving_distance(lam, window, substream(11, 0), n)
+        u = substream(11, 0).random(2 * n)
+        counts = window.counts.ppf(u[:n])
+        want = window.radius * np.sqrt(-np.expm1(np.log1p(-u[n:]) / counts))
+        np.testing.assert_array_equal(r, np.where(counts > 0, want, np.inf))
 
 
 class TestCascadeKernel:
@@ -242,6 +308,29 @@ class TestSimulateSpatial:
         ]
         assert runs[0].value == runs[1].value == runs[2].value
         assert runs[0].std_error == runs[1].std_error == runs[2].std_error
+
+    @pytest.mark.parametrize("simulate", [simulate_spatial_bound, simulate_spatial_exact])
+    def test_full_scatter_worker_determinism(self, simulate):
+        # every chunk's threads share one count table; with more workers than
+        # cores and frequent thread switches, a draw taken from another chunk's
+        # stream would change the estimate
+        params = make_params(tx_power_dbm=20.0)
+        dep = DeploymentParams(density=0.005, elements_per_ris=32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [
+                simulate(
+                    params,
+                    dep,
+                    0.5,
+                    McConfig(trials=9 * 4096 + 17, master_seed=4, window_policy="full_hppp", workers=w),
+                )
+                for w in (1, 2, 8)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
 
     def test_exact_below_bound_and_gap_small(self):
         params = make_params(tx_power_dbm=20.0)
