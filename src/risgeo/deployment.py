@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, RegimeWarning
+from .errors import DomainError, NumericError, RegimeWarning
 from .params import SystemParams
 from .phase_error import attenuation_factor
 from .spatial_rate import (
@@ -238,8 +238,9 @@ def objective_slope(
 
     Exact for both high-SNR branches and the low-SNR random branch; the
     low-SNR bounded branch assumes a moderate-to-large array (lam well below
-    attenuation^2 * eta).  May overflow to inf for extreme pi*lam*C^2; use
-    the sign only in that case.
+    attenuation^2 * eta).  Raises NumericError once exp(pi*lam*C^2)
+    overflows (pi*lam*C^2 > ~709.8); its estimate, copysign(inf, scaled
+    slope), carries the sign only.
     """
     _check_regime(regime, rho)
     if lam <= 0 or eta <= 0:
@@ -255,7 +256,14 @@ def objective_slope(
                 stacklevel=2,
             )
     x = math.pi * lam * params.serve_radius**2
-    return math.exp(x) * _slope_scaled(lam, eta, params, rho, regime)
+    scaled = _slope_scaled(lam, eta, params, rho, regime)
+    try:
+        return math.exp(x) * scaled
+    except OverflowError:
+        raise NumericError(
+            f"objective slope overflows at pi*lam*C^2={x:.6g}",
+            estimate=math.copysign(math.inf, scaled),
+        ) from None
 
 
 def _zoom_max(f, grid: np.ndarray, fvals: np.ndarray) -> tuple[float, float]:

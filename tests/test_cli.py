@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -367,3 +369,31 @@ class TestValidateCommand:
             line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")
         ]
         assert any("ei_quadrature_agreement" in line for line in failed)
+
+    def test_crashed_check_reports_its_row_id(self, monkeypatch, capsys):
+        def broken(x):
+            raise RuntimeError("corrupted special function")
+
+        monkeypatch.setattr(validation, "exp_integral_ei", broken)
+        rows = [c for c in validation.CHECKS if c.check_id == "ei_quadrature_agreement"]
+        monkeypatch.setattr(validation, "CHECKS", rows)
+        assert run_cli(["validate", "--trials", "1000", "--seed", "0"]) == 1
+        failed = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")
+        ]
+        assert any(
+            "ei_quadrature_agreement" in line and "raised RuntimeError" in line
+            for line in failed
+        )
+
+    def test_summary_counts_every_row(self, monkeypatch, capsys):
+        stubbed = [
+            dataclasses.replace(check, run=lambda trials, seed: [(True, "stub")])
+            for check in validation.CHECKS
+        ]
+        monkeypatch.setattr(validation, "CHECKS", stubbed)
+        assert run_cli(["validate", "--trials", "10"]) == 0
+        out = capsys.readouterr().out
+        assert f"# summary: {len(stubbed)} checks," in out
+        for check in stubbed:
+            assert f" {check.check_id} " in out

@@ -15,7 +15,7 @@ from risgeo.deployment import (
     objective_slope,
     optimize_density,
 )
-from risgeo.errors import DomainError, RegimeWarning
+from risgeo.errors import DomainError, NumericError, RegimeWarning
 from risgeo.params import SystemParams
 from risgeo.phase_error import attenuation_factor
 
@@ -166,6 +166,18 @@ class TestObjectiveSlope:
             scale = max(abs(j), abs(j_from_fd))
             if scale > 1e-4 and abs(j - j_from_fd) > 0.02 * scale:
                 assert np.sign(j) == np.sign(j_from_fd)
+
+    def test_overflow_raises_numeric_error_with_signed_estimate(self):
+        # pi * lam * C^2 = 1207 here, past exp's float64 range.
+        params = make_params(serve_radius=7.85)
+        eta = 18.72
+        lam = eta / 3.0
+        scaled = _slope_scaled(lam, eta, params, 0.25, HIGH_BOUNDED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            with pytest.raises(NumericError) as info:
+                objective_slope(lam, eta, params, 0.25, HIGH_BOUNDED)
+        assert info.value.estimate == math.copysign(math.inf, scaled)
 
     def test_regime_flag_outside_bounded_window(self):
         params = make_params()
