@@ -33,8 +33,6 @@ from .params import (
     SystemParams,
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
-    watts_to_dbm,
 )
 from .phase_error import (
     PhaseErrorSpec,
@@ -107,7 +105,6 @@ __all__ = [
     "expected_log2_r_truncated",
     "grid_search_oracle",
     "hppp_window_radius",
-    "linear_to_db",
     "lower_incomplete_gamma",
     "nearest_ris_pdf",
     "noise_residual_term",
@@ -130,5 +127,4 @@ __all__ = [
     "spatial_rate_closed_form",
     "spatial_rate_integral",
     "substream",
-    "watts_to_dbm",
 ]

@@ -6,7 +6,6 @@ enter only through the conversion helpers and `SystemParams.from_engineering`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,20 +16,8 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise DomainError("power must be positive to express in dBm")
-    return 10.0 * math.log10(watts) + 30.0
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    if linear <= 0:
-        raise DomainError("gain must be positive to express in dB")
-    return 10.0 * math.log10(linear)
 
 
 @dataclass(frozen=True)

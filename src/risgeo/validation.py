@@ -461,6 +461,71 @@ def _check_spatial_integral(trials: int, seed: int) -> list[Part]:
     return parts
 
 
+def dblquad_residual(params: SystemParams, n_elements: int, rho: float, lam: float) -> float:
+    """Adaptive 2-D quadrature of the served-branch residual over (r, d).
+
+    The oracle of `spatial_rate`'s fixed rule: E{log2(1 + y) ; r <= C} in the
+    original variables, to absolute 1e-12 and relative 1e-10.
+    """
+    m = phase_error.attenuation_factor(rho)
+    n = float(n_elements)
+    a1, a2, a3 = params.alpha_direct, params.alpha_bs_ris, params.alpha_ris_ue
+    beta = params.beta_ref
+    inv_snr_beta = 1.0 / (params.snr_gain * beta)
+    denom = beta * (m * m * n * n + (1.0 - m * m) * n)
+    d1, d2 = params.d_min, params.d_max
+    d_norm = 2.0 / (d2**2 - d1**2)
+
+    def integrand(r, d):
+        da = d ** (a2 - a1)
+        ra = r**a3
+        num = math.sqrt(math.pi * beta * da * ra) * m * n + da * ra + inv_snr_beta * d**a2 * ra
+        weight = 2.0 * math.pi * lam * r * math.exp(-math.pi * lam * r * r) * d_norm * d
+        return math.log2(1.0 + num / denom) * weight
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        val, _ = integrate.dblquad(
+            integrand, d1, d2, 0.0, params.serve_radius, epsabs=1e-12, epsrel=1e-10
+        )
+    return val
+
+
+#: (P dBm, C m, lambda, N, rho, a3) at which tests/ and the rows above evaluate
+#: the exact integral, plus dense deployments lambda in {0.5, 5} at C = 10, 20.
+_INTEGRAL_POINTS = (
+    [(p, 10.0, 0.005, n, rho, 2.5) for p in (3.0, 20.0) for n in (20, 200) for rho in (0.0, 0.5)]
+    + [
+        (20.0, 10.0, 0.005, 200, 0.25, 2.5),
+        (30.0, 10.0, 0.05, 200, 0.0, 2.5),
+        (40.0, 10.0, 0.005, 400, 0.0, 2.5),
+        (30.0, 10.0, 0.05, 400, 0.0, 2.5),
+        (3.0, 3.0, 0.005, 200, 0.0, 2.5),
+        (3.0, 3.0, 0.005, 400, 0.0, 2.5),
+        (3.0, 2.0, 0.005, 100, 0.0, 2.5),
+        (-10.0, 10.0, 0.005, 2, 0.0, 2.5),
+        (45.0, 10.0, 0.05, 2, 1.0, 4.0),
+        (45.0, 20.0, 0.005, 1000, 1.0, 4.0),
+        (-150.0, 10.0, 0.005, 200, 0.0, 2.5),
+        (20.0, 1e-4, 0.005, 200, 0.0, 2.5),
+        (3.0, 10.0, 0.005, 20, 0.0, 2.0),
+        (3.0, 10.0, 0.005, 20, 0.0, 4.0),
+        (3.0, 10.0, 0.005, 200, 0.0, 4.0),
+    ]
+    + [(20.0, c, 0.005, 200, 0.0, 2.5) for c in (12.0, 16.0, 20.0)]
+    + [(20.0, c, lam, n, 0.5, 2.5) for c in (10.0, 20.0) for lam in (0.5, 5.0) for n in (1, 8)]
+)
+
+
+def _check_residual_rule(trials: int, seed: int) -> list[Part]:
+    worst = 0.0
+    for p_dbm, c, lam, n, rho, a3 in _INTEGRAL_POINTS:
+        params = _default_params(tx_power_dbm=p_dbm, serve_radius=c, alpha_ris_ue=a3)
+        rule, _ = spatial_rate._residual_integral(params, n, rho, lam)
+        worst = max(worst, abs(float(rule) - dblquad_residual(params, n, rho, lam)))
+    return [(worst <= 1e-9, f"max |rule - dblquad| = {worst:.2e} over {len(_INTEGRAL_POINTS)} points")]
+
+
 def _closed_form_vs_mc(tx_power_dbm: float, trials: int, seed: int) -> list[Part]:
     params = _default_params(tx_power_dbm=tx_power_dbm)
     mc = monte_carlo.McConfig(trials=trials, master_seed=seed)
@@ -554,6 +619,7 @@ CHECKS = [
     Check("mc_worker_determinism", False, None, _check_determinism),
     Check("jensen_bound_dominance", True, 5, _check_jensen),
     Check("spatial_closed_vs_integral", False, 6, _check_spatial_integral),
+    Check("residual_rule_vs_dblquad", False, None, _check_residual_rule),
     Check("spatial_closed_vs_mc_high_snr", True, 6, lambda t, s: _closed_form_vs_mc(20.0, t, s)),
     Check("spatial_closed_vs_mc_low_snr", True, 7, lambda t, s: _closed_form_vs_mc(3.0, t, s)),
     Check("pairwise_cosine_3sigma", True, 9, _check_cosine),

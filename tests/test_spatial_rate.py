@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import roots_legendre
 
-from risgeo.errors import DomainError
+from risgeo import spatial_rate
+from risgeo.errors import DomainError, NumericError
 from risgeo.monte_carlo import McConfig, sample_nearest_distance, simulate_spatial_bound
 from risgeo.params import DeploymentParams, SystemParams
+from risgeo.phase_error import attenuation_factor
 from risgeo.spatial_rate import (
     _radial_moment,
     _split_radius,
@@ -23,6 +26,7 @@ from risgeo.spatial_rate import (
 )
 from risgeo.special_math import euler_constant
 from risgeo.streams import substream
+from risgeo.validation import dblquad_residual
 
 
 def make_params(tx_power_dbm=20.0, serve_radius=10.0, alpha_ris_ue=2.5, alpha_bs_ris=2.0):
@@ -307,3 +311,74 @@ class TestTightenedClosedForms:
             lambda r: r**p * nearest_ris_pdf(lam, r), inner, outer, epsabs=1e-14, epsrel=1e-12
         )
         assert _radial_moment(p, lam, inner, outer) == pytest.approx(oracle, rel=1e-9)
+
+
+def reference_rule(params, n, rho, lam, n_r, n_d):
+    """One order of the residual rule, summed node by node in (r, d)."""
+    m = attenuation_factor(rho)
+    a1, a2, a3 = params.alpha_direct, params.alpha_bs_ris, params.alpha_ris_ue
+    beta = params.beta_ref
+    u_max = math.pi * lam * params.serve_radius**2
+    lo, hi = math.log(1e-14 * u_max), math.log(min(u_max, 40.0))
+    q1, q2 = params.d_min**2, params.d_max**2
+    total = 0.0
+    for x_r, w_r in zip(*roots_legendre(n_r)):
+        u = math.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * x_r)
+        r = math.sqrt(u / (math.pi * lam))
+        for x_q, w_q in zip(*roots_legendre(n_d)):
+            d = math.sqrt(0.5 * (q1 + q2) + 0.5 * (q2 - q1) * x_q)
+            a = beta**2 * d**-a2 * r**-a3 * n * (m * m * n + 1.0 - m * m)
+            inside = a + math.sqrt(math.pi * beta**3) * d ** (-(a1 + a2) / 2) * r ** (-a3 / 2) * m * n
+            inside += beta * d**-a1 + 1.0 / params.snr_gain
+            total += w_r * w_q / 2.0 * u * math.exp(-u) * math.log2(inside / a)
+    return 0.5 * (hi - lo) * total
+
+
+class TestResidualRule:
+    @pytest.mark.parametrize(
+        "p_dbm,c,lam,n,rho,a3",
+        [
+            (-10.0, 10.0, 0.005, 2, 0.0, 2.5),
+            (3.0, 10.0, 0.005, 20, 0.5, 2.0),
+            (20.0, 20.0, 0.05, 200, 1.0, 4.0),
+            (45.0, 10.0, 0.5, 8, 0.25, 3.0),
+        ],
+    )
+    def test_matches_adaptive_quadrature(self, p_dbm, c, lam, n, rho, a3):
+        params = make_params(tx_power_dbm=p_dbm, serve_radius=c, alpha_ris_ue=a3)
+        rule, _ = spatial_rate._residual_integral(params, n, rho, lam)
+        assert abs(float(rule) - dblquad_residual(params, n, rho, lam)) <= 1e-9
+
+    def test_breakdown_carries_the_two_order_bound(self):
+        params = make_params()
+        dep = DeploymentParams(density=0.005, elements_per_ris=200)
+        fine, bound = spatial_rate._residual_integral(params, 200, 0.5, 0.005)
+        br = spatial_rate_integral(params, dep, 0.5)
+        assert br.g_bar_term == float(fine)
+        assert br.error_bound == float(bound) > 0.0
+        assert spatial_rate_closed_form(params, dep, 0.5).error_bound is None
+
+    def test_orders_apart_raise_with_the_fine_estimate(self, monkeypatch):
+        # the worst point of the two-order grid: its orders differ by 1.6e-8
+        params = make_params(tx_power_dbm=45.0, serve_radius=30.0, alpha_ris_ue=4.0)
+        dep = DeploymentParams(density=0.02, elements_per_ris=2)
+        fine = reference_rule(params, 2, 1.0, 0.02, 96, 12)
+        gap = abs(fine - reference_rule(params, 2, 1.0, 0.02, 64, 8))
+        assert 1e-8 < gap < spatial_rate._RULE_TOL
+        monkeypatch.setattr(spatial_rate, "_RULE_TOL", gap / 2.0)
+        with pytest.raises(NumericError) as caught:
+            spatial_rate_integral(params, dep, 1.0)
+        assert math.isfinite(caught.value.estimate)
+        assert caught.value.estimate == pytest.approx(fine, rel=1e-13)
+        assert caught.value.error_bound == pytest.approx(gap, rel=1e-5)
+
+    def test_array_form_matches_scalar_calls(self):
+        params = make_params(tx_power_dbm=10.0, alpha_ris_ue=3.0)
+        lam = np.array([0.003, 0.05, 0.5, 5.0])[:, None]
+        n = np.array([1, 8, 64, 1000])
+        fine, bound = spatial_rate._residual_integral(params, n, 0.5, lam)
+        assert fine.shape == bound.shape == (4, 4)
+        for i, j in np.ndindex(fine.shape):
+            one, one_bound = spatial_rate._residual_integral(params, int(n[j]), 0.5, float(lam[i, 0]))
+            assert fine[i, j] == pytest.approx(float(one), rel=1e-15, abs=0.0)
+            assert bound[i, j] == pytest.approx(float(one_bound), abs=1e-15 * abs(float(one)))
