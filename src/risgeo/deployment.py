@@ -9,6 +9,11 @@ exist in three special regimes; everywhere else a scan-and-bisect on the
 slope factor is used, guarded by a direct scan of the objective itself and
 by the budget boundary, because outside its derivation regime the objective
 can be bimodal.
+
+The optimizer and the grid oracle build the density-independent constants of
+the objective and of the slope factor once per solve (`_prepare`) and pass
+them to every evaluation, which then checks only the densities.  The public
+calls build them per call; both paths give bit-identical values.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from .errors import DomainError, NumericError, RegimeWarning
 from .params import SystemParams
 from .phase_error import attenuation_factor
 from .spatial_rate import (
+    _array_gain,
+    _disk_moment,
+    _noise_residual,
     annulus_distance_moment,
     annulus_moment,
-    array_gain_term,
     expected_log2_d,
-    noise_residual_term,
 )
 from .special_math import exp_integral_ei, lower_incomplete_gamma
 
@@ -131,44 +137,125 @@ def objective_offset(params: SystemParams, regime: OptimizerRegime) -> float:
     )
 
 
+@dataclass(frozen=True, slots=True)
+class _Prepared:
+    """Density-independent constants of the reduced objective and of its
+    scaled slope for one (eta, params, rho, regime), built by `_prepare`.
+
+    The low-SNR fields (k3 on) stay None at high SNR.
+    """
+
+    offset: float
+    high: bool
+    random: bool
+    c: float
+    m2: float  # m^2
+    ln_c2: float  # ln C^2
+    ei_coef: float  # -a3 / (2 ln 2)
+    edge: float  # weight of -exp(-pi lam C^2): offset, plus log2 beta at high SNR
+    log_base: float  # slope: the density-free part of the log argument
+    coef: float  # slope: a3/2 - 1 (random) or a3/2 - 2 (bounded)
+    k3: Optional[float] = None  # E{d^a2}
+    s: Optional[float] = None  # a3/2 + 1
+    half_a3: Optional[float] = None  # a3/2
+    snr_beta: Optional[float] = None  # snr beta
+    beta_ln2: Optional[float] = None  # beta ln 2
+    q: Optional[float] = None  # slope's extra term: 1 - a3/2 (random) or 2 - a3/2 (bounded)
+    extra_denom: Optional[float] = None  # slope's extra term: its denominator
+
+
+def _prepare(
+    eta: float, params: SystemParams, rho: float, regime: OptimizerRegime
+) -> _Prepared:
+    """Everything in the objective and its slope that does not depend on lam.
+
+    Each constant is formed with the operations, in the order, that the
+    per-call formula used, so prepared evaluation is bit-identical to it.
+    """
+    m = attenuation_factor(rho)
+    c = params.serve_radius
+    beta = params.beta_ref
+    a3 = params.alpha_ris_ue
+    offset = objective_offset(params, regime)
+    high = regime.snr == "high"
+    random = regime.phase == "random"
+    low = {}
+    if high:
+        edge = offset + math.log2(beta)
+        log_base = offset * _LN2 + math.log(beta) - a3 * math.log(c)
+    else:
+        edge = offset
+        log_base = offset * _LN2 - a3 * math.log(c)
+        snr_beta_sq = params.snr_gain * beta**2
+        if random:
+            q = 1.0 - a3 / 2.0
+            extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * eta
+        else:
+            q = 2.0 - a3 / 2.0
+            extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2
+        low = dict(
+            k3=annulus_moment(3, params),
+            s=a3 / 2.0 + 1.0,
+            half_a3=a3 / 2.0,
+            snr_beta=params.snr_gain * beta,
+            beta_ln2=beta * _LN2,
+            q=q,
+            extra_denom=extra_denom,
+        )
+    return _Prepared(
+        offset=offset,
+        high=high,
+        random=random,
+        c=c,
+        m2=m * m,
+        ln_c2=math.log(c * c),
+        ei_coef=-a3 / (2.0 * _LN2),
+        edge=edge,
+        log_base=log_base,
+        coef=a3 / 2.0 - 1.0 if random else a3 / 2.0 - 2.0,
+        **low,
+    )
+
+
 def deployment_objective(
     lam,
     eta: float,
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
-    offset: Optional[float] = None,
+    prepared: Optional[_Prepared] = None,
 ):
     """Reduced objective: the density-dependent part of the spatial rate.
 
     `lam` may be a scalar or an array of densities in (0, eta].  The array
     size is treated as continuous here; integrality enters only through the
-    final ceiling in optimize_density.  `offset` is
-    `objective_offset(params, regime)`, computed here when not given; the
-    optimizer computes it once per solve.
+    final ceiling in optimize_density.  `prepared` is
+    `_prepare(eta, params, rho, regime)`, built here when not given; the
+    optimizer builds it once per solve, and only lam is then checked.
     """
-    _check_regime(regime, rho)
-    if eta <= 0:
-        raise DomainError("element budget must be positive")
-    lam_flat = np.ravel(lam)
-    outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
-    if outside.any():
-        raise DomainError(f"lam must lie in (0, eta], got {lam_flat[outside][0]}")
-    c = params.serve_radius
-    x = np.pi * lam * c * c
+    if prepared is None:
+        _check_regime(regime, rho)
+        if eta <= 0:
+            raise DomainError("element budget must be positive")
+        prepared = _prepare(eta, params, rho, regime)
+    if isinstance(lam, float):
+        if not 0.0 < lam <= eta:
+            raise DomainError(f"lam must lie in (0, eta], got {lam}")
+    else:
+        lam_flat = np.ravel(lam)
+        outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
+        if outside.any():
+            raise DomainError(f"lam must lie in (0, eta], got {lam_flat[outside][0]}")
+    k = prepared
+    x = np.pi * lam * k.c * k.c
     n = eta / lam
-    ei_part = (
-        exp_integral_ei(-x)
-        - np.exp(-x) * math.log(c * c)
-        - np.log(np.pi * lam)
-    )
-    if offset is None:
-        offset = objective_offset(params, regime)
-    h = array_gain_term(n, rho, lam, c)
-    common = -params.alpha_ris_ue / (2.0 * _LN2) * ei_part + h
-    if regime.snr == "high":
-        return common - np.exp(-x) * (offset + math.log2(params.beta_ref))
-    return common - np.exp(-x) * offset + noise_residual_term(n, rho, lam, params)
+    ex = np.exp(-x)
+    ei_part = exp_integral_ei(-x) - ex * k.ln_c2 - np.log(np.pi * lam)
+    common = k.ei_coef * ei_part + _array_gain(n, k.m2, -np.expm1(-x))
+    if k.high:
+        return common - ex * k.edge
+    moment = _disk_moment(k.s, x, lam, k.half_a3)
+    return common - ex * k.edge + _noise_residual(n, k.m2, moment, k.k3, k.snr_beta, k.beta_ln2)
 
 
 def _slope_scaled(
@@ -177,52 +264,29 @@ def _slope_scaled(
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
-    offset: Optional[float] = None,
+    prepared: Optional[_Prepared] = None,
 ):
     """Slope factor scaled by exp(-pi lam C^2): same sign, safe from exp overflow.
 
-    `lam` may be a scalar or an array; `offset` as in deployment_objective.
+    `lam` may be a scalar or an array; `prepared` as in deployment_objective.
     """
-    m = attenuation_factor(rho)
-    c = params.serve_radius
-    a3 = params.alpha_ris_ue
-    x = np.pi * lam * c * c
+    k = _prepare(eta, params, rho, regime) if prepared is None else prepared
+    x = np.pi * lam * k.c * k.c
     ex = np.exp(-x)
     grow = -np.expm1(-x)  # 1 - e^{-x}
-    if offset is None:
-        offset = objective_offset(params, regime)
     n = eta / lam
-    if regime.snr == "high":
+    if k.high:
         # log argument: 2^D * beta * C^-a3 * N * (m^2 N + 1 - m^2), in log space
-        log_arg = offset * _LN2 + math.log(params.beta_ref) - a3 * math.log(c) + np.log(n)
-        if regime.phase == "random":
-            coef = a3 / 2.0 - 1.0  # m = 0 collapses the bounded form to this
-        else:
-            log_arg += np.log(m * m * n + 1.0 - m * m)
-            coef = a3 / 2.0 - 2.0 + (1.0 - m * m) / (m * m * n + 1.0 - m * m)
+        log_arg = k.log_base + np.log(n)
+        coef = k.coef  # random: m = 0 collapses the bounded form to this
+        if not k.random:
+            log_arg += np.log(k.m2 * n + 1.0 - k.m2)
+            coef = k.coef + (1.0 - k.m2) / (k.m2 * n + 1.0 - k.m2)
         return x * ex * log_arg + coef * grow
-    k3 = annulus_moment(3, params)
-    gam = lower_incomplete_gamma(a3 / 2.0 + 1.0, x)
-    snr_beta_sq = params.snr_gain * params.beta_ref**2
-    if regime.phase == "random":
-        log_arg = offset * _LN2 - a3 * math.log(c) + np.log(n)
-        coef = a3 / 2.0 - 1.0
-        extra = (
-            (x ** (a3 / 2.0 + 1.0) * ex + (1.0 - a3 / 2.0) * gam)
-            * k3
-            * lam ** (1.0 - a3 / 2.0)
-            / (snr_beta_sq * math.pi ** (a3 / 2.0) * eta)
-        )
-    else:
-        log_arg = offset * _LN2 - a3 * math.log(c) + np.log(m * m * n * n)
-        coef = a3 / 2.0 - 2.0
-        extra = (
-            (x ** (a3 / 2.0 + 1.0) * ex + (2.0 - a3 / 2.0) * gam)
-            * k3
-            * lam ** (2.0 - a3 / 2.0)
-            / (snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2)
-        )
-    return x * ex * log_arg + coef * grow + extra
+    gam = lower_incomplete_gamma(k.s, x)
+    log_arg = k.log_base + np.log(n if k.random else k.m2 * n * n)
+    extra = (x**k.s * ex + k.q * gam) * k.k3 * lam**k.q / k.extra_denom
+    return x * ex * log_arg + k.coef * grow + extra
 
 
 def objective_slope(
@@ -292,22 +356,22 @@ def _finish(
     params: SystemParams,
     rho: float,
     regime: OptimizerRegime,
-    offset: float,
+    prepared: _Prepared,
     branch: str,
 ) -> DeploymentOptimum:
     n_star = _ceil_quotient(eta, lam_star)
     floor_n = max(1, n_star - 1)
     floor_better = False
     if floor_n != n_star:
-        f_ceil = deployment_objective(eta / n_star, eta, params, rho, regime, offset)
-        f_floor = deployment_objective(eta / floor_n, eta, params, rho, regime, offset)
+        f_ceil = deployment_objective(eta / n_star, eta, params, rho, regime, prepared)
+        f_floor = deployment_objective(eta / floor_n, eta, params, rho, regime, prepared)
         floor_better = bool(f_floor > f_ceil)
     return DeploymentOptimum(
         lambda_star=lam_star,
         n_star=n_star,
-        objective=float(deployment_objective(lam_star, eta, params, rho, regime, offset)),
+        objective=float(deployment_objective(lam_star, eta, params, rho, regime, prepared)),
         branch=branch,
-        d_constant=offset,
+        d_constant=prepared.offset,
         floor_scores_higher=floor_better,
     )
 
@@ -333,18 +397,19 @@ def optimize_density(
         raise DomainError("element budget must be positive")
     c = params.serve_radius
     beta = params.beta_ref
-    offset = objective_offset(params, regime)
+    prepared = _prepare(eta, params, rho, regime)
+    offset = prepared.offset
     a3 = params.alpha_ris_ue
 
     if regime.snr == "high" and regime.phase == "bounded" and a3 == 4.0:
         m = attenuation_factor(rho)
         # lam1 = m * eta * C^-2 * sqrt(2^D beta), evaluated in log space
         lam1 = m * eta / (c * c) * math.exp(0.5 * (offset * _LN2 + math.log(beta)))
-        return _finish(min(lam1, eta), eta, params, rho, regime, offset, "bounded_closed_form")
+        return _finish(min(lam1, eta), eta, params, rho, regime, prepared, "bounded_closed_form")
 
     if regime.snr == "high" and regime.phase == "random" and a3 == 2.0:
         lam3 = eta / (c * c) * math.exp(offset * _LN2 + math.log(beta))
-        return _finish(min(lam3, eta), eta, params, rho, regime, offset, "random_closed_form")
+        return _finish(min(lam3, eta), eta, params, rho, regime, prepared, "random_closed_form")
 
     if regime.phase == "random" and 2.0 < a3 <= 4.0:
         # Monotone-increase condition: eta >= 2 C^(a3-2) / ((a3-2) pi e beta 2^D)
@@ -358,18 +423,18 @@ def optimize_density(
             - offset * _LN2
         )
         if regime.snr == "high" and math.log(eta) >= log_threshold:
-            return _finish(eta, eta, params, rho, regime, offset, "monotone_boundary")
+            return _finish(eta, eta, params, rho, regime, prepared, "monotone_boundary")
 
     # Numerical branch: scan, bisect the first sign change of the slope, and guard
     # with a direct objective scan plus the eta boundary (the single-crossing
     # structure can fail outside the closed-form derivation regimes).  Every
     # objective call goes through the module global, so a substitute or the
-    # benchmark tracer sees it, and passes the solve's one offset.
+    # benchmark tracer sees it, and passes the solve's prepared constants.
     def fobj(lam):
-        return deployment_objective(lam, eta, params, rho, regime, offset)
+        return deployment_objective(lam, eta, params, rho, regime, prepared)
 
     def jsc(lam):
-        return _slope_scaled(lam, eta, params, rho, regime, offset)
+        return _slope_scaled(lam, eta, params, rho, regime, prepared)
 
     grid = np.geomspace(_SCAN_FLOOR * eta, eta, _SCAN_POINTS)
     signs = jsc(grid)
@@ -397,8 +462,8 @@ def optimize_density(
     if f_refined > f_root + _REFINE_MIN_GAIN:
         root, f_root = refined, f_refined
     if f_root > fvals[-1] + _REFINE_MIN_GAIN:  # the scan ends at eta itself
-        return _finish(root, eta, params, rho, regime, offset, "bisection")
-    return _finish(eta, eta, params, rho, regime, offset, "boundary_eta")
+        return _finish(root, eta, params, rho, regime, prepared, "bisection")
+    return _finish(eta, eta, params, rho, regime, prepared, "boundary_eta")
 
 
 def grid_search_oracle(
@@ -417,13 +482,15 @@ def grid_search_oracle(
     _check_regime(regime, rho)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    offset = objective_offset(params, regime)
-    fvals = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime, offset)
+    if eta <= 0:
+        raise DomainError("element budget must be positive")
+    prepared = _prepare(eta, params, rho, regime)
+    fvals = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime, prepared)
     best_n = int(np.argmax(fvals)) + 1
     return DeploymentOptimum(
         lambda_star=eta / best_n,
         n_star=best_n,
         objective=float(fvals[best_n - 1]),
         branch="grid",
-        d_constant=offset,
+        d_constant=prepared.offset,
     )

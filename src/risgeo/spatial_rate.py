@@ -78,7 +78,7 @@ def association_probability(lam, serve_radius: float):
 
     `lam` may be an array of densities.
     """
-    if np.any(np.asarray(lam) <= 0):
+    if (np.asarray(lam) <= 0).any():
         raise DomainError("density must be positive")
     if serve_radius < 0:
         raise DomainError("serve_radius must be nonnegative")
@@ -207,10 +207,15 @@ def _radial_moment(p: float, lam, inner: float, outer: float):
     s = p / 2.0 + 1.0
     x_outer = np.pi * lam * outer * outer
     if inner == 0.0:
-        gam = lower_incomplete_gamma(s, x_outer)
-    else:
-        gam = _upper_gamma(s, np.pi * lam * inner * inner) - _upper_gamma(s, x_outer)
+        return _disk_moment(s, x_outer, lam, p / 2.0)
+    gam = _upper_gamma(s, np.pi * lam * inner * inner) - _upper_gamma(s, x_outer)
     return gam / (np.pi * lam) ** (p / 2.0)
+
+
+def _disk_moment(s: float, x, lam, half_p: float):
+    """Core of _radial_moment on a disk: E{r^p ; r <= C} from s = p/2 + 1,
+    x = pi lam C^2 and half_p = p/2, with no checks of its own."""
+    return lower_incomplete_gamma(s, x) / (np.pi * lam) ** half_p
 
 
 def array_gain_term(n_elements, rho: float, lam, serve_radius: float):
@@ -219,10 +224,12 @@ def array_gain_term(n_elements, rho: float, lam, serve_radius: float):
     `n_elements` and `lam` may be arrays of matching shape.
     """
     m = attenuation_factor(rho)
-    n = n_elements
-    return association_probability(lam, serve_radius) * np.log2(
-        n * (m * m * n + 1.0 - m * m)
-    )
+    return _array_gain(n_elements, m * m, association_probability(lam, serve_radius))
+
+
+def _array_gain(n, m2: float, assoc):
+    """Core of array_gain_term from m2 = m^2 and assoc = P(served); no checks."""
+    return assoc * np.log2(n * (m2 * n + 1.0 - m2))
 
 
 def cascade_residual_term(
@@ -259,20 +266,21 @@ def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
     `n_elements` and `lam` may be arrays of matching shape.
     """
     m = attenuation_factor(rho)
-    n = n_elements
-    k3 = annulus_moment(3, params)
-    denom = (
-        params.snr_gain
-        * params.beta_ref
-        * n
-        * (m * m * n + 1.0 - m * m)
+    moment = _radial_moment(params.alpha_ris_ue, lam, 0.0, params.serve_radius)
+    return _noise_residual(
+        n_elements,
+        m * m,
+        moment,
+        annulus_moment(3, params),
+        params.snr_gain * params.beta_ref,
+        params.beta_ref * _LN2,
     )
-    return (
-        k3
-        * _radial_moment(params.alpha_ris_ue, lam, 0.0, params.serve_radius)
-        / denom
-        / (params.beta_ref * _LN2)
-    )
+
+
+def _noise_residual(n, m2: float, moment, k3: float, snr_beta: float, beta_ln2: float):
+    """Core of noise_residual_term from m2 = m^2, the disk moment
+    E{r^a3 ; r <= C}, k3 = E{d^a2}, snr_beta = snr beta and beta_ln2 = beta ln 2."""
+    return k3 * moment / (snr_beta * n * (m2 * n + 1.0 - m2)) / beta_ln2
 
 
 def _baseline_term(params: SystemParams, lam: float) -> float:

@@ -35,7 +35,7 @@ def exp_integral_ei(x):
     Thin wrapper over `scipy.special.expi`; takes a scalar or an array.
     Raises DomainError at the logarithmic singularity x = 0.
     """
-    if np.any(np.asarray(x) == 0.0):
+    if not np.asarray(x).all():  # false only at +-0.0; NaN counts as nonzero
         raise DomainError("Ei(x) has a logarithmic singularity at x = 0")
     return special.expi(x)
 
@@ -47,7 +47,7 @@ def lower_incomplete_gamma(a: float, x):
     """
     if a <= 0.0:
         raise DomainError("lower_incomplete_gamma requires a > 0")
-    if np.any(np.asarray(x) < 0.0):
+    if (np.asarray(x) < 0.0).any():
         raise DomainError("lower_incomplete_gamma requires x >= 0")
     return special.gammainc(a, x) * special.gamma(a)
 

@@ -18,6 +18,8 @@ from risgeo.deployment import (
 from risgeo.errors import DomainError, NumericError, RegimeWarning
 from risgeo.params import SystemParams
 from risgeo.phase_error import attenuation_factor
+from risgeo.spatial_rate import annulus_moment, array_gain_term, noise_residual_term
+from risgeo.special_math import exp_integral_ei, lower_incomplete_gamma
 
 LN2 = math.log(2.0)
 
@@ -218,7 +220,8 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
     @pytest.mark.parametrize("fn", [deployment_objective, _slope_scaled])
     def test_matches_scalar_calls(self, fn, regime, rho, kwargs):
-        # elementwise, not bitwise: vectorized exp/log loops may differ by an ulp
+        # elementwise, not bitwise: numpy's vectorized power and Python's `**`
+        # on floats (libm pow) may differ in the last bit; exp and log agree
         params = make_params(**kwargs)
         eta = 10.0
         lam = np.concatenate([np.geomspace(1e-12 * eta, eta, 64), eta / np.arange(1, 513)])
@@ -229,24 +232,134 @@ class TestArrayEvaluation:
         np.testing.assert_allclose(vectorized, scalar, rtol=1e-14, atol=0.0)
 
 
+def reference_objective(lam, eta, params, rho, regime):
+    """The reduced objective written out inline on the public spatial_rate terms."""
+    c = params.serve_radius
+    x = np.pi * lam * c * c
+    n = eta / lam
+    ei_part = exp_integral_ei(-x) - np.exp(-x) * math.log(c * c) - np.log(np.pi * lam)
+    offset = objective_offset(params, regime)
+    common = -params.alpha_ris_ue / (2.0 * LN2) * ei_part + array_gain_term(n, rho, lam, c)
+    if regime.snr == "high":
+        return common - np.exp(-x) * (offset + math.log2(params.beta_ref))
+    return common - np.exp(-x) * offset + noise_residual_term(n, rho, lam, params)
+
+
+def reference_slope(lam, eta, params, rho, regime):
+    """The scaled slope factor written out inline, every constant formed per call."""
+    m = attenuation_factor(rho)
+    c = params.serve_radius
+    a3 = params.alpha_ris_ue
+    x = np.pi * lam * c * c
+    ex = np.exp(-x)
+    grow = -np.expm1(-x)
+    offset = objective_offset(params, regime)
+    n = eta / lam
+    if regime.snr == "high":
+        log_arg = offset * LN2 + math.log(params.beta_ref) - a3 * math.log(c) + np.log(n)
+        if regime.phase == "random":
+            coef = a3 / 2.0 - 1.0
+        else:
+            log_arg += np.log(m * m * n + 1.0 - m * m)
+            coef = a3 / 2.0 - 2.0 + (1.0 - m * m) / (m * m * n + 1.0 - m * m)
+        return x * ex * log_arg + coef * grow
+    k3 = annulus_moment(3, params)
+    gam = lower_incomplete_gamma(a3 / 2.0 + 1.0, x)
+    snr_beta_sq = params.snr_gain * params.beta_ref**2
+    if regime.phase == "random":
+        log_arg = offset * LN2 - a3 * math.log(c) + np.log(n)
+        coef = a3 / 2.0 - 1.0
+        extra = (
+            (x ** (a3 / 2.0 + 1.0) * ex + (1.0 - a3 / 2.0) * gam)
+            * k3
+            * lam ** (1.0 - a3 / 2.0)
+            / (snr_beta_sq * math.pi ** (a3 / 2.0) * eta)
+        )
+    else:
+        log_arg = offset * LN2 - a3 * math.log(c) + np.log(m * m * n * n)
+        coef = a3 / 2.0 - 2.0
+        extra = (
+            (x ** (a3 / 2.0 + 1.0) * ex + (2.0 - a3 / 2.0) * gam)
+            * k3
+            * lam ** (2.0 - a3 / 2.0)
+            / (snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2)
+        )
+    return x * ex * log_arg + coef * grow + extra
+
+
+class TestPreparedConstants:
+    @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
+    @pytest.mark.parametrize(
+        "fn,reference",
+        [(deployment_objective, reference_objective), (_slope_scaled, reference_slope)],
+    )
+    def test_bitwise_equal_to_public_path(self, fn, reference, regime, rho, kwargs):
+        # the optimizer's prepared constants must not move a single bit: same
+        # operations in the same order as the formula written out per call
+        params = make_params(**kwargs)
+        eta = 10.0
+        prepared = deployment._prepare(eta, params, rho, regime)
+        lam = np.geomspace(1e-12 * eta, eta, 64)
+        want = reference(lam, eta, params, rho, regime)
+        np.testing.assert_array_equal(fn(lam, eta, params, rho, regime), want)
+        np.testing.assert_array_equal(fn(lam, eta, params, rho, regime, prepared), want)
+        for point in lam.tolist():
+            want = reference(point, eta, params, rho, regime)
+            np.testing.assert_array_equal(fn(point, eta, params, rho, regime), want)
+            np.testing.assert_array_equal(fn(point, eta, params, rho, regime, prepared), want)
+
+    @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
+    def test_underflowed_disk_argument_still_raises(self, regime, rho, kwargs):
+        # pi * lam * C^2 underflows to 0 at this radius, where Ei is singular;
+        # the prepared path keeps Ei's check, so the optimizer's scan raises too
+        params = make_params(**dict(kwargs, serve_radius=1e-160))
+        prepared = deployment._prepare(10.0, params, rho, regime)
+        assert math.pi * 1e-5 * 1e-160 * 1e-160 == 0.0
+        with pytest.raises(DomainError):
+            deployment_objective(1e-5, 10.0, params, rho, regime)
+        with pytest.raises(DomainError):
+            deployment_objective(np.array([1.0, 1e-5]), 10.0, params, rho, regime, prepared)
+        if regime != HIGH_RANDOM:  # there the monotone condition holds: no scan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                with pytest.raises(DomainError):
+                    optimize_density(10.0, params, rho, regime)
+
+    def test_prepared_path_checks_density(self):
+        params = make_params()
+        prepared = deployment._prepare(10.0, params, 1.0, HIGH_RANDOM)
+        for lam in (0.0, -1.0, 10.5, math.nan, np.array([1.0, 12.5])):
+            with pytest.raises(DomainError):
+                deployment_objective(lam, 10.0, params, 1.0, HIGH_RANDOM, prepared)
+
+
 class TestOptimizeDensity:
     @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
     def test_offset_computed_once_per_solve(self, monkeypatch, regime, rho, kwargs):
-        # the offset depends only on (params, regime); the scan, bisection,
-        # zoom and finishing step all reuse one value
-        calls = []
+        # the offset depends only on (params, regime) and the other constants
+        # on (eta, params, rho, regime); the scan, bisection, zoom and
+        # finishing step all reuse one preparation
+        calls, prepared = [], []
         exact = deployment.objective_offset
+        exact_prepare = deployment._prepare
 
         def counted(*args):
             calls.append(args)
             return exact(*args)
 
+        def counted_prepare(*args):
+            prepared.append(args)
+            return exact_prepare(*args)
+
         monkeypatch.setattr(deployment, "objective_offset", counted)
+        monkeypatch.setattr(deployment, "_prepare", counted_prepare)
         params = make_params(**kwargs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             opt = optimize_density(10.0, params, rho, regime)
+            assert len(prepared) == 1
             grid = grid_search_oracle(10.0, params, rho, regime, 64)
+        assert len(prepared) == 2
         assert len(calls) == 2
         assert opt.d_constant == grid.d_constant == exact(params, regime)
         assert opt.objective == deployment_objective(opt.lambda_star, 10.0, params, rho, regime)
@@ -499,7 +612,7 @@ class TestGridSearchOracle:
 
     def test_plateau_ties_go_to_smallest_size(self, monkeypatch):
         # objective rises to N = 7, stays flat through N = 12, then falls
-        def plateau(lam, eta, params, rho, regime, offset=None):
+        def plateau(lam, eta, params, rho, regime, prepared=None):
             n = np.rint(eta / lam)
             return np.minimum(n, 7.0) - np.maximum(n - 12.0, 0.0)
 

@@ -67,6 +67,14 @@ class TestAssociationProbability:
     def test_zero_radius(self):
         assert association_probability(0.005, 0.0) == 0.0
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            association_probability(0.0, 12.0)
+        with pytest.raises(DomainError):
+            association_probability(np.array([0.005, np.nan, -0.005]), 12.0)
+        with pytest.raises(DomainError):
+            association_probability(0.005, -1.0)
+
     def test_monte_carlo_agreement(self):
         n = 10**6
         r = sample_nearest_distance(0.005, substream(21, 0), n)

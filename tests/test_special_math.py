@@ -64,6 +64,13 @@ class TestExpIntegral:
         with pytest.raises(DomainError):
             exp_integral_ei(np.array([-1.0, 0.0, 2.0]))
 
+    def test_signed_zero_raises(self):
+        # -0.0 == 0.0: the singularity check must not read the sign bit
+        with pytest.raises(DomainError):
+            exp_integral_ei(-0.0)
+        with pytest.raises(DomainError):
+            exp_integral_ei(np.array([np.nan, -1.0, -0.0]))
+
     def test_array_matches_scalar(self):
         x = np.concatenate([-np.geomspace(1e-8, 60.0, 40), np.geomspace(1e-8, 60.0, 40)])
         np.testing.assert_allclose(
@@ -112,6 +119,8 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(1.0, -0.5)
         with pytest.raises(DomainError):
             lower_incomplete_gamma(1.0, np.array([0.5, -0.5]))
+        with pytest.raises(DomainError):
+            lower_incomplete_gamma(1.0, np.array([np.nan, 0.5, -0.5]))
 
     @pytest.mark.parametrize("a", [0.5, 1.625, 2.25, 4.0])
     def test_array_matches_scalar(self, a):
