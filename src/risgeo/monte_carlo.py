@@ -6,15 +6,20 @@ spatial averaging all live here.  Trials are processed in fixed-size chunks
 whose substreams are keyed by (master_seed, chunk_index); partial sums are
 reduced in chunk order, so estimates are bit-identical for any worker count.
 
-A spatial chunk draws, in order: one uniform per trial for the BS-UE
-distance on the annulus, then the serving distance.  Under the
+A spatial chunk draws, in order: one uniform per trial for the squared
+BS-UE distance q = d^2 on the annulus, then the serving draw, which yields
+the normalized area e = pi lam r^2 of the nearest-reflector disk.  Under the
 `direct_nearest` policy that is one uniform per trial through the inverse
-nearest-distance CDF.  Under `full_hppp` it is one uniform per trial for the
-reflector count in the simulation window, mapped to a Poisson count by
-guide-table inversion (built once per estimate, see `_serving_window`), then
-one uniform per trial for the minimum of that many uniform squared radii.
-The count table leaves out the upper tail below 2^-53, the resolution of
-the uniforms, and a uniform of exactly 0 maps to count 0 (an empty window).
+nearest-distance CDF, e = -ln(1 - U).  Under `full_hppp` it is one uniform
+per trial for the reflector count in the simulation window, mapped to a
+Poisson count by guide-table inversion (built once per estimate, see
+`_serving_window`), then one uniform per trial for the minimum of that many
+uniform squared radii, scaled by the window's mean count.  The count table
+leaves out the upper tail below 2^-53, the resolution of the uniforms, and a
+uniform of exactly 0 maps to count 0 (an empty window, e = inf).  No
+distance is ever formed: the path losses are taken in the log domain from
+ln q and ln e (see `_LogPathLoss`), and a trial is served when
+e <= pi lam C^2.
 
 The three fading estimators share one real-arithmetic cascade kernel.  The
 squared magnitude of a CN(0,1) gain is Exp(1), so each per-element amplitude
@@ -99,7 +104,7 @@ class ReflectionMoments:
 
 def hppp_window_radius(lam: float, serve_radius: float) -> float:
     """Disk radius making a beyond-window nearest reflector negligible."""
-    if lam <= 0 or serve_radius <= 0:
+    if not (lam > 0 and serve_radius > 0):
         raise DomainError("density and serve_radius must be positive")
     return max(
         3.0 * serve_radius,
@@ -107,12 +112,16 @@ def hppp_window_radius(lam: float, serve_radius: float) -> float:
     )
 
 
+def _nearest_area(stream: np.random.Generator, size=None):
+    """Normalized nearest-reflector area pi lam r^2 via the inverse CDF -ln(1 - U)."""
+    return -np.log1p(-stream.random(size))
+
+
 def sample_nearest_distance(lam: float, stream: np.random.Generator, size=None):
-    """Nearest-reflector distance via the inverse CDF sqrt(-ln U / (pi lam))."""
-    if lam <= 0:
+    """Nearest-reflector distance via the inverse CDF sqrt(-ln(1 - U) / (pi lam))."""
+    if not lam > 0:
         raise DomainError("density must be positive")
-    u = stream.random(size)
-    return np.sqrt(-np.log1p(-u) / (math.pi * lam))
+    return np.sqrt(_nearest_area(stream, size) / (math.pi * lam))
 
 
 def sample_hppp_nearest(
@@ -123,7 +132,7 @@ def sample_hppp_nearest(
     A scalar oracle independent of the vectorized full-scatter draw: it keeps
     numpy's own Poisson sampler for the count.
     """
-    if lam <= 0 or radius <= 0:
+    if not (lam > 0 and radius > 0):
         raise DomainError("density and disk radius must be positive")
     count = stream.poisson(lam * math.pi * radius**2)
     if count == 0:
@@ -131,20 +140,21 @@ def sample_hppp_nearest(
     return float(radius * math.sqrt(stream.random(count).min()))
 
 
-def _sample_annulus_distance(params: SystemParams, rng: np.random.Generator, size) -> np.ndarray:
+def _sample_annulus_sq(params: SystemParams, rng: np.random.Generator, size) -> np.ndarray:
+    """Squared BS-UE distance q = d^2, uniform over the annulus area."""
     u = rng.random(size)
-    return np.sqrt(params.d_min**2 + u * (params.d_max**2 - params.d_min**2))
+    return params.d_min**2 + u * (params.d_max**2 - params.d_min**2)
 
 
 class _HpppWindow(NamedTuple):
     """Simulation window of the full point-process policy and its count sampler."""
 
-    radius: float
+    mean_count: float  # lam pi radius^2
     counts: "DiscreteGuideTable"
 
 
 def _serving_window(lam: float, serve_radius: float, mc: McConfig) -> Optional[_HpppWindow]:
-    """Per-estimate state of the serving-distance draw: None for `direct_nearest`.
+    """Per-estimate state of the serving-area draw: None for `direct_nearest`.
 
     The full-scatter window is auto-sized by `hppp_window_radius`, and its
     reflector count is sampled exactly by inverting the Poisson(lam pi
@@ -164,31 +174,67 @@ def _serving_window(lam: float, serve_radius: float, mc: McConfig) -> Optional[_
     while poisson.sf(k_max, mu) >= _COUNT_TAIL:  # isf is loose this far out
         k_max += 1
     pmf = poisson.pmf(np.arange(k_max + 1), mu)
-    return _HpppWindow(radius, sampling.DiscreteGuideTable(pmf))
+    return _HpppWindow(mu, sampling.DiscreteGuideTable(pmf))
 
 
-def _sample_serving_distance(
-    lam: float, window: Optional[_HpppWindow], rng: np.random.Generator, size
+def _sample_serving_area(
+    window: Optional[_HpppWindow], rng: np.random.Generator, size
 ) -> np.ndarray:
-    """Nearest-reflector distance per trial under the configured window policy.
+    """Normalized nearest-reflector area e = pi lam r^2 per trial under the
+    configured window policy.
 
     `direct_nearest` (window None) inverts the nearest-distance CDF, one
     uniform per trial.  The full-scatter window draws, in order, one uniform
     per trial for the Poisson count by table inversion (the tail below 2^-53
     is cut; u = 0 gives count 0), then one per trial for the nearest of that
-    many reflectors, the minimum of `count` uniform squared radii.  An empty
-    window gives inf.
+    many reflectors: the minimum of `count` uniform squared radii, times the
+    window's mean count.  An empty window gives inf.
     """
     if window is None:
-        return sample_nearest_distance(lam, rng, size)
+        return _nearest_area(rng, size)
     # rvs accepts only a true Generator, and the benchmark tracer hands chunks a
     # wrapper; a Generator over the chunk's bit generator draws the same stream
     counts = window.counts.rvs(size, random_state=np.random.Generator(rng.bit_generator))
     v = rng.random(size)
     with np.errstate(divide="ignore", invalid="ignore"):
         min_u = -np.expm1(np.log1p(-v) / counts)  # min of `counts` uniforms
-    r = window.radius * np.sqrt(min_u)
-    return np.where(counts > 0, r, np.inf)
+    return np.where(counts > 0, window.mean_count * min_u, np.inf)
+
+
+class _LogPathLoss:
+    """Path losses of a spatial trial from its squared geometry, in the log domain.
+
+    With q = d^2, e = pi lam r^2 and the feeder length tied to d,
+
+        ln(bl br) = 2 ln beta + (a3/2) ln(pi lam) - (a2/2) ln q - (a3/2) ln e,
+        ln bd     = ln beta - (a1/2) ln q,
+
+    so a trial costs two logarithms here and two exponentials in its caller,
+    with no square root or power.  The constants are built once per
+    estimate.  e = 0 gives an infinite cascade gain, e = inf (an empty
+    window) a zero one.
+    """
+
+    def __init__(self, params: SystemParams, lam: float):
+        pi_lam = math.pi * lam
+        self.serve_area = pi_lam * params.serve_radius**2
+        self._ln_beta = math.log(params.beta_ref)
+        self._cascade0 = 2.0 * self._ln_beta + 0.5 * params.alpha_ris_ue * math.log(pi_lam)
+        self._half_direct = 0.5 * params.alpha_direct
+        self._half_feeder = 0.5 * params.alpha_bs_ris
+        self._half_access = 0.5 * params.alpha_ris_ue
+
+    def __call__(self, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ln(bl br) and ln bd per trial."""
+        ln_q = np.log(q)
+        with np.errstate(divide="ignore"):
+            ln_cascade = np.log(e)
+        ln_cascade *= -self._half_access
+        ln_cascade += self._cascade0
+        ln_cascade -= self._half_feeder * ln_q
+        ln_q *= -self._half_direct
+        ln_q += self._ln_beta
+        return ln_cascade, ln_q
 
 
 def _cascade(
@@ -226,9 +272,9 @@ def _cascade(
     return re, im, h_abs
 
 
-def _received_power(bl, br, bd, re, im, h_abs):
-    """|sqrt(bl*br) z + sqrt(bd) |h_d||^2: reflections co-phased with the direct link."""
-    cascade = np.sqrt(bl * br)
+def _received_power(cascade, bd, re, im, h_abs):
+    """|cascade z + sqrt(bd) |h_d||^2, cascade = sqrt(bl*br): reflections
+    co-phased with the direct link."""
     return (cascade * re + np.sqrt(bd) * h_abs) ** 2 + (cascade * im) ** 2
 
 
@@ -280,14 +326,13 @@ def simulate_fixed_rate(
     if n_elements < 0:
         raise DomainError("n_elements must be nonnegative")
     snr = params.snr_gain
-    bl = params.beta_bs_ris(geom.l)
-    br = params.beta_ris_ue(geom.r)
+    cascade = math.sqrt(params.beta_bs_ris(geom.l) * params.beta_ris_ue(geom.r))
     bd = params.beta_direct(geom.d)
 
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)
         re, im, h_abs = _cascade(rng, size, n_elements, rho)
-        return np.log2(1.0 + snr * _received_power(bl, br, bd, re, im, h_abs))
+        return np.log2(1.0 + snr * _received_power(cascade, bd, re, im, h_abs))
 
     mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
     return RateEstimate(
@@ -295,20 +340,15 @@ def simulate_fixed_rate(
     )
 
 
-def _bound_values(
-    params: SystemParams, n_elements: int, rho: float, d: np.ndarray, r: np.ndarray
+def _bound_gain(
+    path_loss: _LogPathLoss, m: float, n: float, q: np.ndarray, e: np.ndarray
 ) -> np.ndarray:
-    """Fixed-geometry rate bound per sampled (d, r), with the feeder length tied to d."""
-    m = attenuation_factor(rho)
-    n = float(n_elements)
-    snr = params.snr_gain
-    beta = params.beta_ref
-    bl = beta * d ** (-params.alpha_bs_ris)
-    br = beta * r ** (-params.alpha_ris_ue)
-    bd = beta * d ** (-params.alpha_direct)
-    served = r <= params.serve_radius
-    inside = np.where(served, mean_power_gain(bl, br, bd, m, n), bd)
-    return np.log2(1.0 + snr * inside)
+    """Mean power gain of the fixed-geometry bound per sampled squared distance
+    q and area e: the Jensen bracket where served, the direct gain bd elsewhere."""
+    ln_cascade, ln_bd = path_loss(q, e)
+    bd = np.exp(ln_bd)
+    gain = mean_power_gain(np.exp(ln_cascade), bd, m, n)
+    return np.where(e <= path_loss.serve_area, gain, bd)
 
 
 def simulate_spatial_bound(
@@ -318,13 +358,17 @@ def simulate_spatial_bound(
 
     Estimates exactly the quantity `spatial_rate_integral` computes.
     """
+    snr = params.snr_gain
+    m = attenuation_factor(rho)
+    n = float(dep.elements_per_ris)
     window = _serving_window(dep.density, params.serve_radius, mc)
+    path_loss = _LogPathLoss(params, dep.density)
 
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)
-        d = _sample_annulus_distance(params, rng, size)
-        r = _sample_serving_distance(dep.density, window, rng, size)
-        return _bound_values(params, dep.elements_per_ris, rho, d, r)
+        q = _sample_annulus_sq(params, rng, size)
+        e = _sample_serving_area(window, rng, size)
+        return np.log2(1.0 + snr * _bound_gain(path_loss, m, n, q, e))
 
     mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
     return RateEstimate(
@@ -342,21 +386,21 @@ def simulate_spatial_exact(
     """
     n_el = dep.elements_per_ris
     snr = params.snr_gain
-    beta = params.beta_ref
     window = _serving_window(dep.density, params.serve_radius, mc)
+    path_loss = _LogPathLoss(params, dep.density)
 
     def chunk(index: int, size: int) -> np.ndarray:
         rng = substream(mc.master_seed, index)
-        d = _sample_annulus_distance(params, rng, size)
-        r = _sample_serving_distance(dep.density, window, rng, size)
+        q = _sample_annulus_sq(params, rng, size)
+        e = _sample_serving_area(window, rng, size)
         re, im, h_abs = _cascade(rng, size, n_el, rho)
-        bl = beta * d ** (-params.alpha_bs_ris)
-        with np.errstate(divide="ignore"):
-            br = beta * r ** (-params.alpha_ris_ue)
-        bd = beta * d ** (-params.alpha_direct)
-        served = r <= params.serve_radius
+        ln_cascade, ln_bd = path_loss(q, e)
+        bd = np.exp(ln_bd)
+        cascade = np.exp(0.5 * ln_cascade)  # sqrt(bl*br)
         power = np.where(
-            served, _received_power(bl, br, bd, re, im, h_abs), bd * h_abs**2
+            e <= path_loss.serve_area,
+            _received_power(cascade, bd, re, im, h_abs),
+            bd * h_abs**2,
         )
         return np.log2(1.0 + snr * power)
 

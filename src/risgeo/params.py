@@ -41,15 +41,15 @@ class SystemParams:
     serve_radius: float
 
     def __post_init__(self):
-        if self.tx_power <= 0 or self.noise_power <= 0 or self.beta_ref <= 0:
+        if not (self.tx_power > 0 and self.noise_power > 0 and self.beta_ref > 0):
             raise DomainError("powers and reference gain must be strictly positive")
-        if self.alpha_direct < 2 or self.alpha_bs_ris < 2:
+        if not (self.alpha_direct >= 2 and self.alpha_bs_ris >= 2):
             raise DomainError("direct and feeder pathloss exponents must be >= 2")
         if not 2.0 <= self.alpha_ris_ue <= 4.0:
             raise DomainError("access pathloss exponent must lie in [2, 4]")
         if not 0 < self.d_min < self.d_max:
             raise DomainError("annulus requires 0 < d_min < d_max")
-        if self.serve_radius <= 0:
+        if not self.serve_radius > 0:
             raise DomainError("serve_radius must be positive")
 
     @classmethod
@@ -83,17 +83,17 @@ class SystemParams:
         return self.tx_power / self.noise_power
 
     def beta_direct(self, d: float) -> float:
-        if d <= 0:
+        if not d > 0:
             raise DomainError("distance must be positive")
         return self.beta_ref * d ** (-self.alpha_direct)
 
     def beta_bs_ris(self, l: float) -> float:
-        if l <= 0:
+        if not l > 0:
             raise DomainError("distance must be positive")
         return self.beta_ref * l ** (-self.alpha_bs_ris)
 
     def beta_ris_ue(self, r: float) -> float:
-        if r <= 0:
+        if not r > 0:
             raise DomainError("distance must be positive")
         return self.beta_ref * r ** (-self.alpha_ris_ue)
 
@@ -107,7 +107,7 @@ class LinkGeometry:
     r: float
 
     def __post_init__(self):
-        if self.d <= 0 or self.l <= 0 or self.r <= 0:
+        if not (self.d > 0 and self.l > 0 and self.r > 0):
             raise DomainError("all link distances must be positive")
 
 
@@ -119,9 +119,9 @@ class DeploymentParams:
     elements_per_ris: int
 
     def __post_init__(self):
-        if self.density <= 0:
+        if not self.density > 0:
             raise DomainError("density must be positive")
-        if self.elements_per_ris < 1:
+        if not self.elements_per_ris >= 1:
             raise DomainError("elements_per_ris must be at least 1")
 
 
@@ -143,9 +143,9 @@ class RateEstimate:
     def __post_init__(self):
         if self.method not in self._METHODS:
             raise DomainError(f"unknown method {self.method!r}")
-        if self.value < 0:
-            raise DomainError("rates are nonnegative")
-        if self.std_error is not None and self.std_error < 0:
+        if not self.value >= 0:
+            raise DomainError(f"rates are nonnegative, got {self.value}")
+        if self.std_error is not None and not self.std_error >= 0:
             raise DomainError("std_error must be nonnegative")
         if self.method == "monte_carlo" and self.std_error is None:
             raise DomainError("monte_carlo estimates must carry a std_error")

@@ -26,14 +26,15 @@ from .phase_error import attenuation_factor
 _ASYMPTOTE_MARGIN = 10.0
 
 
-def mean_power_gain(bl, br, bd, m, n):
+def mean_power_gain(blbr, bd, m, n):
     """The bracket above: mean received power gain E|sqrt(bl*br) z + sqrt(bd) |h||^2.
 
-    Elementwise over arrays or scalars; n is the element count as a float.
+    Takes the cascade gain as the product blbr = bl*br.  Elementwise over
+    arrays or scalars; n is the element count as a float.
     """
     return (
-        bl * br * (m * m * n * n + (1.0 - m * m) * n)
-        + np.sqrt(np.pi * bl * br * bd) * m * n
+        blbr * (m * m * n * n + (1.0 - m * m) * n)
+        + np.sqrt(np.pi * blbr * bd) * m * n
         + bd
     )
 
@@ -48,7 +49,7 @@ def rate_bound_ris(
     bl = params.beta_bs_ris(geom.l)
     br = params.beta_ris_ue(geom.r)
     bd = params.beta_direct(geom.d)
-    inside = mean_power_gain(bl, br, bd, m, float(n_elements))
+    inside = mean_power_gain(bl * br, bd, m, float(n_elements))
     return RateEstimate(value=math.log2(1.0 + params.snr_gain * inside), method="closed_form")
 
 

@@ -24,7 +24,7 @@ _REGIME_MARGIN = 10.0
 
 def rate_loss(n_elements: int, rho: float, lam: float, serve_radius: float) -> float:
     """Loss in bps/Hz relative to ideal phases at the same array size."""
-    if n_elements < 1:
+    if not n_elements >= 1:
         raise DomainError("n_elements must be at least 1")
     m = attenuation_factor(rho)
     n = float(n_elements)

@@ -78,9 +78,9 @@ def association_probability(lam, serve_radius: float):
 
     `lam` may be an array of densities.
     """
-    if (np.asarray(lam) <= 0).any():
+    if not (np.asarray(lam) > 0).all():
         raise DomainError("density must be positive")
-    if serve_radius < 0:
+    if not serve_radius >= 0:
         raise DomainError("serve_radius must be nonnegative")
     return -np.expm1(-np.pi * lam * serve_radius * serve_radius)
 

@@ -33,11 +33,13 @@ def exp_integral_ei(x):
     """Exponential integral Ei(x) = PV integral of e^t / t from -inf to x.
 
     Thin wrapper over `scipy.special.expi`; takes a scalar or an array.
-    Raises DomainError at the logarithmic singularity x = 0.
+    Raises DomainError at the logarithmic singularity x = 0 and at NaN.
     """
-    if not np.asarray(x).all():  # false only at +-0.0; NaN counts as nonzero
-        raise DomainError("Ei(x) has a logarithmic singularity at x = 0")
-    return special.expi(x)
+    out = special.expi(x)
+    # expi is -inf exactly at x = +-0 and NaN at NaN, which min propagates
+    if not out.min(initial=np.inf) > -np.inf:
+        raise DomainError("Ei(x) has a logarithmic singularity at x = 0 and is undefined at NaN")
+    return out
 
 
 def lower_incomplete_gamma(a: float, x):
@@ -45,9 +47,9 @@ def lower_incomplete_gamma(a: float, x):
 
     The regularized `scipy.special.gammainc` times Gamma(a); x may be an array.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("lower_incomplete_gamma requires a > 0")
-    if (np.asarray(x) < 0.0).any():
+    if not (np.asarray(x) >= 0.0).all():
         raise DomainError("lower_incomplete_gamma requires x >= 0")
     return special.gammainc(a, x) * special.gamma(a)
 

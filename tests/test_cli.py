@@ -177,6 +177,42 @@ class TestRateFixedCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+#: Same-seed CSVs are byte-identical across releases whose draws do not
+#: change (a speedup must keep the draws); these bytes pin the Monte-Carlo
+#: estimators, the closed form and the integral together.
+GOLDEN_RATE_FIXED = (
+    '# params: tx_power_w=0.01 noise_w=1e-11 beta=0.001 alpha=(3,2,2.5) annulus=(180,220) serve_radius=10 density=0.005 elements_per_ris=200 element_budget=10 rho=0 seed=11 trials=3000\n'
+    'n_elements,bound_bpshz,mc_mean_bpshz,mc_stderr_bpshz\n'
+    '10,0.231359653901,0.219763779417,0.00308849901483\n'
+    '55,0.5991949138,0.584684356263,0.00418906084793\n'
+    '100,1.03794768722,1.01536813388,0.00450767586899\n'
+)
+GOLDEN_RATE_SPATIAL = (
+    '# params: tx_power_w=0.01 noise_w=1e-11 beta=0.001 alpha=(3,2,2.5) annulus=(180,220) serve_radius=10 density=0.005 elements_per_ris=200 element_budget=10 rho=0 seed=3 trials=20000\n'
+    'density,closed_form_bpshz,quadrature_bpshz,mc_bound_bpshz,mc_bound_stderr,mc_exact_bpshz,mc_exact_stderr\n'
+    '0.005,3.2080846498,3.1875879347,3.19305561733,0.0160449107246,3.18015412785,0.0161000308748\n'
+    '0.0141421356237,5.00429588597,4.98802209306,4.99269335419,0.0153250856459,4.98105121094,0.0153864151482\n'
+    '0.04,6.71971762364,6.71563012416,6.72026256572,0.0158071846964,6.71045881012,0.0158528475121\n'
+)
+
+
+class TestGoldenCsv:
+    def test_rate_fixed(self, tmp_path):
+        out = tmp_path / "fixed.csv"
+        args = ["rate-fixed", "--sweep", "n_elements:10:100:3", "--trials", "3000", "--seed", "11"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_RATE_FIXED.encode()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rate_spatial(self, tmp_path, workers):
+        out, cfg = tmp_path / "spatial.csv", tmp_path / "w.cfg"
+        cfg.write_text(f"workers = {workers}\n")
+        args = ["rate-spatial", "--config", str(cfg), "--sweep", "density:0.005:0.04:3:log"]
+        args += ["--trials", "20000", "--seed", "3", "--out", str(out)]
+        assert run_cli(args) == 0
+        assert out.read_bytes() == GOLDEN_RATE_SPATIAL.encode()
+
+
 class TestRateSpatialCommand:
     def test_density_sweep_monotone(self, tmp_path):
         out = tmp_path / "lam.csv"

@@ -11,8 +11,11 @@ from risgeo import config, monte_carlo
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
+    _bound_gain,
     _cascade,
-    _sample_serving_distance,
+    _LogPathLoss,
+    _sample_annulus_sq,
+    _sample_serving_area,
     _serving_window,
     estimate_reflection_moments,
     hppp_window_radius,
@@ -23,8 +26,8 @@ from risgeo.monte_carlo import (
     simulate_spatial_exact,
 )
 from risgeo.params import DeploymentParams, LinkGeometry, SystemParams
-from risgeo.phase_error import sample_phase_errors
-from risgeo.rate_bounds import rate_bound_ris
+from risgeo.phase_error import attenuation_factor, sample_phase_errors
+from risgeo.rate_bounds import mean_power_gain, rate_bound_ris
 from risgeo.streams import substream
 
 
@@ -75,6 +78,16 @@ class TestNearestDistanceSampler:
         se = r.std(ddof=1) / math.sqrt(n)
         assert abs(r.mean() - want) <= 3 * se
 
+    def test_inverse_cdf_bits(self):
+        # the distance is the square root of the serving area draw, with the
+        # inverse-CDF formula's own floating-point operations
+        lam, n = 0.02, 4096
+        r = sample_nearest_distance(lam, substream(3, 3), n)
+        u = substream(3, 3).random(n)
+        np.testing.assert_array_equal(r, np.sqrt(-np.log1p(-u) / (math.pi * lam)))
+        area = _sample_serving_area(None, substream(3, 3), n)
+        np.testing.assert_array_equal(area, -np.log1p(-u))
+
     def test_dense_deployment_always_covered(self):
         r = sample_nearest_distance(50.0, substream(3, 2), 10**5)
         assert np.all(r <= 10.0)
@@ -123,8 +136,8 @@ class TestFullScatterWindow:
         lam, n = 0.005, 30000
         direct = sample_nearest_distance(lam, substream(9, 0), n)
         window = _serving_window(lam, 10.0, self.FULL)
-        scatter = _sample_serving_distance(lam, window, substream(9, 1), n)
-        scatter = scatter[np.isfinite(scatter)]
+        area = _sample_serving_area(window, substream(9, 1), n)
+        scatter = np.sqrt(area[np.isfinite(area)] / (math.pi * lam))
         m = scatter.size
         assert m > n - 5  # an empty window has probability 1e-9
         stat = stats.ks_2samp(direct, scatter).statistic
@@ -139,7 +152,8 @@ class TestFullScatterWindow:
     )
     def test_window_counts_are_poisson(self, lam, serve_radius):
         window = _serving_window(lam, serve_radius, self.FULL)
-        mu = lam * math.pi * window.radius**2
+        mu = lam * math.pi * hppp_window_radius(lam, serve_radius) ** 2
+        assert window.mean_count == mu
         n = 200000
         counts = window.counts.rvs(n, random_state=substream(10, 0))
         # bins 0..hi, with both tails folded into the end bins so that every
@@ -159,20 +173,83 @@ class TestFullScatterWindow:
         # count short at the last
         for lam, serve_radius in ((0.005, 10.0), (0.01, 15.0), (0.03, 15.0)):
             window = _serving_window(lam, serve_radius, self.FULL)
-            mu = lam * math.pi * window.radius**2
+            mu = window.mean_count
             top = int(window.counts.ppf(1.0))  # last count in the table
             assert stats.poisson.sf(top, mu) < 2.0**-53 <= stats.poisson.sf(top - 1, mu)
 
     def test_draw_order_is_count_uniform_then_min_uniform(self):
         # one uniform per count, inverted through the table, then one per trial
-        # for the minimum; both from the chunk's own stream
+        # for the minimum; both from the chunk's own stream.  The area is the
+        # window's mean count times the minimum, bit for bit
         lam, n = 0.005, 4096
         window = _serving_window(lam, 10.0, self.FULL)
-        r = _sample_serving_distance(lam, window, substream(11, 0), n)
+        area = _sample_serving_area(window, substream(11, 0), n)
         u = substream(11, 0).random(2 * n)
         counts = window.counts.ppf(u[:n])
-        want = window.radius * np.sqrt(-np.expm1(np.log1p(-u[n:]) / counts))
-        np.testing.assert_array_equal(r, np.where(counts > 0, want, np.inf))
+        want = window.mean_count * -np.expm1(np.log1p(-u[n:]) / counts)
+        np.testing.assert_array_equal(area, np.where(counts > 0, want, np.inf))
+
+
+class TestLogPathLoss:
+    """The log-domain path losses of the spatial estimators against the linear
+    formula beta d^-a, with d = sqrt(q) and r = sqrt(e / (pi lam))."""
+
+    # ln(bl br) is a sum of terms up to ~40 in magnitude, so its exp carries
+    # a relative error of a few times 40 * 2^-53; a wrong exponent or constant
+    # is off by O(1)
+    REL_TOL = 1e-13
+    LAM = 0.01
+
+    @staticmethod
+    def params(a1, a3):
+        return SystemParams.from_engineering(20.0, -80.0, -30.0, a1, 2.0, a3, 180.0, 220.0, 10.0)
+
+    def linear_gain(self, params, m, n, q, e):
+        d = np.sqrt(q)
+        r = np.sqrt(e / (math.pi * self.LAM))
+        beta = params.beta_ref
+        bl = beta * d ** (-params.alpha_bs_ris)
+        br = beta * r ** (-params.alpha_ris_ue)
+        bd = beta * d ** (-params.alpha_direct)
+        return mean_power_gain(bl * br, bd, m, n), bd
+
+    @pytest.mark.parametrize("n", [1, 2000])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_matches_linear_formula(self, rho, n):
+        m = attenuation_factor(rho)
+        size = 4096
+        for a1 in (2.0, 2.7, 3.3, 4.0):
+            for a3 in (2.0, 2.5, 3.1, 4.0):
+                params = self.params(a1, a3)
+                rng = substream(41, 0)
+                q = _sample_annulus_sq(params, rng, size)
+                e = _sample_serving_area(None, rng, size)
+                path_loss = _LogPathLoss(params, self.LAM)
+                served = e <= path_loss.serve_area
+                assert 0 < served.sum() < size
+                got = _bound_gain(path_loss, m, float(n), q, e)
+                gain, bd = self.linear_gain(params, m, float(n), q, e)
+                np.testing.assert_allclose(got, np.where(served, gain, bd), rtol=self.REL_TOL, atol=0)
+
+    def test_edge_areas(self):
+        # an empty window (e = inf) gives the direct gain alone, an area of 0
+        # an infinite gain, and an area of exactly pi lam C^2 is served
+        params = self.params(3.0, 2.5)
+        path_loss = _LogPathLoss(params, self.LAM)
+        m, n = attenuation_factor(0.5), 64.0
+        q = np.full(3, 200.0**2)
+        e = np.array([np.inf, 0.0, path_loss.serve_area])
+        assert path_loss.serve_area == math.pi * self.LAM * params.serve_radius**2
+        with np.errstate(all="raise"):
+            got = _bound_gain(path_loss, m, n, q, e)
+        _, ln_bd = path_loss(q, e)
+        assert got[0] == np.exp(ln_bd[0])
+        assert got[0] == pytest.approx(params.beta_direct(200.0), rel=self.REL_TOL)
+        assert got[1] == np.inf
+        at_edge = LinkGeometry(d=200.0, l=200.0, r=params.serve_radius)
+        bound = rate_bound_ris(params, at_edge, int(n), 0.5).value
+        assert got[2] > got[0]
+        assert math.log2(1.0 + params.snr_gain * got[2]) == pytest.approx(bound, rel=self.REL_TOL)
 
 
 class TestCascadeKernel:
