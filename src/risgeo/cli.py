@@ -41,93 +41,68 @@ def _emit(lines: list[str], out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _element_count(value: float) -> int:
-    return max(1, int(round(value)))
-
-
-def _with_axis(cfg: RunConfig, axis: str, value: float) -> dict:
+def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     values = dict(cfg.values)
     if axis == "n_elements":
-        values["elements_per_ris"] = _element_count(value)
+        values["elements_per_ris"] = max(1, int(round(value)))
     elif axis == "rho":
         values["rho"] = float(value)
         values.pop("quant_bits", None)
     else:
-        key = {"density": "density", "serve_radius": "serve_radius"}.get(axis, axis)
-        values[key] = float(value)
-    return values
+        values[axis] = float(value)
+    return RunConfig(values=values)
 
 
-def _axis_echo(axis: str, value: float):
-    if axis == "n_elements":
-        return _element_count(value)
-    return value
+def _sweep(cfg: RunConfig, axes, columns, row) -> list[str]:
+    """Figure-style CSV over `cfg.sweep`: the params echo, the header, then per
+    sweep value the axis cell and `row(point_cfg)`, whose None is an empty cell."""
+    axis = cfg.sweep.axis
+    if axis not in axes:
+        raise ConfigError(f"sweep axis must be one of {axes}, got {axis!r}")
+    lines = [f"# params: {cfg.linear_echo()}", ",".join([axis, *columns])]
+    for value in cfg.sweep.values():
+        point = _with_axis(cfg, axis, value)
+        cell = str(point["elements_per_ris"]) if axis == "n_elements" else _fmt(value)
+        cells = ("" if x is None else _fmt(x) for x in row(point))
+        lines.append(",".join([cell, *cells]))
+    return lines
+
+
+def _mc_config(cfg: RunConfig) -> monte_carlo.McConfig:
+    return monte_carlo.McConfig(
+        trials=cfg["trials"], master_seed=cfg["seed"], workers=cfg["workers"]
+    )
 
 
 def cmd_rate_fixed(cfg: RunConfig) -> list[str]:
-    axis = cfg.sweep.axis
-    if axis not in _FIXED_AXES:
-        raise ConfigError(f"rate-fixed sweep axis must be one of {_FIXED_AXES}, got {axis!r}")
-    lines = [f"# params: {cfg.linear_echo()}", f"{axis},bound_bpshz,mc_mean_bpshz,mc_stderr_bpshz"]
-    for value in cfg.sweep.values():
-        sub = RunConfig(values=_with_axis(cfg, axis, value))
-        params = sub.system_params()
-        geom = sub.link_geometry()
-        n = sub["elements_per_ris"]
-        rho = sub.rho
+    mc = _mc_config(cfg)
+
+    def row(point: RunConfig):
+        params, geom = point.system_params(), point.link_geometry()
+        n, rho = point["elements_per_ris"], point.rho
         bound = rate_bounds.rate_bound_ris(params, geom, n, rho)
-        mc = monte_carlo.McConfig(
-            trials=sub["trials"], master_seed=sub["seed"], workers=sub["workers"]
-        )
         est = monte_carlo.simulate_fixed_rate(params, geom, n, rho, mc)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(_axis_echo(axis, value)),
-                    _fmt(bound.value),
-                    _fmt(est.value),
-                    _fmt(est.std_error),
-                ]
-            )
-        )
-    return lines
+        return bound.value, est.value, est.std_error
+
+    columns = ("bound_bpshz", "mc_mean_bpshz", "mc_stderr_bpshz")
+    return _sweep(cfg, _FIXED_AXES, columns, row)
 
 
 def cmd_rate_spatial(cfg: RunConfig) -> list[str]:
-    axis = cfg.sweep.axis
-    if axis not in _SPATIAL_AXES:
-        raise ConfigError(f"rate-spatial sweep axis must be one of {_SPATIAL_AXES}, got {axis!r}")
-    lines = [
-        f"# params: {cfg.linear_echo()}",
-        f"{axis},closed_form_bpshz,quadrature_bpshz,mc_bound_bpshz,mc_bound_stderr,"
-        "mc_exact_bpshz,mc_exact_stderr",
-    ]
-    for value in cfg.sweep.values():
-        sub = RunConfig(values=_with_axis(cfg, axis, value))
-        params = sub.system_params()
-        dep = sub.deployment_params()
-        rho = sub.rho
+    mc = _mc_config(cfg)
+
+    def row(point: RunConfig):
+        params, dep, rho = point.system_params(), point.deployment_params(), point.rho
         quad = spatial_rate_integral(params, dep, rho)
         closed = spatial_rate_closed_form(params, dep, rho)
-        mc = monte_carlo.McConfig(
-            trials=sub["trials"], master_seed=sub["seed"], workers=sub["workers"]
-        )
         mc_bound = monte_carlo.simulate_spatial_bound(params, dep, rho, mc)
         mc_exact = monte_carlo.simulate_spatial_exact(params, dep, rho, mc)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(_axis_echo(axis, value)),
-                    _fmt(closed.total),
-                    _fmt(quad.total),
-                    _fmt(mc_bound.value),
-                    _fmt(mc_bound.std_error),
-                    _fmt(mc_exact.value),
-                    _fmt(mc_exact.std_error),
-                ]
-            )
-        )
-    return lines
+        return (closed.total, quad.total, mc_bound.value, mc_bound.std_error,
+                mc_exact.value, mc_exact.std_error)
+
+    columns = ("closed_form_bpshz", "quadrature_bpshz", "mc_bound_bpshz", "mc_bound_stderr",
+               "mc_exact_bpshz", "mc_exact_stderr")
+    return _sweep(cfg, _SPATIAL_AXES, columns, row)
 
 
 def cmd_optimize(cfg: RunConfig) -> list[str]:
@@ -156,34 +131,21 @@ def cmd_optimize(cfg: RunConfig) -> list[str]:
 
 
 def cmd_rate_loss(cfg: RunConfig) -> list[str]:
-    axis = cfg.sweep.axis
-    if axis != "n_elements":
-        raise ConfigError("rate-loss sweeps over n_elements only")
     rhos = cfg.rho_values()
-    header = ["n_elements"]
-    for rho in rhos:
-        header.append(f"loss_rho{rho:g}")
-    for rho in rhos:
-        header.append(f"asymptote_rho{rho:g}")
-    lines = [f"# params: {cfg.linear_echo()}", ",".join(header)]
-    lam = cfg["density"]
-    c = cfg["serve_radius"]
-    for value in cfg.sweep.values():
-        n = _element_count(value)
-        row = [str(n)]
-        for rho in rhos:
-            row.append(_fmt(rate_loss(n, rho, lam, c)))
-        for rho in rhos:
-            if rho == 1.0:
-                row.append("")  # no saturation level for fully random phases
-            else:
-                row.append(_fmt(rate_loss_asymptote(rho, lam, c)))
-        lines.append(",".join(row))
-    return lines
+
+    def row(point: RunConfig):
+        n, lam, c = point["elements_per_ris"], point["density"], point["serve_radius"]
+        losses = [rate_loss(n, rho, lam, c) for rho in rhos]
+        # fully random phases (rho = 1) have no saturation level
+        return losses + [None if rho == 1.0 else rate_loss_asymptote(rho, lam, c) for rho in rhos]
+
+    columns = [f"{name}_rho{rho:g}" for name in ("loss", "asymptote") for rho in rhos]
+    return _sweep(cfg, ("n_elements",), columns, row)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig) -> tuple[list[str], int]:
     results = validation.run_all(cfg["validate_trials"], cfg["seed"])
+    lines = []
     hard_fail = flake = 0
     for res in results:
         if res.ok:
@@ -194,12 +156,12 @@ def cmd_validate(cfg: RunConfig) -> int:
         else:
             status = "FAIL"
             hard_fail += 1
-        print(f"{status:18s} {res.check_id:32s} {res.detail}")
-    print(
+        lines.append(f"{status:18s} {res.check_id:32s} {res.detail}")
+    lines.append(
         f"# summary: {len(results)} checks, {hard_fail} hard failures, "
         f"{flake} statistical failures"
     )
-    return 1 if (hard_fail or flake) else 0
+    return lines, 1 if (hard_fail or flake) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--seed", type=int, help="master seed for all Monte-Carlo draws")
         p.add_argument("--trials", type=int, help="Monte-Carlo trials per estimate")
-        p.add_argument("--out", help="write CSV here instead of stdout")
+        p.add_argument("--out", help="write the CSV or report here instead of stdout")
         p.add_argument("--sweep", help="AXIS:MIN:MAX:POINTS[:log]")
         p.add_argument(
             "--regime",
@@ -246,28 +208,26 @@ def main(argv=None) -> int:
     }
     if args.command == "validate" and args.trials is not None:
         overrides["validate_trials"] = args.trials
-    needs_sweep = args.command in ("rate-fixed", "rate-spatial", "rate-loss")
     try:
-        cfg = resolve(args.config, overrides, require=("sweep",) if needs_sweep else ())
-        if needs_sweep and cfg.sweep is None:
+        cfg = resolve(args.config, overrides)
+        if cfg.sweep is None and args.command in ("rate-fixed", "rate-spatial", "rate-loss"):
             raise ConfigError("missing required key 'sweep'")
         if args.dump_linear:
             print(cfg.linear_echo())
             return 0
         if args.command == "validate":
-            return cmd_validate(cfg)
-        command = {
-            "rate-fixed": cmd_rate_fixed,
-            "rate-spatial": cmd_rate_spatial,
-            "optimize": cmd_optimize,
-            "rate-loss": cmd_rate_loss,
-        }[args.command]
-        _emit(command(cfg), cfg.get("out"))
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+            lines, code = cmd_validate(cfg)
+        else:
+            command = {
+                "rate-fixed": cmd_rate_fixed,
+                "rate-spatial": cmd_rate_spatial,
+                "optimize": cmd_optimize,
+                "rate-loss": cmd_rate_loss,
+            }[args.command]
+            lines, code = command(cfg), 0
+        _emit(lines, cfg.get("out"))
+        return code
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -51,6 +51,8 @@ def parse_sweep(text: str) -> SweepSpec:
         points = int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"non-numeric sweep bounds in {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep bounds must be finite, got {text!r}")
     if points < 1:
         raise ConfigError("sweep needs at least one point")
     scale = "linear"
@@ -155,6 +157,8 @@ def _coerce(key: str, value, where: str):
             value = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{where}: value for {key!r} is not {parser.__name__}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: value {value!r} for key {key!r} is not finite")
     if validator is not None and not validator(value):
         raise ConfigError(f"{where}: value {value!r} out of domain for key {key!r}")
     return value
@@ -249,7 +253,6 @@ class RunConfig:
 def resolve(
     config_path: Optional[str] = None,
     overrides: Optional[dict] = None,
-    require: tuple = (),
 ) -> RunConfig:
     """Merge defaults, an optional config file, and CLI overrides (that order)."""
     given = read_config_file(config_path) if config_path else {}
@@ -260,9 +263,6 @@ def resolve(
             raise ConfigError(f"unknown key {key!r}")
         given[key] = _coerce(key, value, "command line")
     values = {**_DEFAULTS, **given}
-    for key in require:
-        if key not in values or values.get(key) is None:
-            raise ConfigError(f"missing required key {key!r}")
     if "quant_bits" in values and "rho" in given:
         # quantizer bits pin rho exactly; an explicit rho must agree with them
         if not math.isclose(values["rho"], 2.0 ** (-values["quant_bits"])):

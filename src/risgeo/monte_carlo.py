@@ -279,19 +279,22 @@ def _received_power(cascade, bd, re, im, h_abs):
 
 
 def _accumulate(
-    chunk_fn: Callable[[int, int], np.ndarray],
-    trials: int,
-    workers: int,
+    trial_fn: Callable[[np.random.Generator, int], np.ndarray], mc: McConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk-ordered reduction of per-trial statistics to means and stderrs."""
+    """Chunk-ordered reduction of per-trial statistics to means and stderrs.
+
+    Chunk `index` calls `trial_fn(substream(mc.master_seed, index), size)`,
+    which returns the chunk's `size` per-trial values or a `size` x k array.
+    """
+    trials, workers = mc.trials, mc.workers
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     sizes = [(i, min(_CHUNK, trials - i * _CHUNK)) for i in range(n_chunks)]
 
     def run(args):
         index, size = args
-        values = np.atleast_2d(np.asarray(chunk_fn(index, size), dtype=float))
-        if values.shape[0] != size:
-            values = values.T
+        # `substream` is read from this module at call time, where tracing patches it
+        values = np.asarray(trial_fn(substream(mc.master_seed, index), size), dtype=float)
+        values = values.reshape(size, -1)
         return values.sum(axis=0), (values**2).sum(axis=0)
 
     if workers > 1:
@@ -314,6 +317,13 @@ def _accumulate(
     return mean, stderr
 
 
+def _rate_estimate(
+    trial_fn: Callable[[np.random.Generator, int], np.ndarray], mc: McConfig
+) -> RateEstimate:
+    mean, stderr = _accumulate(trial_fn, mc)
+    return RateEstimate(value=float(mean[0]), method="monte_carlo", std_error=float(stderr[0]))
+
+
 def simulate_fixed_rate(
     params: SystemParams,
     geom: LinkGeometry,
@@ -329,15 +339,11 @@ def simulate_fixed_rate(
     cascade = math.sqrt(params.beta_bs_ris(geom.l) * params.beta_ris_ue(geom.r))
     bd = params.beta_direct(geom.d)
 
-    def chunk(index: int, size: int) -> np.ndarray:
-        rng = substream(mc.master_seed, index)
+    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         re, im, h_abs = _cascade(rng, size, n_elements, rho)
         return np.log2(1.0 + snr * _received_power(cascade, bd, re, im, h_abs))
 
-    mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
-    return RateEstimate(
-        value=float(mean[0]), method="monte_carlo", std_error=float(stderr[0])
-    )
+    return _rate_estimate(chunk, mc)
 
 
 def _bound_gain(
@@ -364,16 +370,12 @@ def simulate_spatial_bound(
     window = _serving_window(dep.density, params.serve_radius, mc)
     path_loss = _LogPathLoss(params, dep.density)
 
-    def chunk(index: int, size: int) -> np.ndarray:
-        rng = substream(mc.master_seed, index)
+    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         q = _sample_annulus_sq(params, rng, size)
         e = _sample_serving_area(window, rng, size)
         return np.log2(1.0 + snr * _bound_gain(path_loss, m, n, q, e))
 
-    mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
-    return RateEstimate(
-        value=float(mean[0]), method="monte_carlo", std_error=float(stderr[0])
-    )
+    return _rate_estimate(chunk, mc)
 
 
 def simulate_spatial_exact(
@@ -389,8 +391,7 @@ def simulate_spatial_exact(
     window = _serving_window(dep.density, params.serve_radius, mc)
     path_loss = _LogPathLoss(params, dep.density)
 
-    def chunk(index: int, size: int) -> np.ndarray:
-        rng = substream(mc.master_seed, index)
+    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         q = _sample_annulus_sq(params, rng, size)
         e = _sample_serving_area(window, rng, size)
         re, im, h_abs = _cascade(rng, size, n_el, rho)
@@ -404,10 +405,7 @@ def simulate_spatial_exact(
         )
         return np.log2(1.0 + snr * power)
 
-    mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
-    return RateEstimate(
-        value=float(mean[0]), method="monte_carlo", std_error=float(stderr[0])
-    )
+    return _rate_estimate(chunk, mc)
 
 
 def estimate_reflection_moments(
@@ -417,12 +415,11 @@ def estimate_reflection_moments(
     if n_elements < 1:
         raise DomainError("n_elements must be at least 1")
 
-    def chunk(index: int, size: int) -> np.ndarray:
-        rng = substream(mc.master_seed, index)
+    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         re, im, _ = _cascade(rng, size, n_elements, rho)
         return np.column_stack([re, re**2 + im**2])
 
-    mean, stderr = _accumulate(chunk, mc.trials, mc.workers)
+    mean, stderr = _accumulate(chunk, mc)
     return ReflectionMoments(
         mean_re_z=float(mean[0]),
         mean_abs_z_sq=float(mean[1]),

@@ -109,6 +109,36 @@ class TestExitCodes:
         assert "tx_power_w=" in out and "beta=0.001" in out
 
 
+class TestNonFiniteInputs:
+    """inf and nan are config errors (exit 2) that name the key or the sweep."""
+
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            (["rate-fixed", "--sweep", "n_elements:1:inf:2"], "", "'n_elements:1:inf:2'"),
+            (["rate-spatial", "--sweep", "density:0.001:inf:2"], "", "'density:0.001:inf:2'"),
+            (["optimize"], "tx_power_dbm = inf\n", "'tx_power_dbm'"),
+            (["optimize"], "element_budget = inf\n", "'element_budget'"),
+        ],
+        ids=["sweep_n_elements", "sweep_density", "tx_power_dbm", "element_budget"],
+    )
+    def test_cli_exits_2(self, tmp_path, capsys, command, config, named):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(config)
+        assert run_cli(command + ["--config", str(cfg), "--trials", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err and named in err
+
+    @pytest.mark.parametrize("text", ["rho:nan:0.5:2", "density:-inf:0.01:3:log"])
+    def test_sweep_bounds(self, text):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_sweep(text)
+
+    def test_override_value(self):
+        with pytest.raises(ConfigError, match="'tx_power_dbm' is not finite"):
+            resolve(None, {"tx_power_dbm": float("nan")})
+
+
 class TestRateFixedCommand:
     def test_sweep_rows_and_echo(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -194,6 +224,14 @@ GOLDEN_RATE_SPATIAL = (
     '0.0141421356237,5.00429588597,4.98802209306,4.99269335419,0.0153250856459,4.98105121094,0.0153864151482\n'
     '0.04,6.71971762364,6.71563012416,6.72026256572,0.0158071846964,6.71045881012,0.0158528475121\n'
 )
+GOLDEN_RATE_LOSS = (
+    '# params: tx_power_w=0.01 noise_w=1e-11 beta=0.001 alpha=(3,2,2.5) annulus=(180,220) serve_radius=10 density=0.005 elements_per_ris=200 element_budget=10 rho=0 seed=0 trials=100000\n'
+    'n_elements,loss_rho0.25,loss_rho0.5,loss_rho0.6,loss_rho1,asymptote_rho0.25,asymptote_rho0.5,asymptote_rho0.6,asymptote_rho1\n'
+    '10,0.199952751994,0.801165737761,1.14133054247,2.14811876769,0.240006356518,1.03212678017,1.56353094559,\n'
+    '46,0.230757156567,0.975254514216,1.45272245087,3.83854000731,0.240006356518,1.03212678017,1.56353094559,\n'
+    '215,0.238000161614,1.0195879005,1.53864508003,5.58868451153,0.240006356518,1.03212678017,1.56353094559,\n'
+    '1000,0.239573749217,1.02941315772,1.5581223617,7.34269681233,0.240006356518,1.03212678017,1.56353094559,\n'
+)
 
 
 class TestGoldenCsv:
@@ -211,6 +249,12 @@ class TestGoldenCsv:
         args += ["--trials", "20000", "--seed", "3", "--out", str(out)]
         assert run_cli(args) == 0
         assert out.read_bytes() == GOLDEN_RATE_SPATIAL.encode()
+
+    def test_rate_loss(self, tmp_path):
+        # default rho_list: rho = 1 leaves its asymptote cells empty
+        out = tmp_path / "loss.csv"
+        assert run_cli(["rate-loss", "--sweep", "n_elements:10:1000:4:log", "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_RATE_LOSS.encode()
 
 
 class TestRateSpatialCommand:
@@ -421,6 +465,19 @@ class TestValidateCommand:
             "ei_quadrature_agreement" in line and "raised RuntimeError" in line
             for line in failed
         )
+
+    def test_out_writes_the_report(self, tmp_path, monkeypatch, capsys):
+        stubbed = [
+            dataclasses.replace(check, run=lambda trials, seed: [(True, "stub")])
+            for check in validation.CHECKS[:2]
+        ]
+        monkeypatch.setattr(validation, "CHECKS", stubbed)
+        out = tmp_path / "report.txt"
+        assert run_cli(["validate", "--trials", "10", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert [line.split()[1] for line in lines[:2]] == [c.check_id for c in stubbed]
+        assert lines[2] == "# summary: 2 checks, 0 hard failures, 0 statistical failures"
 
     def test_summary_counts_every_row(self, monkeypatch, capsys):
         stubbed = [
