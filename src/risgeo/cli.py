@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import monte_carlo, rate_bounds, validation
+from . import deployment, monte_carlo, rate_bounds, validation
 from .rate_loss import rate_loss, rate_loss_asymptote
 from .config import ConfigError, RunConfig, resolve
 from .deployment import OptimizerRegime, optimize_density
@@ -41,28 +41,14 @@ def _emit(lines: list[str], out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    values = dict(cfg.values)
-    if axis == "n_elements":
-        values["elements_per_ris"] = max(1, int(round(value)))
-    elif axis == "rho":
-        values["rho"] = float(value)
-        values.pop("quant_bits", None)
-    else:
-        values[axis] = float(value)
-    return RunConfig(values=values)
-
-
 def _sweep(cfg: RunConfig, axes, columns, row) -> list[str]:
     """Figure-style CSV over `cfg.sweep`: the params echo, the header, then per
-    sweep value the axis cell and `row(point_cfg)`, whose None is an empty cell."""
+    sweep point the axis cell and `row(point_cfg)`, whose None is an empty cell."""
     axis = cfg.sweep.axis
-    if axis not in axes:
-        raise ConfigError(f"sweep axis must be one of {axes}, got {axis!r}")
+    points = cfg.points(axes)
     lines = [f"# params: {cfg.linear_echo()}", ",".join([axis, *columns])]
-    for value in cfg.sweep.values():
-        point = _with_axis(cfg, axis, value)
-        cell = str(point["elements_per_ris"]) if axis == "n_elements" else _fmt(value)
+    for point in points:
+        cell = str(point["elements_per_ris"]) if axis == "n_elements" else _fmt(point[axis])
         cells = ("" if x is None else _fmt(x) for x in row(point))
         lines.append(",".join([cell, *cells]))
     return lines
@@ -122,16 +108,15 @@ def cmd_optimize(cfg: RunConfig) -> list[str]:
         f"d_constant={_fmt(opt.d_constant)} regime={snr_regime}",
         "n_elements,objective_bpshz",
     ]
-    from .deployment import deployment_objective
-
     n_max = min(cfg["n_max"], max(64, 4 * opt.n_star))
-    values = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime)
+    lams = eta / np.arange(1, n_max + 1)
+    values = deployment.deployment_objective(lams, eta, params, rho, regime)
     lines.extend(f"{n},{_fmt(value)}" for n, value in enumerate(values, start=1))
     return lines
 
 
 def cmd_rate_loss(cfg: RunConfig) -> list[str]:
-    rhos = cfg.rho_values()
+    rhos = cfg["rho_list"]
 
     def row(point: RunConfig):
         n, lam, c = point["elements_per_ris"], point["density"], point["serve_radius"]

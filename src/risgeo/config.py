@@ -1,8 +1,10 @@
 """Run configuration: flat key = value files, CLI overrides, unit ingestion.
 
-Precedence is defaults < config file < command-line flags.  Engineering
-units (dBm, dB) are converted to linear exactly once, when the resolved
-configuration is turned into parameter objects.
+Precedence is defaults < config file < command-line flags.  Every value,
+whether from a file line, a flag, a sweep point or a `rho_list` entry, is
+checked through the one key table `_KEYS`.  Engineering units (dBm, dB) are
+converted to linear exactly once, when the resolved configuration is turned
+into parameter objects.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ class SweepSpec:
             if self.start <= 0 or self.stop <= 0:
                 raise ConfigError("log sweep endpoints must be positive")
             return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        # a span that overflows gives non-finite points, which the key check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linspace(self.start, self.stop, self.points)
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -71,59 +75,39 @@ def _nonneg(x: float) -> bool:
     return x >= 0
 
 
-# key -> (parser, validator or None)
-_SCHEMA = {
-    "tx_power_dbm": (float, None),
-    "noise_dbm": (float, None),
-    "beta_db": (float, None),
-    "alpha_direct": (float, lambda v: v >= 2),
-    "alpha_bs_ris": (float, lambda v: v >= 2),
-    "alpha_ris_ue": (float, lambda v: 2 <= v <= 4),
-    "d_min": (float, _positive),
-    "d_max": (float, _positive),
-    "serve_radius": (float, _positive),
-    "density": (float, _positive),
-    "elements_per_ris": (int, lambda v: v >= 1),
-    "element_budget": (float, _positive),
-    "rho": (float, lambda v: 0 <= v <= 1),
-    "quant_bits": (int, lambda v: v >= 1),
-    "rho_list": (str, None),
-    "d": (float, _positive),
-    "l": (float, _positive),
-    "r": (float, _positive),
-    "trials": (int, lambda v: v >= 1),
-    "validate_trials": (int, lambda v: v >= 1),
-    "seed": (int, _nonneg),
-    "workers": (int, lambda v: v >= 1),
-    "regime": (str, lambda v: v in ("high", "low", "auto")),
-    "sweep": (str, None),
-    "out": (str, None),
-    "n_max": (int, lambda v: v >= 1),
-}
+def _positive_watts(dbm: float) -> bool:
+    return dbm_to_watts(dbm) > 0
 
-_DEFAULTS = {
-    "tx_power_dbm": 10.0,
-    "noise_dbm": -80.0,
-    "beta_db": -30.0,
-    "alpha_direct": 3.0,
-    "alpha_bs_ris": 2.0,
-    "alpha_ris_ue": 2.5,
-    "d_min": 180.0,
-    "d_max": 220.0,
-    "serve_radius": 10.0,
-    "density": 0.005,
-    "elements_per_ris": 200,
-    "element_budget": 10.0,
-    "rho": 0.0,
-    "rho_list": "0.25,0.5,0.6,1",
-    "d": 200.0,
-    "r": 10.0,
-    "trials": 100_000,
-    "validate_trials": 1_000_000,
-    "seed": 0,
-    "workers": usable_cores(),
-    "regime": "auto",
-    "n_max": 512,
+
+# key -> (parser of its text, domain check or None, default or None for unset)
+_KEYS = {
+    "tx_power_dbm": (float, _positive_watts, 10.0),
+    "noise_dbm": (float, _positive_watts, -80.0),
+    "beta_db": (float, lambda v: db_to_linear(v) > 0, -30.0),
+    "alpha_direct": (float, lambda v: v >= 2, 3.0),
+    "alpha_bs_ris": (float, lambda v: v >= 2, 2.0),
+    "alpha_ris_ue": (float, lambda v: 2 <= v <= 4, 2.5),
+    "d_min": (float, _positive, 180.0),
+    "d_max": (float, _positive, 220.0),
+    "serve_radius": (float, _positive, 10.0),
+    "density": (float, _positive, 0.005),
+    "elements_per_ris": (int, lambda v: v >= 1, 200),
+    "element_budget": (float, _positive, 10.0),
+    "rho": (float, lambda v: 0 <= v <= 1, 0.0),
+    "quant_bits": (int, lambda v: v >= 1, None),
+    # each comma-separated entry is checked as a `rho` when the config resolves
+    "rho_list": (str, None, "0.25,0.5,0.6,1"),
+    "d": (float, _positive, 200.0),
+    "l": (float, _positive, None),
+    "r": (float, _positive, 10.0),
+    "trials": (int, lambda v: v >= 1, 100_000),
+    "validate_trials": (int, lambda v: v >= 1, 1_000_000),
+    "seed": (int, _nonneg, 0),
+    "workers": (int, lambda v: v >= 1, usable_cores()),
+    "regime": (str, lambda v: v in ("high", "low", "auto"), "auto"),
+    "sweep": (str, None, None),
+    "out": (str, None, None),
+    "n_max": (int, lambda v: v >= 1, 512),
 }
 
 
@@ -144,22 +128,29 @@ def read_config_file(path: str) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = _coerce(key, value, f"{path}:{lineno}")
     return raw
 
 
 def _coerce(key: str, value, where: str):
-    parser, validator = _SCHEMA[key]
+    """Parse `value` for `key` if it is text, then check it against the key's domain."""
+    parser, check, _ = _KEYS[key]
     if isinstance(value, str) and parser is not str:
         try:
             value = parser(value)
         except ValueError as exc:
-            raise ConfigError(f"{where}: value for {key!r} is not {parser.__name__}") from exc
+            raise ConfigError(
+                f"{where}: value {value!r} for key {key!r} is not {parser.__name__}"
+            ) from exc
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}: value {value!r} for key {key!r} is not finite")
-    if validator is not None and not validator(value):
+    try:
+        ok = check is None or check(value)
+    except DomainError as exc:  # a unit conversion that overflows
+        raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
+    if not ok:
         raise ConfigError(f"{where}: value {value!r} out of domain for key {key!r}")
     return value
 
@@ -183,18 +174,25 @@ class RunConfig:
             return 2.0 ** (-self.values["quant_bits"])
         return self.values["rho"]
 
-    def rho_values(self) -> list[float]:
+    def points(self, axes) -> list["RunConfig"]:
+        """The configuration at each value of the sweep, whose axis must be one of `axes`.
+
+        Each value is checked as the key it sets.  An `n_elements` value rounds to
+        an element count of at least 1; a `rho` value replaces `quant_bits`.
+        """
+        axis = self.sweep.axis
+        if axis not in axes:
+            raise ConfigError(f"sweep axis must be one of {axes}, got {axis!r}")
+        key = "elements_per_ris" if axis == "n_elements" else axis
+        where = f"sweep {self.values['sweep']!r}"
         out = []
-        for token in str(self.values["rho_list"]).split(","):
-            token = token.strip()
-            if not token:
-                continue
-            rho = float(token)
-            if not 0 <= rho <= 1:
-                raise ConfigError(f"rho_list entry {rho} out of [0, 1]")
-            out.append(rho)
-        if not out:
-            raise ConfigError("rho_list is empty")
+        for value in self.sweep.values().tolist():
+            if key == "elements_per_ris" and math.isfinite(value):
+                value = max(1, round(value))
+            values = {**self.values, key: _coerce(key, value, where)}
+            if axis == "rho":
+                values.pop("quant_bits", None)
+            out.append(RunConfig(values=values))
         return out
 
     def system_params(self) -> SystemParams:
@@ -259,10 +257,15 @@ def resolve(
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
         given[key] = _coerce(key, value, "command line")
-    values = {**_DEFAULTS, **given}
+    values = {key: default for key, (_, _, default) in _KEYS.items() if default is not None}
+    values.update(given)
+    tokens = [token.strip() for token in values["rho_list"].split(",") if token.strip()]
+    if not tokens:
+        raise ConfigError("rho_list is empty")
+    values["rho_list"] = tuple(_coerce("rho", token, "rho_list entry") for token in tokens)
     if "quant_bits" in values and "rho" in given:
         # quantizer bits pin rho exactly; an explicit rho must agree with them
         if not math.isclose(values["rho"], 2.0 ** (-values["quant_bits"])):

@@ -13,11 +13,19 @@ from .errors import DomainError
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Watts of a scalar dBm power; DomainError where they overflow a float."""
+    try:
+        return 10.0 ** ((float(dbm) - 30.0) / 10.0)
+    except OverflowError as exc:
+        raise DomainError(f"{dbm} dBm overflows a float in watts") from exc
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear value of a scalar dB gain; DomainError where it overflows a float."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError as exc:
+        raise DomainError(f"{db} dB overflows a float in linear units") from exc
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,13 @@ from scipy import special
 
 from .errors import DomainError
 
-#: Euler-Mascheroni constant, full double precision.
-_EULER_GAMMA = 0.57721566490153286061
-
 #: |p + 1| below which power_integral switches to its log-limit branch.
 _POWER_LIMIT_SWITCH = 1e-8
 
 
 def euler_constant() -> float:
     """Euler-Mascheroni constant E0 = lim (sum 1/k - ln n)."""
-    return _EULER_GAMMA
+    return np.euler_gamma
 
 
 def exp_integral_ei(x):

@@ -6,6 +6,8 @@ import pytest
 from risgeo import validation
 from risgeo.cli import main
 from risgeo.config import ConfigError, parse_sweep, read_config_file, resolve
+from risgeo.errors import DomainError
+from risgeo.params import SystemParams
 from risgeo.rate_loss import rate_loss
 from risgeo.spatial_rate import spatial_rate_closed_form, spatial_rate_integral
 
@@ -112,6 +114,7 @@ class TestExitCodes:
 class TestNonFiniteInputs:
     """inf and nan are config errors (exit 2) that name the key or the sweep."""
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "command, config, named",
         [
@@ -119,8 +122,12 @@ class TestNonFiniteInputs:
             (["rate-spatial", "--sweep", "density:0.001:inf:2"], "", "'density:0.001:inf:2'"),
             (["optimize"], "tx_power_dbm = inf\n", "'tx_power_dbm'"),
             (["optimize"], "element_budget = inf\n", "'element_budget'"),
+            # finite bounds whose span overflows make non-finite sweep points
+            (["rate-fixed", "--sweep", "tx_power_dbm:-1e308:1e308:3"], "",
+             "'tx_power_dbm:-1e308:1e308:3'"),
         ],
-        ids=["sweep_n_elements", "sweep_density", "tx_power_dbm", "element_budget"],
+        ids=["sweep_n_elements", "sweep_density", "tx_power_dbm", "element_budget",
+             "sweep_point_overflow"],
     )
     def test_cli_exits_2(self, tmp_path, capsys, command, config, named):
         cfg = tmp_path / "inf.cfg"
@@ -137,6 +144,33 @@ class TestNonFiniteInputs:
     def test_override_value(self):
         with pytest.raises(ConfigError, match="'tx_power_dbm' is not finite"):
             resolve(None, {"tx_power_dbm": float("nan")})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            (["optimize"], "tx_power_dbm = 4000\n", "'tx_power_dbm'"),
+            (["optimize"], "noise_dbm = 5000\n", "'noise_dbm'"),
+            (["optimize"], "beta_db = 4000\n", "'beta_db'"),
+            (["rate-loss", "--sweep", "n_elements:1:2:2"], "rho_list = a,b\n", "rho_list"),
+            (["optimize"], "rho_list = 0.5,2\n", "rho_list"),
+        ],
+        ids=["tx_power_dbm", "noise_dbm", "beta_db", "rho_list_text", "rho_list_domain"],
+    )
+    def test_unconvertible_value_exits_2(self, tmp_path, capsys, command, config, named):
+        # a finite dB value whose linear value overflows, or a rho_list entry that is no rho
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        assert run_cli(command + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and named in err[0]
+
+    def test_from_engineering_overflow(self):
+        with pytest.raises(DomainError, match="overflows"):
+            SystemParams.from_engineering(
+                tx_power_dbm=4000.0, noise_dbm=-80.0, beta_db=-30.0, alpha_direct=3.0,
+                alpha_bs_ris=2.0, alpha_ris_ue=2.5, d_min=180.0, d_max=220.0, serve_radius=10.0,
+            )
 
 
 class TestRateFixedCommand:
@@ -198,6 +232,19 @@ class TestRateFixedCommand:
         )
         _, _, rows = read_rows(out)
         assert len(rows) == 1
+
+    def test_rho_sweep_overrides_quant_bits(self, tmp_path):
+        # quant_bits pins the configured rho, but each rho sweep point replaces it
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("quant_bits = 2\n")
+        args = ["rate-fixed", "--sweep", "rho:0:1:3", "--trials", "200", "--seed", "4"]
+        plain, pinned = tmp_path / "plain.csv", tmp_path / "pinned.csv"
+        assert run_cli(args + ["--out", str(plain)]) == 0
+        assert run_cli(args + ["--config", str(cfg), "--out", str(pinned)]) == 0
+        comments, header, rows = read_rows(pinned)
+        assert "rho=0.25" in comments[0]
+        assert (header, rows) == read_rows(plain)[1:]
+        assert [row[0] for row in rows] == ["0", "0.5", "1"]
 
     def test_byte_stable_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -433,6 +480,12 @@ class TestRateLossCommand:
         n_vals = [int(r[0]) for r in rows]
         at_120 = float(rows[n_vals.index(120)][i_loss05])
         assert at_120 == pytest.approx(1.2748, abs=0.01)
+
+    def test_element_count_rounds_and_clamps_at_one(self, tmp_path):
+        out = tmp_path / "clamp.csv"
+        assert run_cli(["rate-loss", "--sweep", "n_elements:0:4:3", "--out", str(out)]) == 0
+        _, _, rows = read_rows(out)
+        assert [row[0] for row in rows] == ["1", "2", "4"]
 
 
 class TestValidateCommand:
