@@ -12,14 +12,14 @@ the normalized area e = pi lam r^2 of the nearest-reflector disk.  Under the
 `direct_nearest` policy that is one uniform per trial through the inverse
 nearest-distance CDF, e = -ln(1 - U).  Under `full_hppp` it is one uniform
 per trial for the reflector count in the simulation window, mapped to a
-Poisson count by guide-table inversion (built once per estimate, see
-`_serving_window`), then one uniform per trial for the minimum of that many
-uniform squared radii, scaled by the window's mean count.  The count table
-leaves out the upper tail below 2^-53, the resolution of the uniforms, and a
-uniform of exactly 0 maps to count 0 (an empty window, e = inf).  No
-distance is ever formed: the path losses are taken in the log domain from
-ln q and ln e (see `_LogPathLoss`), and a trial is served when
-e <= pi lam C^2.
+Poisson count by inverting its running pmf sum through a numpy guide table
+(`_CountTable`, built once per estimate, see `_serving_window`), then one
+uniform per trial for the minimum of that many uniform squared radii, scaled
+by the window's mean count.  The count table leaves out the upper tail below
+2^-53, the resolution of the uniforms, and a uniform of exactly 0 maps to
+count 0 (an empty window, e = inf).  No distance is ever formed: the path
+losses are taken in the log domain from ln q and ln e (see `_LogPathLoss`),
+and a trial is served when e <= pi lam C^2.
 
 The three fading estimators share one real-arithmetic cascade kernel.  The
 squared magnitude of a CN(0,1) gain is Exp(1), so each per-element amplitude
@@ -37,18 +37,16 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 from .params import DeploymentParams, LinkGeometry, RateEstimate, SystemParams
 from .phase_error import attenuation_factor, sample_phase_errors
 from .rate_bounds import mean_power_gain
 from .streams import substream
-
-if TYPE_CHECKING:
-    from scipy.stats.sampling import DiscreteGuideTable
 
 #: Trials per substream chunk.  Fixed: changing it changes the draws.
 _CHUNK = 4096
@@ -146,11 +144,73 @@ def _sample_annulus_sq(params: SystemParams, rng: np.random.Generator, size) -> 
     return params.d_min**2 + u * (params.d_max**2 - params.d_min**2)
 
 
+class _CountTable:
+    """Inversion of a finite probability vector over the counts 0..n-1 by
+    guide table.
+
+    A uniform u gives the smallest count k with cum[k] >= u * cum[-1], cum
+    being the running sum of the vector.  Slice j of the guide table holds
+    the smallest count whose cum / cum[-1] reaches j / n, so a draw starts
+    at slot floor(u n), takes one vectorized step up, and the few draws
+    still short finish by bisection.  This is UNU.RAN's guide-table method
+    (DGT, guide factor 1): the same running sum, guide table and search,
+    so its draws are those of `scipy.stats.sampling.DiscreteGuideTable`
+    bit for bit.
+    """
+
+    def __init__(self, pmf: np.ndarray):
+        self._cum = np.cumsum(pmf)
+        self._total = self._cum[-1]
+        n = self._cum.size
+        self._guide = np.searchsorted(self._cum / self._total, np.arange(n) / n)
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """Count of each uniform u in [0, 1)."""
+        cum = self._cum
+        target = u * self._total
+        k = self._guide[(u * cum.size).astype(np.intp)]
+        k += cum[k] < target
+        short = np.flatnonzero(cum[k] < target)
+        k[short] = np.searchsorted(cum, target[short])
+        return k
+
+    def rvs(self, size, random_state: np.random.Generator) -> np.ndarray:
+        """`size` counts, one uniform of `random_state.random` each."""
+        return self._invert(random_state.random(size))
+
+    def ppf(self, u):
+        """Count drawn by each uniform u in [0, 1]; u = 1 gives the last count."""
+        u = np.asarray(u, dtype=float)
+        flat = u.ravel()
+        top = flat >= 1.0
+        k = self._invert(np.where(top, 0.0, flat))
+        k[top] = self._cum.size - 1
+        return k.reshape(u.shape)
+
+
 class _HpppWindow(NamedTuple):
     """Simulation window of the full point-process policy and its count sampler."""
 
     mean_count: float  # lam pi radius^2
-    counts: "DiscreteGuideTable"
+    counts: _CountTable
+
+
+def _poisson_counts(mu: float) -> _CountTable:
+    """Count table of Poisson(mu), cut at the first count whose upper tail is
+    below 2^-53, the resolution of `Generator.random`, so the cut tail is below
+    what any uniform resolves.  The pmf is poisson.pmf's exp(xlogy(k, mu) -
+    gammaln(k + 1) - mu).
+    """
+    # poisson.isf(tail, mu): the inverse CDF at 1 - tail, one count lower when
+    # the CDF reaches 1 - tail there; then stepped up, as isf is loose this far out
+    p = 1.0 - _COUNT_TAIL
+    k_max = math.ceil(special.pdtrik(p, mu))
+    if k_max > 0 and special.pdtr(k_max - 1, mu) >= p:
+        k_max -= 1
+    while special.pdtrc(k_max, mu) >= _COUNT_TAIL:
+        k_max += 1
+    k = np.arange(k_max + 1)
+    return _CountTable(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu))
 
 
 def _serving_window(lam: float, serve_radius: float, mc: McConfig) -> Optional[_HpppWindow]:
@@ -158,23 +218,14 @@ def _serving_window(lam: float, serve_radius: float, mc: McConfig) -> Optional[_
 
     The full-scatter window is auto-sized by `hppp_window_radius`, and its
     reflector count is sampled exactly by inverting the Poisson(lam pi
-    radius^2) CDF with a guide table, one uniform per count, drawn straight
-    from the generator's bit stream.  The probability vector stops at the
-    first count whose upper tail is below 2^-53, the resolution of
-    `Generator.random`, so the cut tail is below what any uniform resolves.
-    A uniform of exactly 0 maps to count 0.
+    radius^2) CDF through the `_poisson_counts` table, one uniform per count
+    from the chunk's own generator.  A uniform of exactly 0 maps to count 0.
     """
     if mc.window_policy == "direct_nearest":
         return None
-    from scipy.stats import poisson, sampling  # loads UNU.RAN only when used
-
     radius = hppp_window_radius(lam, serve_radius)
     mu = lam * math.pi * radius**2
-    k_max = int(poisson.isf(_COUNT_TAIL, mu))
-    while poisson.sf(k_max, mu) >= _COUNT_TAIL:  # isf is loose this far out
-        k_max += 1
-    pmf = poisson.pmf(np.arange(k_max + 1), mu)
-    return _HpppWindow(mu, sampling.DiscreteGuideTable(pmf))
+    return _HpppWindow(mu, _poisson_counts(mu))
 
 
 def _sample_serving_area(
@@ -185,16 +236,15 @@ def _sample_serving_area(
 
     `direct_nearest` (window None) inverts the nearest-distance CDF, one
     uniform per trial.  The full-scatter window draws, in order, one uniform
-    per trial for the Poisson count by table inversion (the tail below 2^-53
-    is cut; u = 0 gives count 0), then one per trial for the nearest of that
-    many reflectors: the minimum of `count` uniform squared radii, times the
-    window's mean count.  An empty window gives inf.
+    per trial for the Poisson count, inverted through the window's numpy
+    count table (the tail below 2^-53 is cut; u = 0 gives count 0), then one
+    per trial for the nearest of that many reflectors: the minimum of `count`
+    uniform squared radii, times the window's mean count.  An empty window
+    gives inf.
     """
     if window is None:
         return _nearest_area(rng, size)
-    # rvs accepts only a true Generator, and the benchmark tracer hands chunks a
-    # wrapper; a Generator over the chunk's bit generator draws the same stream
-    counts = window.counts.rvs(size, random_state=np.random.Generator(rng.bit_generator))
+    counts = window.counts.rvs(size, random_state=rng)
     v = rng.random(size)
     with np.errstate(divide="ignore", invalid="ignore"):
         min_u = -np.expm1(np.log1p(-v) / counts)  # min of `counts` uniforms

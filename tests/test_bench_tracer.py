@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from risgeo import deployment, spatial_rate
+from risgeo import deployment, monte_carlo, spatial_rate
 from risgeo.deployment import OptimizerRegime
 from risgeo.errors import RegimeWarning
-from risgeo.params import SystemParams
+from risgeo.monte_carlo import McConfig
+from risgeo.params import DeploymentParams, SystemParams
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -75,3 +76,24 @@ def test_objective_spans_nest_under_solve_and_count_every_call(tracer, monkeypat
     metrics, _ = tracer.layer_metrics(t)
     assert metrics["deployment.solves"] == 1
     assert metrics["deployment.objective_evals_per_solve"] == len(calls)
+
+
+def test_full_scatter_draws_are_all_counted(tracer):
+    # a full-scatter spatial trial draws three uniforms (annulus, window count,
+    # nearest of the count), all through the chunk's generator
+    params = SystemParams.from_engineering(
+        tx_power_dbm=20.0, noise_dbm=-80.0, beta_db=-30.0, alpha_direct=3.0,
+        alpha_bs_ris=2.0, alpha_ris_ue=2.5, d_min=180.0, d_max=220.0, serve_radius=10.0,
+    )
+    trials = 2 * 4096 + 5
+    mc = McConfig(trials=trials, master_seed=1, window_policy="full_hppp", workers=1)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        monte_carlo.simulate_spatial_bound(params, DeploymentParams(0.005, 32), 0.5, mc)
+    finally:
+        t.uninstall()
+    metrics, _ = tracer.layer_metrics(t)
+    assert metrics["streams.substreams"] == 3
+    assert metrics["streams.rng_variates"] == 3 * trials
+    assert metrics["streams.rng_bytes"] == 24 * trials

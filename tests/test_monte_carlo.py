@@ -1,11 +1,13 @@
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.stats import sampling
 
 from risgeo import config, monte_carlo
 from risgeo.errors import DomainError
@@ -14,6 +16,7 @@ from risgeo.monte_carlo import (
     _bound_gain,
     _cascade,
     _LogPathLoss,
+    _poisson_counts,
     _sample_annulus_sq,
     _sample_serving_area,
     _serving_window,
@@ -188,6 +191,86 @@ class TestFullScatterWindow:
         counts = window.counts.ppf(u[:n])
         want = window.mean_count * -np.expm1(np.log1p(-u[n:]) / counts)
         np.testing.assert_array_equal(area, np.where(counts > 0, want, np.inf))
+
+
+class TestCountTableOracle:
+    """The numpy count table against UNU.RAN's guide table, which it replaces:
+    same cut, same pmf, same count from every uniform."""
+
+    # window mean counts 20.7, 63.6, 190.9 and 5654.9 (lambda = 2, C = 10)
+    WINDOWS = [(0.005, 10.0), (0.01, 15.0), (0.03, 15.0), (2.0, 10.0)]
+
+    @staticmethod
+    def reference_top(mu):
+        """scipy's last count: isf, stepped up while sf >= 2^-53."""
+        top = int(stats.poisson.isf(2.0**-53, mu))
+        while stats.poisson.sf(top, mu) >= 2.0**-53:
+            top += 1
+        return top
+
+    @pytest.fixture(params=WINDOWS, ids=lambda w: f"lam={w[0]},C={w[1]}")
+    def tables(self, request):
+        lam, serve_radius = request.param
+        window = _serving_window(lam, serve_radius, McConfig(trials=1, window_policy="full_hppp"))
+        mu = window.mean_count
+        pmf = stats.poisson.pmf(np.arange(self.reference_top(mu) + 1), mu)
+        return window.counts, sampling.DiscreteGuideTable(pmf)
+
+    def test_rvs_matches_on_shared_streams(self, tables):
+        table, reference = tables
+        for index in range(16):
+            np.testing.assert_array_equal(
+                table.rvs(4096, random_state=substream(21, index)),
+                reference.rvs(4096, random_state=substream(21, index)),
+            )
+
+    def test_ppf_matches_at_edges_and_on_grid(self, tables):
+        table, reference = tables
+        n = int(table.ppf(1.0)) + 1
+        j = np.arange(n) / n  # guide-slot edges, and the doubles either side
+        u = np.concatenate([
+            j, np.nextafter(j, 0.0), np.nextafter(j, 1.0), np.linspace(0.0, 1.0, 10001),
+            1.0 - 2.0**-53 * np.arange(1, 65),  # the last 64 doubles below 1
+            [5e-324, 2.0**-53, 1.0],
+        ])
+        u = u[u > 0.0]
+        np.testing.assert_array_equal(table.ppf(u), reference.ppf(u))
+        assert table.ppf(1.0) == reference.ppf(1.0) == n - 1
+        # a uniform of 0 draws count 0 (scipy's ppf reports -1 there, the
+        # support convention a - 1, not a draw)
+        assert table.ppf(0.0) == 0
+        assert table.ppf(np.zeros(3)).tolist() == [0, 0, 0]
+
+    def test_cut_and_pmf_match_over_means(self):
+        for mu in np.geomspace(0.5, 1e4, 600):
+            top = self.reference_top(mu)
+            table = _poisson_counts(mu)
+            assert table.ppf(1.0) == top, mu
+            pmf = stats.poisson.pmf(np.arange(top + 1), mu)
+            np.testing.assert_array_equal(table._cum, np.cumsum(pmf))
+
+
+def test_full_scatter_cold_start_leaves_scipy_stats_unloaded():
+    # scipy.stats adds ~0.5 s to a cold start; only validation's KS row loads it
+    code = (
+        "import sys\n"
+        "from risgeo import cli\n"
+        "from risgeo.monte_carlo import McConfig, simulate_spatial_bound\n"
+        "from risgeo.params import DeploymentParams, SystemParams\n"
+        "params = SystemParams.from_engineering(\n"
+        "    20.0, -80.0, -30.0, 3.0, 2.0, 2.5, 180.0, 220.0, 10.0)\n"
+        "mc = McConfig(trials=2 * 4096, window_policy='full_hppp', workers=1)\n"
+        "simulate_spatial_bound(params, DeploymentParams(0.005, 32), 0.5, mc)\n"
+        "print([m for m in sys.modules if m.startswith('scipy.stats')])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 class TestLogPathLoss:
