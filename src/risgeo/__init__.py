@@ -51,7 +51,6 @@ from .rate_loss import rate_loss, rate_loss_asymptote, rate_loss_regime
 from .spatial_rate import (
     SpatialRateBreakdown,
     annulus_distance_moment,
-    annulus_moment,
     array_gain_term,
     association_probability,
     cascade_residual_term,
@@ -63,7 +62,6 @@ from .spatial_rate import (
     spatial_rate_integral,
 )
 from .special_math import (
-    euler_constant,
     exp_integral_ei,
     lower_incomplete_gamma,
     power_integral,
@@ -87,7 +85,6 @@ __all__ = [
     "SpatialRateBreakdown",
     "SystemParams",
     "annulus_distance_moment",
-    "annulus_moment",
     "array_gain_term",
     "association_probability",
     "attenuation_factor",
@@ -98,7 +95,6 @@ __all__ = [
     "deployment_objective",
     "error_difference_pdf",
     "estimate_reflection_moments",
-    "euler_constant",
     "exp_integral_ei",
     "expected_cos_diff",
     "expected_log2_d",

@@ -197,36 +197,25 @@ class RunConfig:
 
     def system_params(self) -> SystemParams:
         v = self.values
-        try:
-            return SystemParams.from_engineering(
-                tx_power_dbm=v["tx_power_dbm"],
-                noise_dbm=v["noise_dbm"],
-                beta_db=v["beta_db"],
-                alpha_direct=v["alpha_direct"],
-                alpha_bs_ris=v["alpha_bs_ris"],
-                alpha_ris_ue=v["alpha_ris_ue"],
-                d_min=v["d_min"],
-                d_max=v["d_max"],
-                serve_radius=v["serve_radius"],
-            )
-        except DomainError as exc:
-            raise ConfigError(f"invalid physical parameters: {exc}") from exc
+        return SystemParams.from_engineering(
+            tx_power_dbm=v["tx_power_dbm"],
+            noise_dbm=v["noise_dbm"],
+            beta_db=v["beta_db"],
+            alpha_direct=v["alpha_direct"],
+            alpha_bs_ris=v["alpha_bs_ris"],
+            alpha_ris_ue=v["alpha_ris_ue"],
+            d_min=v["d_min"],
+            d_max=v["d_max"],
+            serve_radius=v["serve_radius"],
+        )
 
     def deployment_params(self) -> DeploymentParams:
         v = self.values
-        try:
-            return DeploymentParams(
-                density=v["density"], elements_per_ris=v["elements_per_ris"]
-            )
-        except DomainError as exc:
-            raise ConfigError(f"invalid deployment parameters: {exc}") from exc
+        return DeploymentParams(density=v["density"], elements_per_ris=v["elements_per_ris"])
 
     def link_geometry(self) -> LinkGeometry:
         v = self.values
-        try:
-            return LinkGeometry(d=v["d"], l=v.get("l", v["d"]), r=v["r"])
-        except DomainError as exc:
-            raise ConfigError(f"invalid link geometry: {exc}") from exc
+        return LinkGeometry(d=v["d"], l=v.get("l", v["d"]), r=v["r"])
 
     def linear_echo(self) -> str:
         """One-line summary of the resolved linear-unit parameters."""

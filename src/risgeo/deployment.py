@@ -33,7 +33,6 @@ from .spatial_rate import (
     _disk_moment,
     _noise_residual,
     annulus_distance_moment,
-    annulus_moment,
     expected_log2_d,
 )
 from .special_math import exp_integral_ei, lower_incomplete_gamma
@@ -100,9 +99,8 @@ class DeploymentOptimum:
     """Optimal density and array size with the branch that produced them.
 
     `objective` is the reduced objective at lambda_star (continuous array
-    size); `d_constant` is the lam/N-independent offset of the regime.
-    `floor_scores_higher` diagnoses when rounding the budget quotient down
-    instead of up would have scored better.
+    size), and `n_star` the ceiling of the budget quotient eta / lambda_star;
+    `d_constant` is the lam/N-independent offset of the regime.
     """
 
     lambda_star: float
@@ -110,7 +108,6 @@ class DeploymentOptimum:
     objective: float
     branch: str  # bounded_closed_form | random_closed_form | monotone_boundary | bisection | boundary_eta | grid
     d_constant: float
-    floor_scores_higher: bool = False
 
     def __post_init__(self):
         if self.lambda_star <= 0 or self.n_star < 1:
@@ -175,7 +172,7 @@ def _prepare(
     m = attenuation_factor(rho)
     c = params.serve_radius
     beta = params.beta_ref
-    a3 = params.alpha_ris_ue
+    a2, a3 = params.alpha_bs_ris, params.alpha_ris_ue
     offset = objective_offset(params, regime)
     high = regime.snr == "high"
     random = regime.phase == "random"
@@ -194,7 +191,7 @@ def _prepare(
             q = 2.0 - a3 / 2.0
             extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2
         low = dict(
-            k3=annulus_moment(3, params),
+            k3=annulus_distance_moment(a2, params.d_min, params.d_max),
             s=a3 / 2.0 + 1.0,
             half_a3=a3 / 2.0,
             snr_beta=params.snr_gain * beta,
@@ -307,7 +304,7 @@ def objective_slope(
     slope), carries the sign only.
     """
     _check_regime(regime, rho)
-    if lam <= 0 or eta <= 0:
+    if not (lam > 0 and eta > 0):
         raise DomainError("lam and eta must be positive")
     if regime.phase == "bounded":
         m = attenuation_factor(rho)
@@ -344,12 +341,6 @@ def _zoom_max(f, grid: np.ndarray, fvals: np.ndarray) -> tuple[float, float]:
         k = int(np.argmax(fvals))
 
 
-def _ceil_quotient(eta: float, lam: float) -> int:
-    # Guard against 45.000000000001-type float noise before ceiling.
-    q = eta / lam
-    return max(1, math.ceil(q - 1e-12))
-
-
 def _finish(
     lam_star: float,
     eta: float,
@@ -359,20 +350,16 @@ def _finish(
     prepared: _Prepared,
     branch: str,
 ) -> DeploymentOptimum:
-    n_star = _ceil_quotient(eta, lam_star)
-    floor_n = max(1, n_star - 1)
-    floor_better = False
-    if floor_n != n_star:
-        f_ceil = deployment_objective(eta / n_star, eta, params, rho, regime, prepared)
-        f_floor = deployment_objective(eta / floor_n, eta, params, rho, regime, prepared)
-        floor_better = bool(f_floor > f_ceil)
+    """The optimum at lam_star: one objective call, and the array size as the
+    ceiling of the budget quotient."""
+    # Guard against 45.000000000001-type float noise before ceiling.
+    n_star = max(1, math.ceil(eta / lam_star - 1e-12))
     return DeploymentOptimum(
         lambda_star=lam_star,
         n_star=n_star,
         objective=float(deployment_objective(lam_star, eta, params, rho, regime, prepared)),
         branch=branch,
         d_constant=prepared.offset,
-        floor_scores_higher=floor_better,
     )
 
 

@@ -82,11 +82,11 @@ class McConfig:
     workers: int = field(default_factory=usable_cores)
 
     def __post_init__(self):
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise DomainError("trials must be at least 1")
         if self.window_policy not in ("direct_nearest", "full_hppp"):
             raise DomainError(f"unknown window_policy {self.window_policy!r}")
-        if self.workers < 1:
+        if not self.workers >= 1:
             raise DomainError("workers must be at least 1")
 
 
@@ -383,7 +383,7 @@ def simulate_fixed_rate(
 ) -> RateEstimate:
     """Exact ergodic rate of the fixed-geometry link, averaged over fading
     and phase error.  n_elements = 0 degenerates to the direct-only link."""
-    if n_elements < 0:
+    if not n_elements >= 0:
         raise DomainError("n_elements must be nonnegative")
     snr = params.snr_gain
     cascade = math.sqrt(params.beta_bs_ris(geom.l) * params.beta_ris_ue(geom.r))

@@ -6,6 +6,7 @@ enter only through the conversion helpers and `SystemParams.from_engineering`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,17 +14,23 @@ from .errors import DomainError
 
 
 def dbm_to_watts(dbm: float) -> float:
-    """Watts of a scalar dBm power; DomainError where they overflow a float."""
+    """Watts of a scalar dBm power; DomainError at NaN and where they overflow a float."""
+    dbm = float(dbm)
+    if math.isnan(dbm):
+        raise DomainError("dbm_to_watts requires a real power")
     try:
-        return 10.0 ** ((float(dbm) - 30.0) / 10.0)
+        return 10.0 ** ((dbm - 30.0) / 10.0)
     except OverflowError as exc:
         raise DomainError(f"{dbm} dBm overflows a float in watts") from exc
 
 
 def db_to_linear(db: float) -> float:
-    """Linear value of a scalar dB gain; DomainError where it overflows a float."""
+    """Linear value of a scalar dB gain; DomainError at NaN and where it overflows a float."""
+    db = float(db)
+    if math.isnan(db):
+        raise DomainError("db_to_linear requires a real gain")
     try:
-        return 10.0 ** (float(db) / 10.0)
+        return 10.0 ** (db / 10.0)
     except OverflowError as exc:
         raise DomainError(f"{db} dB overflows a float in linear units") from exc
 

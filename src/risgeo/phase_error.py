@@ -51,6 +51,8 @@ def error_difference_pdf(rho: float, z: float) -> float:
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"error_difference_pdf requires rho in (0, 1], got {rho}")
+    if math.isnan(z):
+        raise DomainError("error_difference_pdf requires a real z")
     half_width = 2.0 * rho * math.pi
     if abs(z) >= half_width:
         return 0.0
@@ -60,7 +62,7 @@ def error_difference_pdf(rho: float, z: float) -> float:
 def sample_phase_errors(rho: float, count: int, stream: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. uniform phase errors on [-rho*pi, rho*pi] from `stream`."""
     _check_rho(rho)
-    if count < 0:
+    if not count >= 0:
         raise DomainError("count must be nonnegative")
     if rho == 0.0:
         return np.zeros(count)

@@ -46,12 +46,7 @@ from scipy import integrate, special
 from .errors import DomainError, NumericError
 from .params import DeploymentParams, SystemParams
 from .phase_error import attenuation_factor
-from .special_math import (
-    euler_constant,
-    exp_integral_ei,
-    lower_incomplete_gamma,
-    power_integral,
-)
+from .special_math import exp_integral_ei, lower_incomplete_gamma, power_integral
 
 _LN2 = math.log(2.0)
 
@@ -66,9 +61,9 @@ _QUAD_EPSREL = 1e-10
 
 def nearest_ris_pdf(lam: float, r: float) -> float:
     """Density of the nearest-reflector distance: 2 pi lam r exp(-pi lam r^2)."""
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError("density must be positive")
-    if r < 0:
+    if not r >= 0:
         raise DomainError("distance must be nonnegative")
     return 2.0 * math.pi * lam * r * math.exp(-math.pi * lam * r * r)
 
@@ -110,7 +105,7 @@ def expected_log2_r_truncated(lam: float, serve_radius: float) -> float:
         exp_integral_ei(-x)
         - math.exp(-x) * math.log(serve_radius**2)
         - math.log(math.pi * lam)
-        - euler_constant()
+        - np.euler_gamma
     )
     return bracket / (2.0 * _LN2)
 
@@ -120,23 +115,6 @@ def annulus_distance_moment(p: float, d_min: float, d_max: float) -> float:
     if not 0 < d_min < d_max:
         raise DomainError("requires 0 < d_min < d_max")
     return 2.0 * power_integral(p + 1.0, d_min, d_max) / (d_max**2 - d_min**2)
-
-
-def annulus_moment(which: int, params: SystemParams) -> float:
-    """The three annulus distance constants of the closed forms.
-
-    which=1: E{d^((a2-a1)/2)}, which=2: E{d^(a2-a1)}, which=3: E{d^a2};
-    degenerate exponents are handled by the log-limit branch of the power
-    integral.
-    """
-    exponents = {
-        1: (params.alpha_bs_ris - params.alpha_direct) / 2.0,
-        2: params.alpha_bs_ris - params.alpha_direct,
-        3: params.alpha_bs_ris,
-    }
-    if which not in exponents:
-        raise DomainError("which must be 1, 2 or 3")
-    return annulus_distance_moment(exponents[which], params.d_min, params.d_max)
 
 
 @dataclass(frozen=True)
@@ -223,6 +201,8 @@ def array_gain_term(n_elements, rho: float, lam, serve_radius: float):
 
     `n_elements` and `lam` may be arrays of matching shape.
     """
+    if not (np.asarray(n_elements) > 0).all():
+        raise DomainError("n_elements must be positive")
     m = attenuation_factor(rho)
     return _array_gain(n_elements, m * m, association_probability(lam, serve_radius))
 
@@ -243,11 +223,14 @@ def cascade_residual_term(
     Decreasing in N; negligible against the array-gain term only for large
     arrays (the crossover depends strongly on density and serving radius).
     """
+    if not n_elements > 0:
+        raise DomainError("n_elements must be positive")
     m = attenuation_factor(rho)
     n = float(n_elements)
     c = params.serve_radius
-    k1 = annulus_moment(1, params)
-    k2 = annulus_moment(2, params)
+    a1, a2 = params.alpha_direct, params.alpha_bs_ris
+    k1 = annulus_distance_moment((a2 - a1) / 2.0, params.d_min, params.d_max)
+    k2 = annulus_distance_moment(a2 - a1, params.d_min, params.d_max)
     denom = m * m * n + 1.0 - m * m
     t1 = (
         k1
@@ -265,13 +248,15 @@ def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
 
     `n_elements` and `lam` may be arrays of matching shape.
     """
+    if not (np.asarray(n_elements) > 0).all():
+        raise DomainError("n_elements must be positive")
     m = attenuation_factor(rho)
     moment = _radial_moment(params.alpha_ris_ue, lam, 0.0, params.serve_radius)
     return _noise_residual(
         n_elements,
         m * m,
         moment,
-        annulus_moment(3, params),
+        annulus_distance_moment(params.alpha_bs_ris, params.d_min, params.d_max),
         params.snr_gain * params.beta_ref,
         params.beta_ref * _LN2,
     )
@@ -334,9 +319,10 @@ def _served_branch(
     raises it by.  The Jensen residual reuses the moments of the paper's
     linearized terms: E{y ; r <= C} = ln 2 * term.
     """
+    m = attenuation_factor(rho)
     mass = association_probability(lam, params.serve_radius)
     baseline = _baseline_term(params, lam)
-    h = array_gain_term(n_elements, rho, lam, params.serve_radius)
+    h = _array_gain(n_elements, m * m, mass)
     cascade_mean = cascade_residual_term(n_elements, rho, lam, params) * _LN2
     noise_mean = noise_residual_term(n_elements, rho, lam, params) * _LN2
     g = _jensen_log2(mass, cascade_mean)

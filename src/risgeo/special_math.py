@@ -21,11 +21,6 @@ from .errors import DomainError
 _POWER_LIMIT_SWITCH = 1e-8
 
 
-def euler_constant() -> float:
-    """Euler-Mascheroni constant E0 = lim (sum 1/k - ln n)."""
-    return np.euler_gamma
-
-
 def exp_integral_ei(x):
     """Exponential integral Ei(x) = PV integral of e^t / t from -inf to x.
 
@@ -57,9 +52,11 @@ def power_integral(p: float, a: float, b: float) -> float:
     For |p + 1| below the switch threshold the stable limit form
     a^(p+1) * expm1((p+1) ln(b/a)) / (p+1) is used, which tends to ln(b/a).
     """
-    if a <= 0.0:
+    if math.isnan(p):
+        raise DomainError("power_integral requires a real exponent p")
+    if not a > 0.0:
         raise DomainError("power_integral requires 0 < a")
-    if b < a:
+    if not b >= a:
         raise DomainError("power_integral requires a <= b")
     q = p + 1.0
     if q == 0.0:

@@ -22,10 +22,11 @@ import numpy as np
 from scipy import integrate
 
 from . import deployment, monte_carlo, phase_error, rate_bounds, spatial_rate
+from .config import resolve
 from .errors import RegimeWarning
 from .rate_loss import rate_loss, rate_loss_asymptote
 from .params import DeploymentParams, LinkGeometry, SystemParams
-from .special_math import euler_constant, exp_integral_ei, lower_incomplete_gamma, power_integral
+from .special_math import exp_integral_ei, lower_incomplete_gamma, power_integral
 from .streams import substream
 
 Part = tuple[bool, str]
@@ -77,19 +78,7 @@ CRITERIA = {
 
 
 def _default_params(**overrides) -> SystemParams:
-    base = dict(
-        tx_power_dbm=10.0,
-        noise_dbm=-80.0,
-        beta_db=-30.0,
-        alpha_direct=3.0,
-        alpha_bs_ris=2.0,
-        alpha_ris_ue=2.5,
-        d_min=180.0,
-        d_max=220.0,
-        serve_radius=10.0,
-    )
-    base.update(overrides)
-    return SystemParams.from_engineering(**base)
+    return resolve(None, overrides).system_params()
 
 
 # Disk arguments -pi*lam*C^2 reachable in the operating box (lam in
@@ -152,8 +141,8 @@ def _check_power_integral(trials: int, seed: int) -> list[Part]:
 def _check_euler(trials: int, seed: int) -> list[Part]:
     worst = 0.0
     for eps in (1e-6, 1e-7, 1e-8):
-        worst = max(worst, abs(exp_integral_ei(-eps) + math.log(1.0 / eps) - euler_constant()))
-    ok = worst < 1e-5 and 0.5 < euler_constant() < 0.6
+        worst = max(worst, abs(exp_integral_ei(-eps) + math.log(1.0 / eps) - np.euler_gamma))
+    ok = worst < 1e-5 and 0.5 < np.euler_gamma < 0.6
     return [(ok, f"limit residual {worst:.3e}")]
 
 
@@ -227,7 +216,8 @@ def _check_log_moments(trials: int, seed: int) -> list[Part]:
 def _check_annulus_moments(trials: int, seed: int) -> list[Part]:
     params = _default_params()
     worst = 0.0
-    for which, p in ((1, -0.5), (2, -1.0), (3, 2.0)):
+    a1, a2 = params.alpha_direct, params.alpha_bs_ris
+    for exponent, p in (((a2 - a1) / 2.0, -0.5), (a2 - a1, -1.0), (a2, 2.0)):
         oracle, _ = integrate.quad(
             lambda d: d**p * 2 * d / (params.d_max**2 - params.d_min**2),
             params.d_min,
@@ -235,7 +225,7 @@ def _check_annulus_moments(trials: int, seed: int) -> list[Part]:
             epsabs=1e-13,
             epsrel=1e-12,
         )
-        got = spatial_rate.annulus_moment(which, params)
+        got = spatial_rate.annulus_distance_moment(exponent, params.d_min, params.d_max)
         worst = max(worst, abs(got - oracle) / abs(oracle))
     return [(worst <= 1e-9, f"max rel gap {worst:.3e}")]
 

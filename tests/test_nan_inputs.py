@@ -11,12 +11,34 @@ import math
 import numpy as np
 import pytest
 
+from risgeo.deployment import OptimizerRegime, objective_slope
 from risgeo.errors import DomainError
-from risgeo.monte_carlo import hppp_window_radius, sample_hppp_nearest, sample_nearest_distance
-from risgeo.params import DeploymentParams, LinkGeometry, RateEstimate, SystemParams
+from risgeo.monte_carlo import (
+    McConfig,
+    hppp_window_radius,
+    sample_hppp_nearest,
+    sample_nearest_distance,
+    simulate_fixed_rate,
+)
+from risgeo.params import (
+    DeploymentParams,
+    LinkGeometry,
+    RateEstimate,
+    SystemParams,
+    db_to_linear,
+    dbm_to_watts,
+)
+from risgeo.phase_error import error_difference_pdf, sample_phase_errors
 from risgeo.rate_loss import rate_loss
-from risgeo.spatial_rate import association_probability
-from risgeo.special_math import exp_integral_ei, lower_incomplete_gamma
+from risgeo.spatial_rate import (
+    annulus_distance_moment,
+    array_gain_term,
+    association_probability,
+    cascade_residual_term,
+    nearest_ris_pdf,
+    noise_residual_term,
+)
+from risgeo.special_math import exp_integral_ei, lower_incomplete_gamma, power_integral
 from risgeo.streams import substream
 
 NAN = math.nan
@@ -32,6 +54,8 @@ PARAMS = SystemParams(
     d_max=220.0,
     serve_radius=10.0,
 )
+GEOM = LinkGeometry(d=200.0, l=200.0, r=10.0)
+HIGH_BOUNDED = OptimizerRegime(snr="high", phase="bounded")
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
@@ -89,6 +113,30 @@ def test_rate_estimate(field):
         pytest.param(lambda: rate_loss(64, NAN, 0.01, 10.0), id="rate_loss-rho"),
         pytest.param(lambda: rate_loss(64, 0.5, NAN, 10.0), id="rate_loss-lam"),
         pytest.param(lambda: rate_loss(64, 0.5, 0.01, NAN), id="rate_loss-radius"),
+        pytest.param(lambda: nearest_ris_pdf(NAN, 1.0), id="nearest_ris_pdf-lam"),
+        pytest.param(lambda: nearest_ris_pdf(0.01, NAN), id="nearest_ris_pdf-r"),
+        pytest.param(lambda: annulus_distance_moment(NAN, 180.0, 220.0), id="annulus_distance_moment-p"),
+        pytest.param(lambda: power_integral(NAN, 1.0, 2.0), id="power_integral-p"),
+        pytest.param(lambda: power_integral(2.0, NAN, 2.0), id="power_integral-a"),
+        pytest.param(lambda: power_integral(2.0, 1.0, NAN), id="power_integral-b"),
+        pytest.param(lambda: array_gain_term(NAN, 0.5, 0.01, 10.0), id="array_gain_term-n"),
+        pytest.param(
+            lambda: array_gain_term(np.array([64.0, NAN]), 0.5, 0.01, 10.0),
+            id="array_gain_term-n-array",
+        ),
+        pytest.param(lambda: cascade_residual_term(NAN, 0.5, 0.01, PARAMS), id="cascade_residual_term-n"),
+        pytest.param(lambda: noise_residual_term(NAN, 0.5, 0.01, PARAMS), id="noise_residual_term-n"),
+        pytest.param(lambda: error_difference_pdf(0.5, NAN), id="error_difference_pdf-z"),
+        pytest.param(lambda: objective_slope(NAN, 10.0, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-lam"),
+        pytest.param(lambda: objective_slope(0.01, NAN, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-eta"),
+        pytest.param(lambda: McConfig(trials=NAN), id="McConfig-trials"),
+        pytest.param(lambda: dbm_to_watts(NAN), id="dbm_to_watts"),
+        pytest.param(lambda: db_to_linear(NAN), id="db_to_linear"),
+        pytest.param(lambda: sample_phase_errors(0.5, NAN, substream(0, 0)), id="sample_phase_errors-count"),
+        pytest.param(
+            lambda: simulate_fixed_rate(PARAMS, GEOM, NAN, 0.5, McConfig(trials=16, workers=1)),
+            id="simulate_fixed_rate-n_elements",
+        ),
     ],
 )
 def test_function(call):

@@ -14,7 +14,6 @@ from risgeo.spatial_rate import (
     _radial_moment,
     _split_radius,
     annulus_distance_moment,
-    annulus_moment,
     association_probability,
     cascade_residual_term,
     expected_log2_d,
@@ -24,7 +23,6 @@ from risgeo.spatial_rate import (
     spatial_rate_closed_form,
     spatial_rate_integral,
 )
-from risgeo.special_math import euler_constant
 from risgeo.streams import substream
 from risgeo.validation import dblquad_residual
 
@@ -112,7 +110,7 @@ class TestGeometricExpectations:
 
     def test_truncated_log_radius_full_range_limit(self):
         got = expected_log2_r_truncated(1.0 / math.pi, 1e5)
-        assert got == pytest.approx(-euler_constant() / (2.0 * math.log(2.0)), abs=1e-10)
+        assert got == pytest.approx(-np.euler_gamma / (2.0 * math.log(2.0)), abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -124,23 +122,27 @@ class TestGeometricExpectations:
 class TestAnnulusMoments:
     def test_equal_exponents_give_unity(self):
         params = make_params(alpha_bs_ris=3.0)  # feeder exponent equals direct
-        assert annulus_moment(2, params) == pytest.approx(1.0, abs=1e-14)
+        p = params.alpha_bs_ris - params.alpha_direct
+        assert annulus_distance_moment(p, 180.0, 220.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_cascade_moment_value(self):
         params = make_params()
-        assert annulus_moment(1, params) == pytest.approx(0.07068115988519326, rel=1e-12)
+        k1 = annulus_distance_moment(
+            (params.alpha_bs_ris - params.alpha_direct) / 2.0, 180.0, 220.0
+        )
+        assert k1 == pytest.approx(0.07068115988519326, rel=1e-12)
         oracle, _ = integrate.quad(
             lambda d: d**-0.5 * 2 * d / 16000.0, 180.0, 220.0, epsabs=1e-14, epsrel=1e-13
         )
-        assert annulus_moment(1, params) == pytest.approx(oracle, rel=1e-9)
+        assert k1 == pytest.approx(oracle, rel=1e-9)
 
     def test_noise_moment_value(self):
-        params = make_params()
-        assert annulus_moment(3, params) == pytest.approx(40400.0, rel=1e-12)
+        k3 = annulus_distance_moment(make_params().alpha_bs_ris, 180.0, 220.0)
+        assert k3 == pytest.approx(40400.0, rel=1e-12)
         oracle, _ = integrate.quad(
             lambda d: d**2 * 2 * d / 16000.0, 180.0, 220.0, epsrel=1e-13
         )
-        assert annulus_moment(3, params) == pytest.approx(oracle, rel=1e-9)
+        assert k3 == pytest.approx(oracle, rel=1e-9)
 
     def test_degenerate_exponent_continuity(self):
         # feeder-direct exponent difference of exactly -2 hits the log branch
