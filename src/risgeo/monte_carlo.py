@@ -6,20 +6,22 @@ spatial averaging all live here.  Trials are processed in fixed-size chunks
 whose substreams are keyed by (master_seed, chunk_index); partial sums are
 reduced in chunk order, so estimates are bit-identical for any worker count.
 
-A spatial chunk draws, in order: one uniform per trial for the squared
-BS-UE distance q = d^2 on the annulus, then the serving draw, which yields
-the normalized area e = pi lam r^2 of the nearest-reflector disk.  Under the
-`direct_nearest` policy that is one uniform per trial through the inverse
-nearest-distance CDF, e = -ln(1 - U).  Under `full_hppp` it is one uniform
-per trial for the reflector count in the simulation window, mapped to a
-Poisson count by inverting its running pmf sum through a numpy guide table
-(`_CountTable`, built once per estimate, see `_serving_window`), then one
-uniform per trial for the minimum of that many uniform squared radii, scaled
-by the window's mean count.  The count table leaves out the upper tail below
-2^-53, the resolution of the uniforms, and a uniform of exactly 0 maps to
-count 0 (an empty window, e = inf).  No distance is ever formed: the path
-losses are taken in the log domain from ln q and ln e (see `_LogPathLoss`),
-and a trial is served when e <= pi lam C^2.
+Both spatial estimators draw a trial's geometry through `_SpatialGeometry`,
+built once per estimate.  A chunk draws, in order: one uniform per trial for
+the squared BS-UE distance q = d^2 on the annulus, then the serving draw,
+which yields the normalized area e = pi lam r^2 of the nearest-reflector
+disk.  Under the `direct_nearest` policy that is one uniform per trial
+through the inverse nearest-distance CDF, e = -ln(1 - U).  Under `full_hppp`
+it is one uniform per trial for the reflector count in the simulation
+window, mapped to a Poisson count by inverting its running pmf sum through a
+numpy guide table (`_CountTable`), then one uniform per trial for the
+minimum of that many uniform squared radii, scaled by the window's mean
+count.  The count table leaves out the upper tail below 2^-53, the
+resolution of the uniforms, and a uniform of exactly 0 maps to count 0 (an
+empty window, e = inf).  No distance is ever formed: the path losses are
+taken in the log domain from ln q and ln e, and a trial is served when
+e <= pi lam C^2.  The exact estimator draws its fading after the geometry,
+so for one McConfig both estimators see the same geometry.
 
 The three fading estimators share one real-arithmetic cascade kernel.  The
 squared magnitude of a CN(0,1) gain is Exp(1), so each per-element amplitude
@@ -37,7 +39,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -46,7 +48,7 @@ from .errors import DomainError
 from .params import DeploymentParams, LinkGeometry, RateEstimate, SystemParams
 from .phase_error import attenuation_factor, sample_phase_errors
 from .rate_bounds import mean_power_gain
-from .streams import substream
+from .streams import _is_index, substream
 
 #: Trials per substream chunk.  Fixed: changing it changes the draws.
 _CHUNK = 4096
@@ -82,12 +84,11 @@ class McConfig:
     workers: int = field(default_factory=usable_cores)
 
     def __post_init__(self):
-        if not self.trials >= 1:
-            raise DomainError("trials must be at least 1")
+        for name, low in (("trials", 1), ("master_seed", 0), ("workers", 1)):
+            if not _is_index(getattr(self, name), low):
+                raise DomainError(f"{name} must be an integer >= {low}")
         if self.window_policy not in ("direct_nearest", "full_hppp"):
             raise DomainError(f"unknown window_policy {self.window_policy!r}")
-        if not self.workers >= 1:
-            raise DomainError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,8 @@ def sample_nearest_distance(lam: float, stream: np.random.Generator, size=None):
     """Nearest-reflector distance via the inverse CDF sqrt(-ln(1 - U) / (pi lam))."""
     if not lam > 0:
         raise DomainError("density must be positive")
+    if not (size is None or _is_index(size, 0)):
+        raise DomainError("size must be None or a nonnegative integer")
     return np.sqrt(_nearest_area(stream, size) / (math.pi * lam))
 
 
@@ -136,12 +139,6 @@ def sample_hppp_nearest(
     if count == 0:
         return None
     return float(radius * math.sqrt(stream.random(count).min()))
-
-
-def _sample_annulus_sq(params: SystemParams, rng: np.random.Generator, size) -> np.ndarray:
-    """Squared BS-UE distance q = d^2, uniform over the annulus area."""
-    u = rng.random(size)
-    return params.d_min**2 + u * (params.d_max**2 - params.d_min**2)
 
 
 class _CountTable:
@@ -164,8 +161,8 @@ class _CountTable:
         n = self._cum.size
         self._guide = np.searchsorted(self._cum / self._total, np.arange(n) / n)
 
-    def _invert(self, u: np.ndarray) -> np.ndarray:
-        """Count of each uniform u in [0, 1)."""
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Count of each uniform u in [0, 1); u = 0 gives count 0."""
         cum = self._cum
         target = u * self._total
         k = self._guide[(u * cum.size).astype(np.intp)]
@@ -173,26 +170,6 @@ class _CountTable:
         short = np.flatnonzero(cum[k] < target)
         k[short] = np.searchsorted(cum, target[short])
         return k
-
-    def rvs(self, size, random_state: np.random.Generator) -> np.ndarray:
-        """`size` counts, one uniform of `random_state.random` each."""
-        return self._invert(random_state.random(size))
-
-    def ppf(self, u):
-        """Count drawn by each uniform u in [0, 1]; u = 1 gives the last count."""
-        u = np.asarray(u, dtype=float)
-        flat = u.ravel()
-        top = flat >= 1.0
-        k = self._invert(np.where(top, 0.0, flat))
-        k[top] = self._cum.size - 1
-        return k.reshape(u.shape)
-
-
-class _HpppWindow(NamedTuple):
-    """Simulation window of the full point-process policy and its count sampler."""
-
-    mean_count: float  # lam pi radius^2
-    counts: _CountTable
 
 
 def _poisson_counts(mu: float) -> _CountTable:
@@ -213,46 +190,9 @@ def _poisson_counts(mu: float) -> _CountTable:
     return _CountTable(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu))
 
 
-def _serving_window(lam: float, serve_radius: float, mc: McConfig) -> Optional[_HpppWindow]:
-    """Per-estimate state of the serving-area draw: None for `direct_nearest`.
-
-    The full-scatter window is auto-sized by `hppp_window_radius`, and its
-    reflector count is sampled exactly by inverting the Poisson(lam pi
-    radius^2) CDF through the `_poisson_counts` table, one uniform per count
-    from the chunk's own generator.  A uniform of exactly 0 maps to count 0.
-    """
-    if mc.window_policy == "direct_nearest":
-        return None
-    radius = hppp_window_radius(lam, serve_radius)
-    mu = lam * math.pi * radius**2
-    return _HpppWindow(mu, _poisson_counts(mu))
-
-
-def _sample_serving_area(
-    window: Optional[_HpppWindow], rng: np.random.Generator, size
-) -> np.ndarray:
-    """Normalized nearest-reflector area e = pi lam r^2 per trial under the
-    configured window policy.
-
-    `direct_nearest` (window None) inverts the nearest-distance CDF, one
-    uniform per trial.  The full-scatter window draws, in order, one uniform
-    per trial for the Poisson count, inverted through the window's numpy
-    count table (the tail below 2^-53 is cut; u = 0 gives count 0), then one
-    per trial for the nearest of that many reflectors: the minimum of `count`
-    uniform squared radii, times the window's mean count.  An empty window
-    gives inf.
-    """
-    if window is None:
-        return _nearest_area(rng, size)
-    counts = window.counts.rvs(size, random_state=rng)
-    v = rng.random(size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        min_u = -np.expm1(np.log1p(-v) / counts)  # min of `counts` uniforms
-    return np.where(counts > 0, window.mean_count * min_u, np.inf)
-
-
-class _LogPathLoss:
-    """Path losses of a spatial trial from its squared geometry, in the log domain.
+class _SpatialGeometry:
+    """Geometry of one spatial estimate: draws a chunk's trials in the order
+    the module docstring states and maps them to log-domain path losses.
 
     With q = d^2, e = pi lam r^2 and the feeder length tied to d,
 
@@ -260,22 +200,39 @@ class _LogPathLoss:
         ln bd     = ln beta - (a1/2) ln q,
 
     so a trial costs two logarithms here and two exponentials in its caller,
-    with no square root or power.  The constants are built once per
-    estimate.  e = 0 gives an infinite cascade gain, e = inf (an empty
-    window) a zero one.
+    with no square root or power.  The constants, and under `full_hppp` the
+    window's mean count and count table, are built once per estimate.
     """
 
-    def __init__(self, params: SystemParams, lam: float):
+    def __init__(self, params: SystemParams, lam: float, mc: McConfig):
         pi_lam = math.pi * lam
-        self.serve_area = pi_lam * params.serve_radius**2
+        self._serve_area = pi_lam * params.serve_radius**2
+        self._q_min = params.d_min**2
+        self._q_span = params.d_max**2 - params.d_min**2
+        self.counts = None
+        if mc.window_policy == "full_hppp":
+            self.mean_count = lam * math.pi * hppp_window_radius(lam, params.serve_radius) ** 2
+            self.counts = _poisson_counts(self.mean_count)
         self._ln_beta = math.log(params.beta_ref)
         self._cascade0 = 2.0 * self._ln_beta + 0.5 * params.alpha_ris_ue * math.log(pi_lam)
         self._half_direct = 0.5 * params.alpha_direct
         self._half_feeder = 0.5 * params.alpha_bs_ris
         self._half_access = 0.5 * params.alpha_ris_ue
 
-    def __call__(self, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """ln(bl br) and ln bd per trial."""
+    def sample(self, rng: np.random.Generator, size: int):
+        """ln(bl br), ln bd and the served mask of `size` trials drawn from rng."""
+        q = self._q_min + rng.random(size) * self._q_span
+        if self.counts is None:
+            return self.losses(q, _nearest_area(rng, size))
+        counts = self.counts(rng.random(size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            min_u = -np.expm1(np.log1p(-rng.random(size)) / counts)  # min of `counts` uniforms
+        return self.losses(q, np.where(counts > 0, self.mean_count * min_u, np.inf))
+
+    def losses(self, q: np.ndarray, e: np.ndarray):
+        """ln(bl br), ln bd and the served mask e <= pi lam C^2 per squared
+        distance q and area e.  e = 0 gives an infinite cascade gain, e = inf
+        (an empty window) a zero one."""
         ln_q = np.log(q)
         with np.errstate(divide="ignore"):
             ln_cascade = np.log(e)
@@ -284,7 +241,7 @@ class _LogPathLoss:
         ln_cascade -= self._half_feeder * ln_q
         ln_q *= -self._half_direct
         ln_q += self._ln_beta
-        return ln_cascade, ln_q
+        return ln_cascade, ln_q, e <= self._serve_area
 
 
 def _cascade(
@@ -383,8 +340,8 @@ def simulate_fixed_rate(
 ) -> RateEstimate:
     """Exact ergodic rate of the fixed-geometry link, averaged over fading
     and phase error.  n_elements = 0 degenerates to the direct-only link."""
-    if not n_elements >= 0:
-        raise DomainError("n_elements must be nonnegative")
+    if not _is_index(n_elements, 0):
+        raise DomainError("n_elements must be an integer >= 0")
     snr = params.snr_gain
     cascade = math.sqrt(params.beta_bs_ris(geom.l) * params.beta_ris_ue(geom.r))
     bd = params.beta_direct(geom.d)
@@ -396,34 +353,24 @@ def simulate_fixed_rate(
     return _rate_estimate(chunk, mc)
 
 
-def _bound_gain(
-    path_loss: _LogPathLoss, m: float, n: float, q: np.ndarray, e: np.ndarray
-) -> np.ndarray:
-    """Mean power gain of the fixed-geometry bound per sampled squared distance
-    q and area e: the Jensen bracket where served, the direct gain bd elsewhere."""
-    ln_cascade, ln_bd = path_loss(q, e)
-    bd = np.exp(ln_bd)
-    gain = mean_power_gain(np.exp(ln_cascade), bd, m, n)
-    return np.where(e <= path_loss.serve_area, gain, bd)
-
-
 def simulate_spatial_bound(
     params: SystemParams, dep: DeploymentParams, rho: float, mc: McConfig
 ) -> RateEstimate:
     """Monte-Carlo average of the fixed-geometry bounds over random positions.
 
-    Estimates exactly the quantity `spatial_rate_integral` computes.
+    Estimates exactly the quantity `spatial_rate_integral` computes: the
+    Jensen bracket where served, the direct gain bd elsewhere.
     """
     snr = params.snr_gain
     m = attenuation_factor(rho)
     n = float(dep.elements_per_ris)
-    window = _serving_window(dep.density, params.serve_radius, mc)
-    path_loss = _LogPathLoss(params, dep.density)
+    geometry = _SpatialGeometry(params, dep.density, mc)
 
     def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
-        q = _sample_annulus_sq(params, rng, size)
-        e = _sample_serving_area(window, rng, size)
-        return np.log2(1.0 + snr * _bound_gain(path_loss, m, n, q, e))
+        ln_cascade, ln_bd, served = geometry.sample(rng, size)
+        bd = np.exp(ln_bd)
+        gain = mean_power_gain(np.exp(ln_cascade), bd, m, n)
+        return np.log2(1.0 + snr * np.where(served, gain, bd))
 
     return _rate_estimate(chunk, mc)
 
@@ -437,22 +384,17 @@ def simulate_spatial_exact(
     fading are drawn jointly, which leaves the mean unchanged.
     """
     n_el = dep.elements_per_ris
+    if not _is_index(n_el, 1):
+        raise DomainError("elements_per_ris must be an integer >= 1")
     snr = params.snr_gain
-    window = _serving_window(dep.density, params.serve_radius, mc)
-    path_loss = _LogPathLoss(params, dep.density)
+    geometry = _SpatialGeometry(params, dep.density, mc)
 
     def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
-        q = _sample_annulus_sq(params, rng, size)
-        e = _sample_serving_area(window, rng, size)
+        ln_cascade, ln_bd, served = geometry.sample(rng, size)
         re, im, h_abs = _cascade(rng, size, n_el, rho)
-        ln_cascade, ln_bd = path_loss(q, e)
         bd = np.exp(ln_bd)
         cascade = np.exp(0.5 * ln_cascade)  # sqrt(bl*br)
-        power = np.where(
-            e <= path_loss.serve_area,
-            _received_power(cascade, bd, re, im, h_abs),
-            bd * h_abs**2,
-        )
+        power = np.where(served, _received_power(cascade, bd, re, im, h_abs), bd * h_abs**2)
         return np.log2(1.0 + snr * power)
 
     return _rate_estimate(chunk, mc)
@@ -462,8 +404,8 @@ def estimate_reflection_moments(
     n_elements: int, rho: float, mc: McConfig
 ) -> ReflectionMoments:
     """Empirical E{Re z} and E{|z|^2} of z = sum |g||h| e^{j tau}."""
-    if n_elements < 1:
-        raise DomainError("n_elements must be at least 1")
+    if not _is_index(n_elements, 1):
+        raise DomainError("n_elements must be an integer >= 1")
 
     def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         re, im, _ = _cascade(rng, size, n_elements, rho)

@@ -29,9 +29,10 @@ direct branch is bounded the same way, (1 - P) log2(1 + snr beta E{d^-a1}).
 
 Where snr A is small the log split is loose, so the closed form cuts the
 serving disk at r0 = min(C, (snr beta^2 E{d^-a2} N (m^2 N + 1 - m^2))^(1/a3)),
-the radius where the mean array-gain SNR crosses 1.  Inside r0 the log split
-is kept; on r0 < r <= C Jensen bounds the whole rate.  Every piece is an
-upper bound for any r0.
+the radius where the mean array-gain SNR crosses 1.  It thus has three bands
+of r: on r <= r0 the log split with the noise term, on r0 < r <= C Jensen on
+the whole served rate, and on r > C Jensen on the direct branch.  Every piece
+is an upper bound for any r0.
 """
 
 from __future__ import annotations
@@ -298,85 +299,6 @@ def _jensen_log2(mass: float, mean: float) -> float:
     return mass * math.log1p(mean / mass) / _LN2 if mass > 0.0 else 0.0
 
 
-def _direct_term_jensen(params: SystemParams, lam: float) -> float:
-    # (1 - P) log2(1 + snr beta E{d^-a1}) over the unserved users r > C
-    mass = math.exp(-math.pi * lam * params.serve_radius**2)
-    mean_snr = (
-        params.snr_gain
-        * params.beta_ref
-        * annulus_distance_moment(-params.alpha_direct, params.d_min, params.d_max)
-    )
-    return _jensen_log2(mass, mass * mean_snr)
-
-
-def _served_branch(
-    params: SystemParams, n_elements: float, rho: float, lam: float
-) -> tuple[float, float, float, float]:
-    """Served-branch terms on the disk r <= params.serve_radius.
-
-    Returns (baseline, h, g, g_noise): the exact log2(snr A) pieces, the
-    Jensen residual without the noise term, and what adding the noise term
-    raises it by.  The Jensen residual reuses the moments of the paper's
-    linearized terms: E{y ; r <= C} = ln 2 * term.
-    """
-    m = attenuation_factor(rho)
-    mass = association_probability(lam, params.serve_radius)
-    baseline = _baseline_term(params, lam)
-    h = _array_gain(n_elements, m * m, mass)
-    cascade_mean = cascade_residual_term(n_elements, rho, lam, params) * _LN2
-    noise_mean = noise_residual_term(n_elements, rho, lam, params) * _LN2
-    g = _jensen_log2(mass, cascade_mean)
-    return baseline, h, g, _jensen_log2(mass, cascade_mean + noise_mean) - g
-
-
-def _outer_annulus_term(
-    params: SystemParams, n_elements: float, rho: float, lam: float, inner: float
-) -> float:
-    """Jensen bound on the whole served rate over inner < r <= C.
-
-    E{snr * inside ; inner < r <= C} with inside the bracket of
-    `rate_bound_ris`: beta^2 d^-a2 r^-a3 N (m^2 N + 1 - m^2)
-    + sqrt(pi beta^3) d^-(a1+a2)/2 r^-a3/2 m N + beta d^-a1.
-    """
-    c = params.serve_radius
-    if inner >= c:
-        return 0.0
-    m = attenuation_factor(rho)
-    a1, a2, a3 = params.alpha_direct, params.alpha_bs_ris, params.alpha_ris_ue
-    beta = params.beta_ref
-    d1, d2 = params.d_min, params.d_max
-    mass = math.exp(-math.pi * lam * inner * inner) - math.exp(-math.pi * lam * c * c)
-    array = _mean_array_snr(params, n_elements, rho) * _radial_moment(-a3, lam, inner, c)
-    cross = (
-        math.sqrt(math.pi * beta**3)
-        * annulus_distance_moment(-(a1 + a2) / 2.0, d1, d2)
-        * m
-        * n_elements
-        * _radial_moment(-a3 / 2.0, lam, inner, c)
-    )
-    direct = beta * annulus_distance_moment(-a1, d1, d2) * mass
-    return _jensen_log2(mass, array + params.snr_gain * (cross + direct))
-
-
-def _mean_array_snr(params: SystemParams, n_elements: float, rho: float) -> float:
-    """snr E_d{A} r^a3: the annulus-averaged array-gain SNR at r = 1."""
-    m = attenuation_factor(rho)
-    n = float(n_elements)
-    return (
-        params.snr_gain
-        * params.beta_ref**2
-        * annulus_distance_moment(-params.alpha_bs_ris, params.d_min, params.d_max)
-        * n
-        * (m * m * n + 1.0 - m * m)
-    )
-
-
-def _split_radius(params: SystemParams, n_elements: float, rho: float) -> float:
-    """r0 = min(C, r*), where the mean array-gain SNR snr E_d{A} falls to 1."""
-    r_star = _mean_array_snr(params, n_elements, rho) ** (1.0 / params.alpha_ris_ue)
-    return min(params.serve_radius, r_star)
-
-
 def _tensor_rule(n_r: int, n_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule on [-1, 1]^2, flattened: (x_r, x_q, weight).
 
@@ -496,17 +418,56 @@ def spatial_rate_integral(
 def spatial_rate_closed_form(
     params: SystemParams, dep: DeploymentParams, rho: float
 ) -> SpatialRateBreakdown:
-    """Closed-form upper bound: log split with the noise term on r <= r0,
-    Jensen on the whole rate over r0 < r <= C, Jensen direct branch."""
+    """Closed-form upper bound, band by band: the log split with the noise
+    term on r <= r0, Jensen on the whole served rate over r0 < r <= C, and
+    Jensen on the direct branch over r > C (see the module docstring)."""
     lam = dep.density
-    n = dep.elements_per_ris
-    r0 = _split_radius(params, n, rho)
-    baseline, h, g, g_noise = _served_branch(replace(params, serve_radius=r0), n, rho, lam)
-    g_low = g_noise + _outer_annulus_term(params, n, rho, lam, r0)
-    direct = _direct_term_jensen(params, lam)
+    n = float(dep.elements_per_ris)
+    m = attenuation_factor(rho)
+    a1, a2, a3 = params.alpha_direct, params.alpha_bs_ris, params.alpha_ris_ue
+    beta, c = params.beta_ref, params.serve_radius
+    d1, d2 = params.d_min, params.d_max
+    k_direct = annulus_distance_moment(-a1, d1, d2)  # E{d^-a1}
+    # snr E_d{A} r^a3, the annulus-averaged array-gain SNR at r = 1, falls to
+    # 1 at r* = array_snr^(1/a3)
+    array_snr = (
+        params.snr_gain * beta**2 * annulus_distance_moment(-a2, d1, d2) * n * (m * m * n + 1.0 - m * m)
+    )
+    r0 = min(c, array_snr ** (1.0 / a3))
+
+    # r <= r0: the exact log2(snr A) pieces, and Jensen on the residual
+    # E{y ; r <= r0} = ln 2 * (the paper's linearized terms), without and
+    # with the noise term
+    inner = replace(params, serve_radius=r0)
+    mass = association_probability(lam, r0)
+    baseline = _baseline_term(inner, lam)
+    h = _array_gain(n, m * m, mass)
+    cascade_mean = cascade_residual_term(n, rho, lam, inner) * _LN2
+    noise_mean = noise_residual_term(n, rho, lam, inner) * _LN2
+    g = _jensen_log2(mass, cascade_mean)
+    g_low = _jensen_log2(mass, cascade_mean + noise_mean) - g
+
+    # r0 < r <= C: Jensen on snr times the bracket of `rate_bound_ris`,
+    # beta^2 d^-a2 r^-a3 N (m^2 N + 1 - m^2)
+    # + sqrt(pi beta^3) d^-(a1+a2)/2 r^-a3/2 m N + beta d^-a1
+    if r0 < c:
+        mass = math.exp(-math.pi * lam * r0 * r0) - math.exp(-math.pi * lam * c * c)
+        array = array_snr * _radial_moment(-a3, lam, r0, c)
+        cross = (
+            math.sqrt(math.pi * beta**3)
+            * annulus_distance_moment(-(a1 + a2) / 2.0, d1, d2)
+            * m
+            * n
+            * _radial_moment(-a3 / 2.0, lam, r0, c)
+        )
+        g_low += _jensen_log2(mass, array + params.snr_gain * (cross + beta * k_direct * mass))
+
+    # r > C: Jensen on the direct link, (1 - P) log2(1 + snr beta E{d^-a1})
+    mass = math.exp(-math.pi * lam * c**2)
+    direct = _jensen_log2(mass, mass * (params.snr_gain * beta * k_direct))
     return SpatialRateBreakdown(
         total=baseline + h + g + g_low + direct,
-        assoc_probability=association_probability(lam, params.serve_radius),
+        assoc_probability=association_probability(lam, c),
         h_term=h,
         g_bar_term=g,
         direct_term=direct,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,13 +14,9 @@ from risgeo import config, monte_carlo
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
-    _bound_gain,
     _cascade,
-    _LogPathLoss,
     _poisson_counts,
-    _sample_annulus_sq,
-    _sample_serving_area,
-    _serving_window,
+    _SpatialGeometry,
     estimate_reflection_moments,
     hppp_window_radius,
     sample_hppp_nearest,
@@ -49,6 +46,34 @@ def make_params(tx_power_dbm=10.0):
 
 
 GEOM = LinkGeometry(d=200.0, l=200.0, r=10.0)
+FULL = McConfig(trials=1, window_policy="full_hppp")
+
+
+def spatial_geometry(lam, serve_radius, mc=FULL):
+    return _SpatialGeometry(dataclasses.replace(make_params(), serve_radius=serve_radius), lam, mc)
+
+
+def recorded_sample(geometry, rng, size):
+    """geometry.sample(rng, size), and the (q, e) it passed to its losses map."""
+    seen = []
+    losses = geometry.losses
+
+    def recording_losses(q, e):
+        seen.append((q, e))
+        return losses(q, e)
+
+    geometry.losses = recording_losses
+    try:
+        out = geometry.sample(rng, size)
+    finally:
+        del geometry.losses
+    (q, e), = seen
+    return out, q, e
+
+
+def annulus_sq(params, u):
+    """Squared BS-UE distance of each annulus uniform u, by the estimators' formula."""
+    return params.d_min**2 + u * (params.d_max**2 - params.d_min**2)
 
 
 class TestStreams:
@@ -88,8 +113,19 @@ class TestNearestDistanceSampler:
         r = sample_nearest_distance(lam, substream(3, 3), n)
         u = substream(3, 3).random(n)
         np.testing.assert_array_equal(r, np.sqrt(-np.log1p(-u) / (math.pi * lam)))
-        area = _sample_serving_area(None, substream(3, 3), n)
-        np.testing.assert_array_equal(area, -np.log1p(-u))
+
+    def test_draw_order_is_annulus_then_inverse_cdf(self):
+        # a spatial chunk under `direct_nearest`: one uniform per trial for
+        # q = d^2, then one per trial for the serving area -ln(1 - U), bit
+        # for bit; the losses are those of (q, e)
+        lam, n = 0.02, 4096
+        geometry = spatial_geometry(lam, 10.0, McConfig(trials=1))
+        out, q, e = recorded_sample(geometry, substream(3, 3), n)
+        u = substream(3, 3).random(2 * n)
+        np.testing.assert_array_equal(q, annulus_sq(make_params(), u[:n]))
+        np.testing.assert_array_equal(e, -np.log1p(-u[n:]))
+        for got, want in zip(out, geometry.losses(q, e)):
+            np.testing.assert_array_equal(got, want)
 
     def test_dense_deployment_always_covered(self):
         r = sample_nearest_distance(50.0, substream(3, 2), 10**5)
@@ -131,15 +167,12 @@ class TestHpppSampler:
 class TestFullScatterWindow:
     """The vectorized full-scatter draw used by the spatial estimators."""
 
-    FULL = McConfig(trials=1, window_policy="full_hppp")
-
     def test_nearest_distance_matches_inverse_cdf(self):
         # at the ln(1e9) floor of the window's mean count, where one count more
         # or less shifts the nearest distance by ~2.5%
         lam, n = 0.005, 30000
         direct = sample_nearest_distance(lam, substream(9, 0), n)
-        window = _serving_window(lam, 10.0, self.FULL)
-        area = _sample_serving_area(window, substream(9, 1), n)
+        _, _, area = recorded_sample(spatial_geometry(lam, 10.0), substream(9, 1), n)
         scatter = np.sqrt(area[np.isfinite(area)] / (math.pi * lam))
         m = scatter.size
         assert m > n - 5  # an empty window has probability 1e-9
@@ -154,11 +187,11 @@ class TestFullScatterWindow:
         ],
     )
     def test_window_counts_are_poisson(self, lam, serve_radius):
-        window = _serving_window(lam, serve_radius, self.FULL)
+        geometry = spatial_geometry(lam, serve_radius)
         mu = lam * math.pi * hppp_window_radius(lam, serve_radius) ** 2
-        assert window.mean_count == mu
+        assert geometry.mean_count == mu
         n = 200000
-        counts = window.counts.rvs(n, random_state=substream(10, 0))
+        counts = geometry.counts(substream(10, 0).random(n))
         # bins 0..hi, with both tails folded into the end bins so that every
         # bin expects at least 5 counts
         lo = int(stats.poisson.ppf(5.0 / n, mu))
@@ -175,22 +208,26 @@ class TestFullScatterWindow:
         # mean counts 20.7, 63.6 and 190.9; scipy's poisson.isf alone stops one
         # count short at the last
         for lam, serve_radius in ((0.005, 10.0), (0.01, 15.0), (0.03, 15.0)):
-            window = _serving_window(lam, serve_radius, self.FULL)
-            mu = window.mean_count
-            top = int(window.counts.ppf(1.0))  # last count in the table
+            geometry = spatial_geometry(lam, serve_radius)
+            mu = geometry.mean_count
+            top = geometry.counts._cum.size - 1  # last count in the table
             assert stats.poisson.sf(top, mu) < 2.0**-53 <= stats.poisson.sf(top - 1, mu)
 
     def test_draw_order_is_count_uniform_then_min_uniform(self):
-        # one uniform per count, inverted through the table, then one per trial
-        # for the minimum; both from the chunk's own stream.  The area is the
-        # window's mean count times the minimum, bit for bit
+        # after the annulus uniforms, one uniform per count, inverted through
+        # the table, then one per trial for the minimum; all from the chunk's
+        # own stream.  The area is the window's mean count times the minimum,
+        # bit for bit
         lam, n = 0.005, 4096
-        window = _serving_window(lam, 10.0, self.FULL)
-        area = _sample_serving_area(window, substream(11, 0), n)
-        u = substream(11, 0).random(2 * n)
-        counts = window.counts.ppf(u[:n])
-        want = window.mean_count * -np.expm1(np.log1p(-u[n:]) / counts)
+        geometry = spatial_geometry(lam, 10.0)
+        out, q, area = recorded_sample(geometry, substream(11, 0), n)
+        u = substream(11, 0).random(3 * n)
+        counts = geometry.counts(u[n:2 * n])
+        want = geometry.mean_count * -np.expm1(np.log1p(-u[2 * n:]) / counts)
+        np.testing.assert_array_equal(q, annulus_sq(make_params(), u[:n]))
         np.testing.assert_array_equal(area, np.where(counts > 0, want, np.inf))
+        for got, want in zip(out, geometry.losses(q, area)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCountTableOracle:
@@ -211,41 +248,39 @@ class TestCountTableOracle:
     @pytest.fixture(params=WINDOWS, ids=lambda w: f"lam={w[0]},C={w[1]}")
     def tables(self, request):
         lam, serve_radius = request.param
-        window = _serving_window(lam, serve_radius, McConfig(trials=1, window_policy="full_hppp"))
-        mu = window.mean_count
+        geometry = spatial_geometry(lam, serve_radius)
+        mu = geometry.mean_count
         pmf = stats.poisson.pmf(np.arange(self.reference_top(mu) + 1), mu)
-        return window.counts, sampling.DiscreteGuideTable(pmf)
+        return geometry.counts, sampling.DiscreteGuideTable(pmf)
 
-    def test_rvs_matches_on_shared_streams(self, tables):
+    def test_draws_match_on_shared_streams(self, tables):
         table, reference = tables
         for index in range(16):
             np.testing.assert_array_equal(
-                table.rvs(4096, random_state=substream(21, index)),
+                table(substream(21, index).random(4096)),
                 reference.rvs(4096, random_state=substream(21, index)),
             )
 
-    def test_ppf_matches_at_edges_and_on_grid(self, tables):
+    def test_counts_match_at_edges_and_on_grid(self, tables):
         table, reference = tables
-        n = int(table.ppf(1.0)) + 1
+        n = table._cum.size
         j = np.arange(n) / n  # guide-slot edges, and the doubles either side
         u = np.concatenate([
             j, np.nextafter(j, 0.0), np.nextafter(j, 1.0), np.linspace(0.0, 1.0, 10001),
             1.0 - 2.0**-53 * np.arange(1, 65),  # the last 64 doubles below 1
-            [5e-324, 2.0**-53, 1.0],
+            [5e-324, 2.0**-53],
         ])
-        u = u[u > 0.0]
-        np.testing.assert_array_equal(table.ppf(u), reference.ppf(u))
-        assert table.ppf(1.0) == reference.ppf(1.0) == n - 1
+        u = u[(u > 0.0) & (u < 1.0)]  # `Generator.random` never returns 1
+        np.testing.assert_array_equal(table(u), reference.ppf(u))
         # a uniform of 0 draws count 0 (scipy's ppf reports -1 there, the
         # support convention a - 1, not a draw)
-        assert table.ppf(0.0) == 0
-        assert table.ppf(np.zeros(3)).tolist() == [0, 0, 0]
+        assert table(np.zeros(3)).tolist() == [0, 0, 0]
 
     def test_cut_and_pmf_match_over_means(self):
         for mu in np.geomspace(0.5, 1e4, 600):
             top = self.reference_top(mu)
             table = _poisson_counts(mu)
-            assert table.ppf(1.0) == top, mu
+            assert table._cum.size - 1 == top, mu
             pmf = stats.poisson.pmf(np.arange(top + 1), mu)
             np.testing.assert_array_equal(table._cum, np.cumsum(pmf))
 
@@ -287,14 +322,19 @@ class TestLogPathLoss:
     def params(a1, a3):
         return SystemParams.from_engineering(20.0, -80.0, -30.0, a1, 2.0, a3, 180.0, 220.0, 10.0)
 
-    def linear_gain(self, params, m, n, q, e):
+    def linear_losses(self, params, q, e):
         d = np.sqrt(q)
         r = np.sqrt(e / (math.pi * self.LAM))
         beta = params.beta_ref
         bl = beta * d ** (-params.alpha_bs_ris)
         br = beta * r ** (-params.alpha_ris_ue)
-        bd = beta * d ** (-params.alpha_direct)
-        return mean_power_gain(bl * br, bd, m, n), bd
+        return bl * br, beta * d ** (-params.alpha_direct)
+
+    @staticmethod
+    def bound_gain(m, n, cascade, bd, served):
+        """The bound estimator's mean power gain: the Jensen bracket where
+        served, the direct gain elsewhere."""
+        return np.where(served, mean_power_gain(cascade, bd, m, n), bd)
 
     @pytest.mark.parametrize("n", [1, 2000])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
@@ -305,28 +345,33 @@ class TestLogPathLoss:
             for a3 in (2.0, 2.5, 3.1, 4.0):
                 params = self.params(a1, a3)
                 rng = substream(41, 0)
-                q = _sample_annulus_sq(params, rng, size)
-                e = _sample_serving_area(None, rng, size)
-                path_loss = _LogPathLoss(params, self.LAM)
-                served = e <= path_loss.serve_area
+                q = annulus_sq(params, rng.random(size))
+                e = -np.log1p(-rng.random(size))
+                geometry = _SpatialGeometry(params, self.LAM, McConfig(trials=1))
+                ln_cascade, ln_bd, served = geometry.losses(q, e)
+                np.testing.assert_array_equal(served, e <= math.pi * self.LAM * params.serve_radius**2)
                 assert 0 < served.sum() < size
-                got = _bound_gain(path_loss, m, float(n), q, e)
-                gain, bd = self.linear_gain(params, m, float(n), q, e)
-                np.testing.assert_allclose(got, np.where(served, gain, bd), rtol=self.REL_TOL, atol=0)
+                cascade, bd = self.linear_losses(params, q, e)
+                np.testing.assert_allclose(np.exp(ln_cascade), cascade, rtol=self.REL_TOL, atol=0)
+                np.testing.assert_allclose(np.exp(ln_bd), bd, rtol=self.REL_TOL, atol=0)
+                got = self.bound_gain(m, float(n), np.exp(ln_cascade), np.exp(ln_bd), served)
+                want = self.bound_gain(m, float(n), cascade, bd, served)
+                np.testing.assert_allclose(got, want, rtol=self.REL_TOL, atol=0)
 
     def test_edge_areas(self):
         # an empty window (e = inf) gives the direct gain alone, an area of 0
         # an infinite gain, and an area of exactly pi lam C^2 is served
         params = self.params(3.0, 2.5)
-        path_loss = _LogPathLoss(params, self.LAM)
+        geometry = _SpatialGeometry(params, self.LAM, McConfig(trials=1))
         m, n = attenuation_factor(0.5), 64.0
         q = np.full(3, 200.0**2)
-        e = np.array([np.inf, 0.0, path_loss.serve_area])
-        assert path_loss.serve_area == math.pi * self.LAM * params.serve_radius**2
+        e = np.array([np.inf, 0.0, math.pi * self.LAM * params.serve_radius**2])
         with np.errstate(all="raise"):
-            got = _bound_gain(path_loss, m, n, q, e)
-        _, ln_bd = path_loss(q, e)
-        assert got[0] == np.exp(ln_bd[0])
+            ln_cascade, ln_bd, served = geometry.losses(q, e)
+            bd = np.exp(ln_bd)
+            got = self.bound_gain(m, n, np.exp(ln_cascade), bd, served)
+        assert served.tolist() == [False, True, True]
+        assert got[0] == bd[0]
         assert got[0] == pytest.approx(params.beta_direct(200.0), rel=self.REL_TOL)
         assert got[1] == np.inf
         at_edge = LinkGeometry(d=200.0, l=200.0, r=params.serve_radius)
@@ -500,6 +545,30 @@ class TestSimulateSpatial:
         exact = simulate_spatial_exact(params, dep, 0.0, mc)
         assert exact.value <= bound.value + 3 * (exact.std_error + bound.std_error)
         assert bound.value - exact.value <= 0.3
+
+    @pytest.mark.parametrize("policy", ["direct_nearest", "full_hppp"])
+    def test_bound_and_exact_share_geometry(self, policy, monkeypatch):
+        # for one McConfig, every chunk of both estimators draws the same
+        # (ln bl br, ln bd, served): the exact estimator's fading comes after
+        params = make_params(tx_power_dbm=20.0)
+        dep = DeploymentParams(density=0.005, elements_per_ris=8)
+        mc = McConfig(trials=2 * 4096 + 17, master_seed=5, window_policy=policy, workers=1)
+        sample = _SpatialGeometry.sample
+        seen = []
+
+        def recording_sample(self, rng, size):
+            seen.append(sample(self, rng, size))
+            return seen[-1]
+
+        monkeypatch.setattr(_SpatialGeometry, "sample", recording_sample)
+        simulate_spatial_bound(params, dep, 0.5, mc)
+        bound = seen[:]
+        seen.clear()
+        simulate_spatial_exact(params, dep, 0.5, mc)
+        assert len(bound) == len(seen) == 3
+        for chunk_bound, chunk_exact in zip(bound, seen):
+            for got, want in zip(chunk_exact, chunk_bound):
+                np.testing.assert_array_equal(got, want)
 
     def test_tiny_serving_radius_is_direct_only(self):
         params = SystemParams.from_engineering(

@@ -1,8 +1,10 @@
-"""Every public entry point rejects a NaN argument with DomainError.
+"""Every public entry point rejects a NaN argument with DomainError, and
+every integer input of the Monte-Carlo layer a non-integer or negative one.
 
 An ordered comparison with NaN is False, so a check written as `x <= 0`
 would let NaN through and build a wrong object or return NaN; the checks
-are written as `not x > 0` instead.
+are written as `not x > 0` instead.  A float count would reach numpy and
+raise TypeError there, and a negative seed would alias a large key.
 """
 
 import dataclasses
@@ -15,10 +17,12 @@ from risgeo.deployment import OptimizerRegime, objective_slope
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
+    estimate_reflection_moments,
     hppp_window_radius,
     sample_hppp_nearest,
     sample_nearest_distance,
     simulate_fixed_rate,
+    simulate_spatial_exact,
 )
 from risgeo.params import (
     DeploymentParams,
@@ -56,6 +60,7 @@ PARAMS = SystemParams(
 )
 GEOM = LinkGeometry(d=200.0, l=200.0, r=10.0)
 HIGH_BOUNDED = OptimizerRegime(snr="high", phase="bounded")
+MC = McConfig(trials=16, workers=1)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
@@ -130,11 +135,29 @@ def test_rate_estimate(field):
         pytest.param(lambda: objective_slope(NAN, 10.0, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-lam"),
         pytest.param(lambda: objective_slope(0.01, NAN, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-eta"),
         pytest.param(lambda: McConfig(trials=NAN), id="McConfig-trials"),
+        pytest.param(lambda: McConfig(trials=2.5), id="McConfig-trials-fraction"),
+        pytest.param(lambda: McConfig(trials=16, master_seed=NAN), id="McConfig-master_seed"),
+        pytest.param(lambda: McConfig(trials=16, master_seed=2.5), id="McConfig-master_seed-fraction"),
+        pytest.param(lambda: McConfig(trials=16, master_seed=-1), id="McConfig-master_seed-negative"),
+        pytest.param(lambda: McConfig(trials=16, workers=2.5), id="McConfig-workers-fraction"),
+        pytest.param(lambda: substream(NAN, 0), id="substream-master_seed"),
+        pytest.param(lambda: sample_nearest_distance(0.01, substream(0, 0), NAN), id="sample_nearest_distance-size"),
+        pytest.param(lambda: estimate_reflection_moments(NAN, 0.5, MC), id="estimate_reflection_moments-n"),
+        pytest.param(
+            lambda: estimate_reflection_moments(2.5, 0.5, MC), id="estimate_reflection_moments-n-fraction"
+        ),
+        pytest.param(
+            lambda: simulate_fixed_rate(PARAMS, GEOM, 2.5, 0.5, MC), id="simulate_fixed_rate-n_elements-fraction"
+        ),
+        pytest.param(
+            lambda: simulate_spatial_exact(PARAMS, DeploymentParams(0.01, 2.5), 0.5, MC),
+            id="simulate_spatial_exact-elements_per_ris-fraction",
+        ),
         pytest.param(lambda: dbm_to_watts(NAN), id="dbm_to_watts"),
         pytest.param(lambda: db_to_linear(NAN), id="db_to_linear"),
         pytest.param(lambda: sample_phase_errors(0.5, NAN, substream(0, 0)), id="sample_phase_errors-count"),
         pytest.param(
-            lambda: simulate_fixed_rate(PARAMS, GEOM, NAN, 0.5, McConfig(trials=16, workers=1)),
+            lambda: simulate_fixed_rate(PARAMS, GEOM, NAN, 0.5, MC),
             id="simulate_fixed_rate-n_elements",
         ),
     ],

@@ -12,7 +12,6 @@ from risgeo.params import DeploymentParams, SystemParams
 from risgeo.phase_error import attenuation_factor
 from risgeo.spatial_rate import (
     _radial_moment,
-    _split_radius,
     annulus_distance_moment,
     association_probability,
     cascade_residual_term,
@@ -306,10 +305,13 @@ class TestTightenedClosedForms:
     @pytest.mark.parametrize("alpha_ris_ue,n", [(2.0, 20), (4.0, 20), (4.0, 200)])
     def test_low_snr_integer_gamma_exponents(self, alpha_ris_ue, n):
         # a3 = 2 and 4 put the outer-annulus moment E{r^-a3} on Gamma(0, .)
-        # and Gamma(-1, .); the split radius must leave an outer annulus
+        # and Gamma(-1, .); the split radius must leave an outer annulus:
+        # r* = (snr beta^2 E{d^-a2} N (m^2 N + 1 - m^2))^(1/a3) < C, m = 1
         params = make_params(tx_power_dbm=3.0, alpha_ris_ue=alpha_ris_ue)
         dep = DeploymentParams(density=0.005, elements_per_ris=n)
-        assert _split_radius(params, n, 0.0) < params.serve_radius
+        moment = annulus_distance_moment(-params.alpha_bs_ris, params.d_min, params.d_max)
+        r_star = (params.snr_gain * params.beta_ref**2 * moment * n * n) ** (1.0 / alpha_ris_ue)
+        assert r_star < params.serve_radius
         quad_total = spatial_rate_integral(params, dep, 0.0).total
         closed_total = spatial_rate_closed_form(params, dep, 0.0).total
         assert quad_total - 1e-9 <= closed_total <= quad_total + 0.05
