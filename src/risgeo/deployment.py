@@ -10,10 +10,10 @@ slope factor is used, guarded by a direct scan of the objective itself and
 by the budget boundary, because outside its derivation regime the objective
 can be bimodal.
 
-The optimizer and the grid oracle build the density-independent constants of
-the objective and of the slope factor once per solve (`_prepare`) and pass
-them to every evaluation, which then checks only the densities.  The public
-calls build them per call; both paths give bit-identical values.
+One preparation per solve (`_prepare`) checks the element budget and the
+regime against rho, and binds the reduced objective and its slope factor as
+functions of the density; every evaluation in the solve then checks only the
+densities.  A public call given no preparation makes its own.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .spatial_rate import (
     expected_log2_d,
 )
 from .special_math import exp_integral_ei, lower_incomplete_gamma
+from .streams import _is_index
 
 _LN2 = math.log(2.0)
 
@@ -87,13 +88,6 @@ class OptimizerRegime:
         return cls(snr=snr, phase="random" if rho == 1.0 else "bounded")
 
 
-def _check_regime(regime: OptimizerRegime, rho: float) -> None:
-    if regime.phase == "random" and rho != 1.0:
-        raise DomainError("random-phase regime requires rho = 1")
-    if regime.phase == "bounded" and rho == 1.0:
-        raise DomainError("bounded-phase regime requires rho < 1")
-
-
 @dataclass(frozen=True)
 class DeploymentOptimum:
     """Optimal density and array size with the branch that produced them.
@@ -110,8 +104,8 @@ class DeploymentOptimum:
     d_constant: float
 
     def __post_init__(self):
-        if self.lambda_star <= 0 or self.n_star < 1:
-            raise DomainError("optimum must have positive density and array size")
+        if not (self.lambda_star > 0 and _is_index(self.n_star, 1)):
+            raise DomainError("optimum must have positive density and an integer array size >= 1")
 
 
 def objective_offset(params: SystemParams, regime: OptimizerRegime) -> float:
@@ -136,82 +130,99 @@ def objective_offset(params: SystemParams, regime: OptimizerRegime) -> float:
 
 @dataclass(frozen=True, slots=True)
 class _Prepared:
-    """Density-independent constants of the reduced objective and of its
-    scaled slope for one (eta, params, rho, regime), built by `_prepare`.
-
-    The low-SNR fields (k3 on) stay None at high SNR.
-    """
+    """One solve's objective offset, and its reduced objective and scaled
+    slope factor as functions of the density alone (`_prepare`)."""
 
     offset: float
-    high: bool
-    random: bool
-    c: float
-    m2: float  # m^2
-    ln_c2: float  # ln C^2
-    ei_coef: float  # -a3 / (2 ln 2)
-    edge: float  # weight of -exp(-pi lam C^2): offset, plus log2 beta at high SNR
-    log_base: float  # slope: the density-free part of the log argument
-    coef: float  # slope: a3/2 - 1 (random) or a3/2 - 2 (bounded)
-    k3: Optional[float] = None  # E{d^a2}
-    s: Optional[float] = None  # a3/2 + 1
-    half_a3: Optional[float] = None  # a3/2
-    snr_beta: Optional[float] = None  # snr beta
-    beta_ln2: Optional[float] = None  # beta ln 2
-    q: Optional[float] = None  # slope's extra term: 1 - a3/2 (random) or 2 - a3/2 (bounded)
-    extra_denom: Optional[float] = None  # slope's extra term: its denominator
+    objective: Callable
+    slope: Callable
 
 
 def _prepare(
     eta: float, params: SystemParams, rho: float, regime: OptimizerRegime
 ) -> _Prepared:
-    """Everything in the objective and its slope that does not depend on lam.
+    """Check one solve's inputs and bind its objective and slope factor to them.
 
-    Each constant is formed with the operations, in the order, that the
-    per-call formula used, so prepared evaluation is bit-identical to it.
+    The slope factor is scaled by exp(-pi lam C^2): same sign, safe from exp
+    overflow.  Neither function checks lam; both take a scalar or an array.
+    Each density-free constant is formed once, with the operations, in the
+    order, of the formula written out per call, so values are bit-identical
+    to it.
     """
+    if regime.phase == "random" and rho != 1.0:
+        raise DomainError("random-phase regime requires rho = 1")
+    if regime.phase == "bounded" and rho == 1.0:
+        raise DomainError("bounded-phase regime requires rho < 1")
+    if not eta > 0:
+        raise DomainError("element budget must be positive")
     m = attenuation_factor(rho)
+    m2 = m * m
     c = params.serve_radius
     beta = params.beta_ref
-    a2, a3 = params.alpha_bs_ris, params.alpha_ris_ue
+    a3 = params.alpha_ris_ue
+    high, random = regime.snr == "high", regime.phase == "random"
     offset = objective_offset(params, regime)
-    high = regime.snr == "high"
-    random = regime.phase == "random"
-    low = {}
+    edge = offset + math.log2(beta) if high else offset  # weight of -exp(-pi lam C^2)
+    ln_c2 = math.log(c * c)
+    ei_coef = -a3 / (2.0 * _LN2)
+    coef = a3 / 2.0 - 1.0 if random else a3 / 2.0 - 2.0
+
+    def common(lam):
+        """(pi lam C^2, the budget quotient, the objective's terms common to both SNRs)."""
+        x = np.pi * lam * c * c
+        n = eta / lam
+        ex = np.exp(-x)
+        ei_part = exp_integral_ei(-x) - ex * ln_c2 - np.log(np.pi * lam)
+        return x, n, ei_coef * ei_part + _array_gain(n, m2, -np.expm1(-x)) - ex * edge
+
     if high:
-        edge = offset + math.log2(beta)
         log_base = offset * _LN2 + math.log(beta) - a3 * math.log(c)
+
+        def objective(lam):
+            return common(lam)[2]
+
+        def slope(lam):
+            x = np.pi * lam * c * c
+            n = eta / lam
+            # log argument: 2^D * beta * C^-a3 * N * (m^2 N + 1 - m^2), in log space
+            log_arg = log_base + np.log(n)
+            scale = coef  # random: m = 0 collapses the bounded form to this
+            if not random:
+                log_arg += np.log(m2 * n + 1.0 - m2)
+                scale = coef + (1.0 - m2) / (m2 * n + 1.0 - m2)
+            return x * np.exp(-x) * log_arg + scale * -np.expm1(-x)
+
+        return _Prepared(offset, objective, slope)
+
+    log_base = offset * _LN2 - a3 * math.log(c)
+    k3 = annulus_distance_moment(params.alpha_bs_ris, params.d_min, params.d_max)
+    s = a3 / 2.0 + 1.0
+    half_a3 = a3 / 2.0
+    snr_beta = params.snr_gain * beta
+    beta_ln2 = beta * _LN2
+    snr_beta_sq = params.snr_gain * beta**2
+    if random:
+        q = 1.0 - a3 / 2.0
+        extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * eta
     else:
-        edge = offset
-        log_base = offset * _LN2 - a3 * math.log(c)
-        snr_beta_sq = params.snr_gain * beta**2
-        if random:
-            q = 1.0 - a3 / 2.0
-            extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * eta
-        else:
-            q = 2.0 - a3 / 2.0
-            extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2
-        low = dict(
-            k3=annulus_distance_moment(a2, params.d_min, params.d_max),
-            s=a3 / 2.0 + 1.0,
-            half_a3=a3 / 2.0,
-            snr_beta=params.snr_gain * beta,
-            beta_ln2=beta * _LN2,
-            q=q,
-            extra_denom=extra_denom,
-        )
-    return _Prepared(
-        offset=offset,
-        high=high,
-        random=random,
-        c=c,
-        m2=m * m,
-        ln_c2=math.log(c * c),
-        ei_coef=-a3 / (2.0 * _LN2),
-        edge=edge,
-        log_base=log_base,
-        coef=a3 / 2.0 - 1.0 if random else a3 / 2.0 - 2.0,
-        **low,
-    )
+        q = 2.0 - a3 / 2.0
+        extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2
+
+    def objective(lam):
+        x, n, value = common(lam)
+        moment = _disk_moment(s, x, lam, half_a3)
+        return value + _noise_residual(n, m2, moment, k3, snr_beta, beta_ln2)
+
+    def slope(lam):
+        x = np.pi * lam * c * c
+        n = eta / lam
+        ex = np.exp(-x)
+        gam = lower_incomplete_gamma(s, x)
+        log_arg = log_base + np.log(n if random else m2 * n * n)
+        extra = (x**s * ex + q * gam) * k3 * lam**q / extra_denom
+        return x * ex * log_arg + coef * -np.expm1(-x) + extra
+
+    return _Prepared(offset, objective, slope)
 
 
 def deployment_objective(
@@ -231,9 +242,6 @@ def deployment_objective(
     optimizer builds it once per solve, and only lam is then checked.
     """
     if prepared is None:
-        _check_regime(regime, rho)
-        if eta <= 0:
-            raise DomainError("element budget must be positive")
         prepared = _prepare(eta, params, rho, regime)
     if isinstance(lam, float):
         if not 0.0 < lam <= eta:
@@ -243,47 +251,7 @@ def deployment_objective(
         outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
         if outside.any():
             raise DomainError(f"lam must lie in (0, eta], got {lam_flat[outside][0]}")
-    k = prepared
-    x = np.pi * lam * k.c * k.c
-    n = eta / lam
-    ex = np.exp(-x)
-    ei_part = exp_integral_ei(-x) - ex * k.ln_c2 - np.log(np.pi * lam)
-    common = k.ei_coef * ei_part + _array_gain(n, k.m2, -np.expm1(-x))
-    if k.high:
-        return common - ex * k.edge
-    moment = _disk_moment(k.s, x, lam, k.half_a3)
-    return common - ex * k.edge + _noise_residual(n, k.m2, moment, k.k3, k.snr_beta, k.beta_ln2)
-
-
-def _slope_scaled(
-    lam,
-    eta: float,
-    params: SystemParams,
-    rho: float,
-    regime: OptimizerRegime,
-    prepared: Optional[_Prepared] = None,
-):
-    """Slope factor scaled by exp(-pi lam C^2): same sign, safe from exp overflow.
-
-    `lam` may be a scalar or an array; `prepared` as in deployment_objective.
-    """
-    k = _prepare(eta, params, rho, regime) if prepared is None else prepared
-    x = np.pi * lam * k.c * k.c
-    ex = np.exp(-x)
-    grow = -np.expm1(-x)  # 1 - e^{-x}
-    n = eta / lam
-    if k.high:
-        # log argument: 2^D * beta * C^-a3 * N * (m^2 N + 1 - m^2), in log space
-        log_arg = k.log_base + np.log(n)
-        coef = k.coef  # random: m = 0 collapses the bounded form to this
-        if not k.random:
-            log_arg += np.log(k.m2 * n + 1.0 - k.m2)
-            coef = k.coef + (1.0 - k.m2) / (k.m2 * n + 1.0 - k.m2)
-        return x * ex * log_arg + coef * grow
-    gam = lower_incomplete_gamma(k.s, x)
-    log_arg = k.log_base + np.log(n if k.random else k.m2 * n * n)
-    extra = (x**k.s * ex + k.q * gam) * k.k3 * lam**k.q / k.extra_denom
-    return x * ex * log_arg + k.coef * grow + extra
+    return prepared.objective(lam)
 
 
 def objective_slope(
@@ -303,9 +271,9 @@ def objective_slope(
     overflows (pi*lam*C^2 > ~709.8); its estimate, copysign(inf, scaled
     slope), carries the sign only.
     """
-    _check_regime(regime, rho)
-    if not (lam > 0 and eta > 0):
-        raise DomainError("lam and eta must be positive")
+    slope = _prepare(eta, params, rho, regime).slope
+    if not lam > 0:
+        raise DomainError("lam must be positive")
     if regime.phase == "bounded":
         m = attenuation_factor(rho)
         cap = _BOUNDED_REGIME_FRACTION * m * m * eta / max(1.0 - m * m, 1e-300)
@@ -317,7 +285,7 @@ def objective_slope(
                 stacklevel=2,
             )
     x = math.pi * lam * params.serve_radius**2
-    scaled = _slope_scaled(lam, eta, params, rho, regime)
+    scaled = slope(lam)
     try:
         return math.exp(x) * scaled
     except OverflowError:
@@ -379,12 +347,9 @@ def optimize_density(
     quotient within the zoom's resolution of it.  The returned array size is
     the ceiling of the budget quotient.
     """
-    _check_regime(regime, rho)
-    if eta <= 0:
-        raise DomainError("element budget must be positive")
+    prepared = _prepare(eta, params, rho, regime)
     c = params.serve_radius
     beta = params.beta_ref
-    prepared = _prepare(eta, params, rho, regime)
     offset = prepared.offset
     a3 = params.alpha_ris_ue
 
@@ -416,15 +381,12 @@ def optimize_density(
     # with a direct objective scan plus the eta boundary (the single-crossing
     # structure can fail outside the closed-form derivation regimes).  Every
     # objective call goes through the module global, so a substitute or the
-    # benchmark tracer sees it, and passes the solve's prepared constants.
+    # benchmark tracer sees it, and passes the solve's preparation.
     def fobj(lam):
         return deployment_objective(lam, eta, params, rho, regime, prepared)
 
-    def jsc(lam):
-        return _slope_scaled(lam, eta, params, rho, regime, prepared)
-
     grid = np.geomspace(_SCAN_FLOOR * eta, eta, _SCAN_POINTS)
-    signs = jsc(grid)
+    signs = prepared.slope(grid)
     fvals = fobj(grid)
 
     root = None
@@ -433,7 +395,7 @@ def optimize_density(
         lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
         for _ in range(_BISECT_MAX_STEPS):
             mid = math.sqrt(lo * hi)
-            if jsc(mid) > 0:
+            if prepared.slope(mid) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -466,11 +428,8 @@ def grid_search_oracle(
     all sizes, and ties break toward the smallest array size (np.argmax
     returns the first maximum).
     """
-    _check_regime(regime, rho)
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
-    if eta <= 0:
-        raise DomainError("element budget must be positive")
+    if not _is_index(n_max, 1):
+        raise DomainError("n_max must be an integer >= 1")
     prepared = _prepare(eta, params, rho, regime)
     fvals = deployment_objective(eta / np.arange(1, n_max + 1), eta, params, rho, regime, prepared)
     best_n = int(np.argmax(fvals)) + 1

@@ -384,8 +384,6 @@ def simulate_spatial_exact(
     fading are drawn jointly, which leaves the mean unchanged.
     """
     n_el = dep.elements_per_ris
-    if not _is_index(n_el, 1):
-        raise DomainError("elements_per_ris must be an integer >= 1")
     snr = params.snr_gain
     geometry = _SpatialGeometry(params, dep.density, mc)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
+from .streams import _is_index
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -136,8 +137,8 @@ class DeploymentParams:
     def __post_init__(self):
         if not self.density > 0:
             raise DomainError("density must be positive")
-        if not self.elements_per_ris >= 1:
-            raise DomainError("elements_per_ris must be at least 1")
+        if not _is_index(self.elements_per_ris, 1):
+            raise DomainError("elements_per_ris must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
+from .streams import _is_index
 
 
 def _check_rho(rho: float) -> None:
@@ -62,8 +63,8 @@ def error_difference_pdf(rho: float, z: float) -> float:
 def sample_phase_errors(rho: float, count: int, stream: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. uniform phase errors on [-rho*pi, rho*pi] from `stream`."""
     _check_rho(rho)
-    if not count >= 0:
-        raise DomainError("count must be nonnegative")
+    if not _is_index(count, 0):
+        raise DomainError("count must be a nonnegative integer")
     if rho == 0.0:
         return np.zeros(count)
     return stream.uniform(-rho * math.pi, rho * math.pi, size=count)

@@ -7,7 +7,6 @@ import pytest
 from risgeo import deployment
 from risgeo.deployment import (
     DeploymentOptimum,
-    _slope_scaled,
     OptimizerRegime,
     deployment_objective,
     grid_search_oracle,
@@ -49,6 +48,13 @@ HIGH_RANDOM = OptimizerRegime(snr="high", phase="random")
 HIGH_BOUNDED = OptimizerRegime(snr="high", phase="bounded")
 LOW_RANDOM = OptimizerRegime(snr="low", phase="random")
 LOW_BOUNDED = OptimizerRegime(snr="low", phase="bounded")
+
+
+def prepared_slope(lam, eta, params, rho, regime, prepared=None):
+    """The scaled slope factor through `prepared`, or through a fresh preparation."""
+    if prepared is None:
+        prepared = deployment._prepare(eta, params, rho, regime)
+    return prepared.slope(lam)
 
 
 def criterion8_instances():
@@ -174,7 +180,7 @@ class TestObjectiveSlope:
         params = make_params(serve_radius=7.85)
         eta = 18.72
         lam = eta / 3.0
-        scaled = _slope_scaled(lam, eta, params, 0.25, HIGH_BOUNDED)
+        scaled = prepared_slope(lam, eta, params, 0.25, HIGH_BOUNDED)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             with pytest.raises(NumericError) as info:
@@ -218,7 +224,7 @@ REGIME_CASES = [
 
 class TestArrayEvaluation:
     @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
-    @pytest.mark.parametrize("fn", [deployment_objective, _slope_scaled])
+    @pytest.mark.parametrize("fn", [deployment_objective, prepared_slope])
     def test_matches_scalar_calls(self, fn, regime, rho, kwargs):
         # elementwise, not bitwise: numpy's vectorized power and Python's `**`
         # on floats (libm pow) may differ in the last bit; exp and log agree
@@ -291,7 +297,7 @@ class TestPreparedConstants:
     @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
     @pytest.mark.parametrize(
         "fn,reference",
-        [(deployment_objective, reference_objective), (_slope_scaled, reference_slope)],
+        [(deployment_objective, reference_objective), (prepared_slope, reference_slope)],
     )
     def test_bitwise_equal_to_public_path(self, fn, reference, regime, rho, kwargs):
         # the optimizer's prepared constants must not move a single bit: same
@@ -416,8 +422,9 @@ class TestOptimizeDensity:
         params = make_params(alpha_ris_ue=2.5)
         eta = 10.0
         # monotone-increase condition holds here; the slope never goes negative
+        slope = deployment._prepare(eta, params, 1.0, HIGH_RANDOM).slope
         for lam in np.geomspace(1e-9 * eta, eta, 1000):
-            assert _slope_scaled(lam, eta, params, 1.0, HIGH_RANDOM) >= -1e-9
+            assert slope(lam) >= -1e-9
 
     def test_bisection_beats_or_matches_grid(self):
         for regime, rho, eta, params in criterion8_instances():
@@ -534,6 +541,35 @@ class TestOptimizeDensity:
             optimize_density(0.0, params, 1.0, HIGH_RANDOM)
         with pytest.raises(DomainError):
             DeploymentOptimum(lambda_star=0.0, n_star=1, objective=0.0, branch="grid", d_constant=0.0)
+
+
+# The regime/rho pairing and the element budget are checked in one place,
+# the solve's preparation, for every public entry point.
+CHECKED_CALLS = [
+    pytest.param(lambda eta, rho, regime: deployment_objective(0.5, eta, make_params(), rho, regime),
+                 id="deployment_objective"),
+    pytest.param(lambda eta, rho, regime: optimize_density(eta, make_params(), rho, regime),
+                 id="optimize_density"),
+    pytest.param(lambda eta, rho, regime: grid_search_oracle(eta, make_params(), rho, regime, 8),
+                 id="grid_search_oracle"),
+    pytest.param(lambda eta, rho, regime: objective_slope(0.5, eta, make_params(), rho, regime),
+                 id="objective_slope"),
+]
+
+
+@pytest.mark.parametrize("call", CHECKED_CALLS)
+@pytest.mark.parametrize(
+    "eta,rho,regime,message",
+    [
+        pytest.param(10.0, 0.5, HIGH_RANDOM, "random-phase regime requires rho = 1", id="random-rho-below-1"),
+        pytest.param(10.0, 1.0, HIGH_BOUNDED, "bounded-phase regime requires rho < 1", id="bounded-rho-1"),
+        pytest.param(0.0, 0.5, HIGH_BOUNDED, "element budget must be positive", id="eta-zero"),
+        pytest.param(math.nan, 0.5, HIGH_BOUNDED, "element budget must be positive", id="eta-nan"),
+    ],
+)
+def test_solve_inputs_checked_in_one_place(call, eta, rho, regime, message):
+    with pytest.raises(DomainError, match=message):
+        call(eta, rho, regime)
 
 
 def golden_section_max(f, lo, hi, iters=80):

@@ -1,5 +1,6 @@
 """Every public entry point rejects a NaN argument with DomainError, and
-every integer input of the Monte-Carlo layer a non-integer or negative one.
+every integer input (an element, sample or trial count, a seed, a grid size)
+a non-integer or negative one.
 
 An ordered comparison with NaN is False, so a check written as `x <= 0`
 would let NaN through and build a wrong object or return NaN; the checks
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from risgeo.deployment import OptimizerRegime, objective_slope
+from risgeo.deployment import DeploymentOptimum, OptimizerRegime, grid_search_oracle, objective_slope
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
@@ -22,7 +23,6 @@ from risgeo.monte_carlo import (
     sample_hppp_nearest,
     sample_nearest_distance,
     simulate_fixed_rate,
-    simulate_spatial_exact,
 )
 from risgeo.params import (
     DeploymentParams,
@@ -74,6 +74,13 @@ def test_deployment_params(field):
     dep = DeploymentParams(density=0.01, elements_per_ris=64)
     with pytest.raises(DomainError):
         dataclasses.replace(dep, **{field: NAN})
+
+
+@pytest.mark.parametrize("field", ["lambda_star", "n_star"])
+def test_deployment_optimum(field):
+    opt = DeploymentOptimum(lambda_star=0.2, n_star=50, objective=1.0, branch="grid", d_constant=0.0)
+    with pytest.raises(DomainError):
+        dataclasses.replace(opt, **{field: NAN})
 
 
 @pytest.mark.parametrize("field", ["d", "l", "r"])
@@ -134,6 +141,17 @@ def test_rate_estimate(field):
         pytest.param(lambda: error_difference_pdf(0.5, NAN), id="error_difference_pdf-z"),
         pytest.param(lambda: objective_slope(NAN, 10.0, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-lam"),
         pytest.param(lambda: objective_slope(0.01, NAN, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-eta"),
+        pytest.param(
+            lambda: grid_search_oracle(10.0, PARAMS, 0.5, HIGH_BOUNDED, NAN), id="grid_search_oracle-n_max"
+        ),
+        pytest.param(
+            lambda: grid_search_oracle(10.0, PARAMS, 0.5, HIGH_BOUNDED, 2.5),
+            id="grid_search_oracle-n_max-fraction",
+        ),
+        pytest.param(
+            lambda: DeploymentOptimum(lambda_star=0.2, n_star=2.5, objective=1.0, branch="grid", d_constant=0.0),
+            id="DeploymentOptimum-n_star-fraction",
+        ),
         pytest.param(lambda: McConfig(trials=NAN), id="McConfig-trials"),
         pytest.param(lambda: McConfig(trials=2.5), id="McConfig-trials-fraction"),
         pytest.param(lambda: McConfig(trials=16, master_seed=NAN), id="McConfig-master_seed"),
@@ -149,13 +167,13 @@ def test_rate_estimate(field):
         pytest.param(
             lambda: simulate_fixed_rate(PARAMS, GEOM, 2.5, 0.5, MC), id="simulate_fixed_rate-n_elements-fraction"
         ),
-        pytest.param(
-            lambda: simulate_spatial_exact(PARAMS, DeploymentParams(0.01, 2.5), 0.5, MC),
-            id="simulate_spatial_exact-elements_per_ris-fraction",
-        ),
+        pytest.param(lambda: DeploymentParams(0.01, 2.5), id="DeploymentParams-elements_per_ris-fraction"),
         pytest.param(lambda: dbm_to_watts(NAN), id="dbm_to_watts"),
         pytest.param(lambda: db_to_linear(NAN), id="db_to_linear"),
         pytest.param(lambda: sample_phase_errors(0.5, NAN, substream(0, 0)), id="sample_phase_errors-count"),
+        pytest.param(
+            lambda: sample_phase_errors(0.5, 2.5, substream(0, 0)), id="sample_phase_errors-count-fraction"
+        ),
         pytest.param(
             lambda: simulate_fixed_rate(PARAMS, GEOM, NAN, 0.5, MC),
             id="simulate_fixed_rate-n_elements",
