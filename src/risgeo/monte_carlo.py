@@ -3,7 +3,7 @@
 Geometry draws (nearest-reflector distance, annulus position), Rayleigh /
 double-Rayleigh fading, uniform phase errors, exact instantaneous rates and
 spatial averaging all live here.  Trials are processed in fixed-size chunks
-whose substreams are keyed by (master_seed, chunk_index); partial sums are
+whose substreams are spawned from (master_seed, chunk_index); partial sums are
 reduced in chunk order, so estimates are bit-identical for any worker count.
 
 Both spatial estimators draw a trial's geometry through `_SpatialGeometry`,

@@ -83,7 +83,7 @@ class PhaseErrorSpec:
     def __post_init__(self):
         _check_rho(self.rho)
         if self.quant_bits is not None:
-            if self.quant_bits < 1:
+            if not _is_index(self.quant_bits, 1):
                 raise DomainError("quant_bits must be a positive integer")
             if self.rho != 2.0 ** (-self.quant_bits):
                 raise DomainError(

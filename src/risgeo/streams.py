@@ -1,8 +1,10 @@
-"""Counter-based random substreams for reproducible parallel simulation.
+"""Spawned random substreams for reproducible parallel simulation.
 
-Each (master_seed, index) pair keys an independent Philox stream, so any
-partition of work into indexed blocks yields the same draws regardless of
-scheduling or worker count.
+Block `index` of the run seeded by `master_seed` draws from PCG64 seeded by
+`SeedSequence(master_seed, spawn_key=(index,))`, the stream numpy's own
+`SeedSequence.spawn` would hand that child.  A block's draws depend only on
+(master_seed, index), so any partition of work into indexed blocks yields
+the same draws regardless of scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import operator
 import numpy as np
 
 from .errors import DomainError
-
-_MASK64 = (1 << 64) - 1
 
 
 def _is_index(value, low: int) -> bool:
@@ -25,8 +25,8 @@ def _is_index(value, low: int) -> bool:
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for block `index` of the run keyed by `master_seed`."""
+    """Independent generator for block `index` of the run seeded by `master_seed`."""
     if not (_is_index(master_seed, 0) and _is_index(index, 0)):
         raise DomainError("master_seed and index must be nonnegative integers")
-    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(seq))

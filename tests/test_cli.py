@@ -260,16 +260,16 @@ class TestRateFixedCommand:
 GOLDEN_RATE_FIXED = (
     '# params: tx_power_w=0.01 noise_w=1e-11 beta=0.001 alpha=(3,2,2.5) annulus=(180,220) serve_radius=10 density=0.005 elements_per_ris=200 element_budget=10 rho=0 seed=11 trials=3000\n'
     'n_elements,bound_bpshz,mc_mean_bpshz,mc_stderr_bpshz\n'
-    '10,0.231359653901,0.219763779417,0.00308849901483\n'
-    '55,0.5991949138,0.584684356263,0.00418906084793\n'
-    '100,1.03794768722,1.01536813388,0.00450767586899\n'
+    '10,0.231359653901,0.218229082684,0.00307704383027\n'
+    '55,0.5991949138,0.574316621951,0.00409511208163\n'
+    '100,1.03794768722,1.01279545852,0.00433807107095\n'
 )
 GOLDEN_RATE_SPATIAL = (
     '# params: tx_power_w=0.01 noise_w=1e-11 beta=0.001 alpha=(3,2,2.5) annulus=(180,220) serve_radius=10 density=0.005 elements_per_ris=200 element_budget=10 rho=0 seed=3 trials=20000\n'
     'density,closed_form_bpshz,quadrature_bpshz,mc_bound_bpshz,mc_bound_stderr,mc_exact_bpshz,mc_exact_stderr\n'
-    '0.005,3.2080846498,3.1875879347,3.19305561733,0.0160449107246,3.18015412785,0.0161000308748\n'
-    '0.0141421356237,5.00429588597,4.98802209306,4.99269335419,0.0153250856459,4.98105121094,0.0153864151482\n'
-    '0.04,6.71971762364,6.71563012416,6.72026256572,0.0158071846964,6.71045881012,0.0158528475121\n'
+    '0.005,3.2080846498,3.1875879347,3.20144621774,0.0162386040053,3.18977462652,0.0162882871887\n'
+    '0.0141421356237,5.00429588597,4.98802209306,5.00696575049,0.0154971758659,4.99655729818,0.0155487311569\n'
+    '0.04,6.71971762364,6.71563012416,6.73465857324,0.0159844115899,6.72559250043,0.0160228483393\n'
 )
 GOLDEN_RATE_LOSS = (
     '# params: tx_power_w=0.01 noise_w=1e-11 beta=0.001 alpha=(3,2,2.5) annulus=(180,220) serve_radius=10 density=0.005 elements_per_ris=200 element_budget=10 rho=0 seed=0 trials=100000\n'

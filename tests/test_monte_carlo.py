@@ -84,6 +84,16 @@ class TestStreams:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
+    @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2**64 + 5, 2**40)])
+    def test_substream_is_spawned_pcg64(self, seed, index):
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+        got = substream(seed, index)
+        assert np.array_equal(got.integers(0, 2**63, 64), expected.integers(0, 2**63, 64))
+        assert np.array_equal(got.standard_exponential(64), expected.standard_exponential(64))
+
+    def test_seeds_beyond_64_bits_do_not_alias(self):
+        assert not np.array_equal(substream(2**64, 0).random(8), substream(0, 0).random(8))
+
 
 class TestNearestDistanceSampler:
     def test_association_fraction(self):

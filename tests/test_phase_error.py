@@ -135,3 +135,8 @@ class TestPhaseErrorSpec:
             PhaseErrorSpec(rho=0.3, quant_bits=1)
         with pytest.raises(DomainError):
             PhaseErrorSpec(rho=1.5)
+
+    @pytest.mark.parametrize("rho, bits", [(2**-2.5, 2.5), (0.25, math.nan), (1.0, 0)])
+    def test_bits_must_be_positive_integer(self, rho, bits):
+        with pytest.raises(DomainError, match="quant_bits must be a positive integer"):
+            PhaseErrorSpec(rho=rho, quant_bits=bits)
