@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import deployment, monte_carlo, rate_bounds, validation
+from . import deployment, monte_carlo, rate_bounds
 from .rate_loss import rate_loss, rate_loss_asymptote
 from .config import ConfigError, RunConfig, resolve
 from .deployment import OptimizerRegime, optimize_density
@@ -129,6 +129,9 @@ def cmd_rate_loss(cfg: RunConfig) -> list[str]:
 
 
 def cmd_validate(cfg: RunConfig) -> tuple[list[str], int]:
+    # validation's oracles load scipy.integrate; no other subcommand needs it
+    from . import validation
+
     results = validation.run_all(cfg["validate_trials"], cfg["seed"])
     lines = []
     hard_fail = flake = 0

@@ -18,6 +18,12 @@ and 96 x 12 nodes (r x d), returns the finer and reports their difference as
 its error bound; orders that disagree by more than `_RULE_TOL` raise
 NumericError.  Adaptive `dblquad` checks the rule in `validation`.
 
+The integral form's direct term, exp(-pi lam C^2) E_d{log2(1 + snr beta
+d^-a1)}, is one fixed Gauss-Legendre rule (`quadrature`) over ln d^2, at 24
+and 32 nodes; its value is the finer order, and the orders' difference adds
+to the breakdown's error bound under the same `_RULE_TOL`.  Adaptive `quad`
+checks it in `validation`.  No production path imports `scipy.integrate`.
+
 On a served disk r <= R the rate splits exactly as log2(snr A) + log2(1 + y),
 with A = beta^2 d^-a2 r^-a3 N (m^2 N + 1 - m^2) the array-gain SNR and y the
 cascaded-link and noise residual.  The first piece has an exact closed form.
@@ -42,8 +48,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
+# Bound under the name `integrate` because bench/tracer.py patches
+# `spatial_rate.integrate` to span the direct rule and count its integrand
+# calls, which bench/selftest.py requires.
+from . import quadrature as integrate
 from .errors import DomainError, NumericError
 from .params import DeploymentParams, SystemParams
 from .phase_error import attenuation_factor
@@ -54,10 +64,6 @@ _LN2 = math.log(2.0)
 #: Soft-precondition thresholds for the closed form.
 _LOW_SNR_EDGE_MAX = 0.5     # direct-link SNR at the near annulus edge
 _MIN_CLOSED_FORM_N = 8      # "moderate-to-large" array size
-
-#: Absolute and relative targets of the direct branch's quadrature.
-_QUAD_EPSABS = 1e-12
-_QUAD_EPSREL = 1e-10
 
 
 def nearest_ris_pdf(lam: float, r: float) -> float:
@@ -141,8 +147,8 @@ class SpatialRateBreakdown:
     * direct_term: users served by the direct link only (r > C); exact for
       the integral form, the Jensen bound for the closed form.
 
-    error_bound is the residual rule's two-order difference for the integral
-    form and None for the closed form.
+    error_bound is the sum of the residual rule's and the direct rule's
+    two-order differences for the integral form, and None for the closed form.
     """
 
     total: float
@@ -278,17 +284,29 @@ def _baseline_term(params: SystemParams, lam: float) -> float:
     ) - params.alpha_ris_ue * expected_log2_r_truncated(lam, params.serve_radius)
 
 
-def _direct_term_exact(params: SystemParams, lam: float) -> float:
+def _direct_term_exact(params: SystemParams, lam: float) -> tuple[float, float]:
+    """Exact direct branch exp(-pi lam C^2) E_d{log2(1 + snr beta d^-a1)} and
+    its error bound, the two-order difference of the rule over t = ln q with
+    q = d^2 uniform on [d_min^2, d_max^2]; raises NumericError, carrying both,
+    when that difference exceeds `_RULE_TOL`."""
     snr_beta = params.snr_gain * params.beta_ref
-    a1 = params.alpha_direct
-    d1, d2 = params.d_min, params.d_max
-    norm = 2.0 / (d2**2 - d1**2)
+    half_a1 = 0.5 * params.alpha_direct
+    q1, q2 = params.d_min**2, params.d_max**2
+    norm = 1.0 / ((q2 - q1) * _LN2)
 
-    def integrand(d):
-        return math.log2(1.0 + snr_beta * d ** (-a1)) * norm * d
+    def integrand(t):
+        return np.log1p(snr_beta * np.exp(-half_a1 * t)) * np.exp(t) * norm
 
-    val, _ = integrate.quad(integrand, d1, d2, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL)
-    return math.exp(-math.pi * lam * params.serve_radius**2) * val
+    val, err = integrate.quad(integrand, math.log(q1), math.log(q2))
+    mass = math.exp(-math.pi * lam * params.serve_radius**2)
+    value, bound = mass * val, mass * err
+    if not bound <= _RULE_TOL:
+        raise NumericError(
+            f"direct rule orders differ by {bound:.3g} > {_RULE_TOL:g}",
+            estimate=value,
+            error_bound=bound,
+        )
+    return value, bound
 
 
 def _jensen_log2(mass: float, mean: float) -> float:
@@ -323,7 +341,9 @@ _U_FLOOR = 1e-14
 _U_CAP = 40.0
 #: Largest two-order difference (bps/Hz) accepted.  The worst measured over
 #: P -10..45 dBm, N 1..1e4, C 1..30, lambda 1e-3..50, rho 0..1, a3 2..4 is
-#: 1.6e-8 (see CHANGES.md).
+#: 1.6e-8 (see CHANGES.md).  The direct rule's worst over the box of
+#: validation's `direct_rule_vs_quad` row, annuli d_max/d_min up to 501
+#: included, is 3.7e-9.
 _RULE_TOL = 1e-7
 
 
@@ -401,7 +421,7 @@ def spatial_rate_integral(
     baseline = _baseline_term(params, lam)
     h = array_gain_term(n, rho, lam, params.serve_radius)
     g, bound = map(float, _residual_integral(params, n, rho, lam))
-    direct = _direct_term_exact(params, lam)
+    direct, direct_bound = _direct_term_exact(params, lam)
     total = baseline + h + g + direct
     return SpatialRateBreakdown(
         total=total,
@@ -411,7 +431,7 @@ def spatial_rate_integral(
         direct_term=direct,
         baseline_term=baseline,
         method="quadrature",
-        error_bound=bound,
+        error_bound=bound + direct_bound,
     )
 
 

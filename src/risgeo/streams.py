@@ -17,7 +17,9 @@ from .errors import DomainError
 
 
 def _is_index(value, low: int) -> bool:
-    """Whether `value` is an integer (a float never is) of at least `low`."""
+    """Whether `value` is an integer (a float or a bool never is) of at least `low`."""
+    if isinstance(value, bool):
+        return False
     try:
         return operator.index(value) >= low
     except TypeError:

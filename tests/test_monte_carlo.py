@@ -295,10 +295,22 @@ class TestCountTableOracle:
             np.testing.assert_array_equal(table._cum, np.cumsum(pmf))
 
 
+def _loaded_after(code: str, prefixes: tuple[str, ...]) -> str:
+    """Run `code` in a fresh interpreter; the modules it left loaded under `prefixes`."""
+    code += f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
 def test_full_scatter_cold_start_leaves_scipy_stats_unloaded():
     # scipy.stats adds ~0.5 s to a cold start; only validation's KS row loads it
     code = (
-        "import sys\n"
         "from risgeo import cli\n"
         "from risgeo.monte_carlo import McConfig, simulate_spatial_bound\n"
         "from risgeo.params import DeploymentParams, SystemParams\n"
@@ -306,16 +318,21 @@ def test_full_scatter_cold_start_leaves_scipy_stats_unloaded():
         "    20.0, -80.0, -30.0, 3.0, 2.0, 2.5, 180.0, 220.0, 10.0)\n"
         "mc = McConfig(trials=2 * 4096, window_policy='full_hppp', workers=1)\n"
         "simulate_spatial_bound(params, DeploymentParams(0.005, 32), 0.5, mc)\n"
-        "print([m for m in sys.modules if m.startswith('scipy.stats')])\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120,
+    assert _loaded_after(code, ("scipy.stats",)) == "[]"
+
+
+def test_cli_cold_start_leaves_scipy_integrate_optimize_and_stats_unloaded():
+    # scipy.integrate (which loads scipy.optimize) costs ~0.4 s and ~20 MB
+    # at start-up; only `risgeo validate`'s oracles load it
+    code = (
+        "import os\n"
+        "from risgeo import cli\n"
+        "for argv in (['rate-spatial', '--sweep', 'density:0.005:0.05:2', '--trials', '4096'],\n"
+        "             ['optimize']):\n"
+        "    assert cli.main(argv + ['--out', os.devnull]) == 0\n"
     )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert _loaded_after(code, ("scipy.integrate", "scipy.optimize", "scipy.stats")) == "[]"
 
 
 class TestLogPathLoss:

@@ -1,11 +1,12 @@
 """Every public entry point rejects a NaN argument with DomainError, and
 every integer input (an element, sample or trial count, a seed, a grid size)
-a non-integer or negative one.
+a non-integer, negative or bool one.
 
 An ordered comparison with NaN is False, so a check written as `x <= 0`
 would let NaN through and build a wrong object or return NaN; the checks
 are written as `not x > 0` instead.  A float count would reach numpy and
-raise TypeError there, and a negative seed would alias a large key.
+raise TypeError there, and a negative seed would alias a large key.  A bool is an int to Python
+(`operator.index(True)` is 1), so it is rejected by type.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from risgeo.params import (
     db_to_linear,
     dbm_to_watts,
 )
-from risgeo.phase_error import error_difference_pdf, sample_phase_errors
+from risgeo.phase_error import PhaseErrorSpec, error_difference_pdf, sample_phase_errors
 from risgeo.rate_loss import rate_loss
 from risgeo.spatial_rate import (
     annulus_distance_moment,
@@ -158,6 +159,15 @@ def test_rate_estimate(field):
         pytest.param(lambda: McConfig(trials=16, master_seed=2.5), id="McConfig-master_seed-fraction"),
         pytest.param(lambda: McConfig(trials=16, master_seed=-1), id="McConfig-master_seed-negative"),
         pytest.param(lambda: McConfig(trials=16, workers=2.5), id="McConfig-workers-fraction"),
+        pytest.param(lambda: McConfig(trials=True), id="McConfig-trials-bool"),
+        pytest.param(lambda: McConfig(trials=True, master_seed=False), id="McConfig-master_seed-bool"),
+        pytest.param(lambda: McConfig(trials=16, workers=True), id="McConfig-workers-bool"),
+        pytest.param(lambda: PhaseErrorSpec(rho=0.5, quant_bits=True), id="PhaseErrorSpec-quant_bits-bool"),
+        pytest.param(lambda: DeploymentParams(0.01, True), id="DeploymentParams-elements_per_ris-bool"),
+        pytest.param(lambda: substream(0, True), id="substream-index-bool"),
+        pytest.param(
+            lambda: sample_phase_errors(0.5, True, substream(0, 0)), id="sample_phase_errors-count-bool"
+        ),
         pytest.param(lambda: substream(NAN, 0), id="substream-master_seed"),
         pytest.param(lambda: sample_nearest_distance(0.01, substream(0, 0), NAN), id="sample_nearest_distance-size"),
         pytest.param(lambda: estimate_reflection_moments(NAN, 0.5, MC), id="estimate_reflection_moments-n"),

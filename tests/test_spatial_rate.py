@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import roots_legendre
 
-from risgeo import spatial_rate
+from risgeo import spatial_rate, validation
 from risgeo.errors import DomainError, NumericError
 from risgeo.monte_carlo import McConfig, sample_nearest_distance, simulate_spatial_bound
 from risgeo.params import DeploymentParams, SystemParams
@@ -23,7 +23,7 @@ from risgeo.spatial_rate import (
     spatial_rate_integral,
 )
 from risgeo.streams import substream
-from risgeo.validation import dblquad_residual
+from risgeo.validation import dblquad_residual, quad_direct
 
 
 def make_params(tx_power_dbm=20.0, serve_radius=10.0, alpha_ris_ue=2.5, alpha_bs_ris=2.0):
@@ -365,9 +365,12 @@ class TestResidualRule:
         params = make_params()
         dep = DeploymentParams(density=0.005, elements_per_ris=200)
         fine, bound = spatial_rate._residual_integral(params, 200, 0.5, 0.005)
+        direct, direct_bound = spatial_rate._direct_term_exact(params, 0.005)
         br = spatial_rate_integral(params, dep, 0.5)
         assert br.g_bar_term == float(fine)
-        assert br.error_bound == float(bound) > 0.0
+        assert br.direct_term == direct
+        assert br.error_bound == float(bound) + direct_bound
+        assert float(bound) > 0.0 and direct_bound > 0.0
         assert spatial_rate_closed_form(params, dep, 0.5).error_bound is None
 
     def test_orders_apart_raise_with_the_fine_estimate(self, monkeypatch):
@@ -394,3 +397,49 @@ class TestResidualRule:
             one, one_bound = spatial_rate._residual_integral(params, int(n[j]), 0.5, float(lam[i, 0]))
             assert fine[i, j] == pytest.approx(float(one), rel=1e-15, abs=0.0)
             assert bound[i, j] == pytest.approx(float(one_bound), abs=1e-15 * abs(float(one)))
+
+
+# A wide annulus (d_max/d_min = 239) whose direct rule orders differ by
+# 3.7e-9, and a serving radius small enough that the residual rule's differ
+# by only 4e-15: the worst point of the `direct_rule_vs_quad` box.
+WIDE_DIRECT = dict(tx_power_dbm=2.245285588638364, alpha_direct=3.7745326165172672,
+                   d_min=1.135448701075434, d_max=271.7066039814535, serve_radius=1e-3)
+
+
+class TestDirectRule:
+    def test_matches_adaptive_quadrature_on_wide_annuli(self):
+        # the validate row; its box and measured worst case are at _direct_points
+        [(ok, detail)] = validation._check_direct_rule(0, 0)
+        assert ok, detail
+
+    def test_density_enters_only_as_the_unserved_mass(self):
+        params = make_params(tx_power_dbm=30.0)
+        unit, unit_bound = spatial_rate._direct_term_exact(params, 0.0)
+        for lam in (0.001, 0.05, 0.5):
+            mass = math.exp(-math.pi * lam * params.serve_radius**2)
+            value, bound = spatial_rate._direct_term_exact(params, lam)
+            assert value == pytest.approx(mass * unit, rel=1e-15)
+            assert bound == pytest.approx(mass * unit_bound, rel=1e-15)
+
+    def test_error_bound_includes_the_direct_rule_difference(self):
+        params = validation._default_params(**WIDE_DIRECT)
+        dep = DeploymentParams(density=0.005, elements_per_ris=8)
+        _, residual_bound = spatial_rate._residual_integral(params, 8, 0.5, 0.005)
+        _, direct_bound = spatial_rate._direct_term_exact(params, 0.005)
+        assert 1e-9 < direct_bound < spatial_rate._RULE_TOL
+        assert float(residual_bound) < 1e-14
+        br = spatial_rate_integral(params, dep, 0.5)
+        assert br.error_bound == float(residual_bound) + direct_bound
+        # the bound covers the rule's actual gap to adaptive quadrature
+        mass = math.exp(-math.pi * 0.005 * params.serve_radius**2)
+        assert abs(br.direct_term - mass * quad_direct(params)) <= br.error_bound
+
+    def test_orders_apart_raise_with_the_estimate(self, monkeypatch):
+        params = validation._default_params(**WIDE_DIRECT)
+        dep = DeploymentParams(density=0.005, elements_per_ris=8)
+        value, bound = spatial_rate._direct_term_exact(params, 0.005)
+        monkeypatch.setattr(spatial_rate, "_RULE_TOL", bound / 2.0)
+        with pytest.raises(NumericError, match="direct rule") as caught:
+            spatial_rate_integral(params, dep, 0.5)
+        assert caught.value.estimate == value
+        assert caught.value.error_bound == bound
