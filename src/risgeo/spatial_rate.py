@@ -11,18 +11,19 @@ and the annulus position density f_d ~ d gives
 
 each reported as a component breakdown that re-sums to the total.
 
-The integral form's residual term is a fixed tensor Gauss-Legendre rule,
-vectorized over arrays of density and array size: ln(pi lam r^2) on the
-radial axis, d^2 on the annulus axis.  Each call evaluates two orders, 64 x 8
-and 96 x 12 nodes (r x d), returns the finer and reports their difference as
-its error bound; orders that disagree by more than `_RULE_TOL` raise
-NumericError.  Adaptive `dblquad` checks the rule in `validation`.
+The integral form's residual term is a fixed product Gauss-Legendre rule
+(`quadrature.Rule`), vectorized over arrays of density and array size:
+ln(pi lam r^2) on the radial axis, ln d^2 on the annulus axis.  Each call
+evaluates two orders, 64 x 8 and 96 x 12 nodes (r x d), returns the finer and
+reports their difference as its error bound.  Adaptive `dblquad` checks the
+rule in `validation`.
 
 The integral form's direct term, exp(-pi lam C^2) E_d{log2(1 + snr beta
-d^-a1)}, is one fixed Gauss-Legendre rule (`quadrature`) over ln d^2, at 24
-and 32 nodes; its value is the finer order, and the orders' difference adds
-to the breakdown's error bound under the same `_RULE_TOL`.  Adaptive `quad`
-checks it in `validation`.  No production path imports `scipy.integrate`.
+d^-a1)}, is the 1-D rule `quadrature.quad` over ln d^2, at 24 and 32 nodes;
+its value is the finer order, and the orders' difference adds to the
+breakdown's error bound.  Adaptive `quad` checks it in `validation`.  Either
+rule raises NumericError when its orders differ by more than `_RULE_TOL`.  No
+production path imports `scipy.integrate`.
 
 On a served disk r <= R the rate splits exactly as log2(snr A) + log2(1 + y),
 with A = beta^2 d^-a2 r^-a3 N (m^2 N + 1 - m^2) the array-gain SNR and y the
@@ -284,6 +285,30 @@ def _baseline_term(params: SystemParams, lam: float) -> float:
     ) - params.alpha_ris_ue * expected_log2_r_truncated(lam, params.serve_radius)
 
 
+#: Largest two-order difference (bps/Hz) accepted by either rule.  The
+#: residual rule's worst measured over P -10..45 dBm, N 1..1e4, C 1..30,
+#: lambda 1e-3..50, rho 0..1, a3 2..4 and annuli d_min 10..180 m with
+#: d_max/d_min 1.22..5 is 1.6e-8; at d_max/d_min 6 it is 3.0e-8 and at 8
+#: up to 1.4e-7.  Over 9000 seeded draws of a wider box (P -20..60 dBm,
+#: d_min 10..200 m, d_max - d_min 1..100 m, C 0.3..100, lambda 1e-5..30,
+#: N 1..3e4, all three exponents 2..4), 4 raise, all at d_max/d_min 6.3..7.5
+#: with a1 or a2 above 3.5 (see CHANGES.md).  The direct rule's worst
+#: over the box of validation's `direct_rule_vs_quad` row, annuli
+#: d_max/d_min up to 501 included, is 3.7e-9.
+_RULE_TOL = 1e-7
+
+
+def _checked(rule: str, value, bound):
+    """(value, bound), or NumericError carrying the worst element's value and
+    bound when any two-order difference exceeds `_RULE_TOL`."""
+    if not np.asarray(bound <= _RULE_TOL).all():
+        worst = np.argmax(bound)
+        estimate, error = float(np.ravel(value)[worst]), float(np.ravel(bound)[worst])
+        message = f"{rule} rule orders differ by {error:.3g} > {_RULE_TOL:g}"
+        raise NumericError(message, estimate=estimate, error_bound=error)
+    return value, bound
+
+
 def _direct_term_exact(params: SystemParams, lam: float) -> tuple[float, float]:
     """Exact direct branch exp(-pi lam C^2) E_d{log2(1 + snr beta d^-a1)} and
     its error bound, the two-order difference of the rule over t = ln q with
@@ -299,14 +324,7 @@ def _direct_term_exact(params: SystemParams, lam: float) -> tuple[float, float]:
 
     val, err = integrate.quad(integrand, math.log(q1), math.log(q2))
     mass = math.exp(-math.pi * lam * params.serve_radius**2)
-    value, bound = mass * val, mass * err
-    if not bound <= _RULE_TOL:
-        raise NumericError(
-            f"direct rule orders differ by {bound:.3g} > {_RULE_TOL:g}",
-            estimate=value,
-            error_bound=bound,
-        )
-    return value, bound
+    return _checked("direct", mass * val, mass * err)
 
 
 def _jensen_log2(mass: float, mean: float) -> float:
@@ -317,81 +335,54 @@ def _jensen_log2(mass: float, mean: float) -> float:
     return mass * math.log1p(mean / mass) / _LN2 if mass > 0.0 else 0.0
 
 
-def _tensor_rule(n_r: int, n_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre rule on [-1, 1]^2, flattened: (x_r, x_q, weight).
-
-    The weight carries the 1/2 that turns the q-rule into an average.
-    """
-    x_r, w_r = special.roots_legendre(n_r)
-    x_q, w_q = special.roots_legendre(n_d)
-    return np.repeat(x_r, n_d), np.tile(x_q, n_r), np.outer(w_r, w_q / 2.0).ravel()
-
-
-#: The residual's two orders (r x d nodes); the finer is the value, and their
-#: difference its error bound.  Both are evaluated as one point set.
-_RULE_ORDERS = ((64, 8), (96, 12))
-_RULE_X_R, _RULE_X_Q, _RULE_W = (
-    np.concatenate(parts) for parts in zip(*(_tensor_rule(*o) for o in _RULE_ORDERS))
-)
-_RULE_SPLIT = _RULE_ORDERS[0][0] * _RULE_ORDERS[0][1]
+#: The residual's two orders (r x d nodes), one point set; see `quadrature.Rule`.
+_RESIDUAL_RULE = integrate.Rule((64, 8), (96, 12))
 #: The radial rule runs over ln u, u = pi lam r^2, from ln(_U_FLOOR * U) to
 #: ln(min(U, _U_CAP)) with U = pi lam C^2.  Below the floor r < 1e-7 C and
 #: log2(1 + y) vanishes; above the cap the mass e^-u is below 5e-18.
 _U_FLOOR = 1e-14
 _U_CAP = 40.0
-#: Largest two-order difference (bps/Hz) accepted.  The worst measured over
-#: P -10..45 dBm, N 1..1e4, C 1..30, lambda 1e-3..50, rho 0..1, a3 2..4 is
-#: 1.6e-8 (see CHANGES.md).  The direct rule's worst over the box of
-#: validation's `direct_rule_vs_quad` row, annuli d_max/d_min up to 501
-#: included, is 3.7e-9.
-_RULE_TOL = 1e-7
 
 
 def _residual_integral(params: SystemParams, n_elements, rho: float, lam):
     """Exact served-branch residual E{log2(1 + y) ; r <= C} and its error bound.
 
     The radial variable is t = ln u with u = pi lam r^2, weight u e^-u dt; the
-    annulus variable is q = d^2, uniform on [d_min^2, d_max^2].  `n_elements`
-    and `lam` broadcast against each other.  Returns the fine-order values and
-    the two-order differences, arrays of the broadcast shape; raises
-    NumericError, carrying the worst element's fine value and difference,
-    when any difference exceeds `_RULE_TOL`.
+    annulus variable is v = ln q with q = d^2 uniform on [d_min^2, d_max^2],
+    weight q dv / (d_max^2 - d_min^2).  `n_elements` and `lam` broadcast
+    against each other.  Returns the fine-order values and the two-order
+    differences, arrays of the broadcast shape; raises NumericError, carrying
+    the worst element's fine value and difference, when any difference
+    exceeds `_RULE_TOL`.
     """
     m = attenuation_factor(rho)
     n = np.asarray(n_elements, dtype=float)
     lam = np.asarray(lam, dtype=float)
     a1, a2, a3 = params.alpha_direct, params.alpha_bs_ris, params.alpha_ris_ue
     beta = params.beta_ref
+    i_r, i_q = _RESIDUAL_RULE.index
     # y of the split log2(snr A) + log2(1 + y) is (s cross N + s^2 array) / denom
-    # with s = r^(a3/2); cross and array depend on d only.
-    d1_sq, d2_sq = params.d_min**2, params.d_max**2
-    q = 0.5 * (d2_sq + d1_sq) + 0.5 * (d2_sq - d1_sq) * _RULE_X_Q
+    # with s = r^(a3/2); cross, array and the weight's q dv depend on d only,
+    # so they are formed on the rule's distinct d nodes
+    q1, q2 = params.d_min**2, params.d_max**2
+    v1, v2 = math.log(q1), math.log(q2)
+    q = np.exp(0.5 * (v2 + v1) + 0.5 * (v2 - v1) * _RESIDUAL_RULE.nodes[1])
     da = q ** ((a2 - a1) / 2.0)
-    cross = np.sqrt(np.pi * beta * da) * m
-    array = da + q ** (a2 / 2.0) / (params.snr_gain * beta)
+    cross = (np.sqrt(np.pi * beta * da) * m)[i_q]
+    array = (da + q ** (a2 / 2.0) / (params.snr_gain * beta))[i_q]
+    weight = _RESIDUAL_RULE.weight * (q * (0.5 * (v2 - v1) / (q2 - q1)))[i_q]
     denom = beta * n * (m * m * n + 1.0 - m * m)
 
     u_max = np.pi * lam * params.serve_radius**2
     lo = np.log(_U_FLOOR * u_max)
     half = 0.5 * (np.log(np.minimum(u_max, _U_CAP)) - lo)
-    t = (lo + half)[..., None] + half[..., None] * _RULE_X_R
+    t = (lo + half)[..., None] + half[..., None] * _RESIDUAL_RULE.nodes[0][i_r]
     u = np.exp(t)
     s = np.exp((a3 / 4.0) * (t - np.log(np.pi * lam)[..., None]))  # (u / pi lam)^(a3/4)
     y = s * (cross * n[..., None] + s * array) / denom[..., None]
-    f = np.log1p(y) * (u * np.exp(-u)) * _RULE_W
+    fine, bound = _RESIDUAL_RULE.split(np.log1p(y) * (u * np.exp(-u)) * weight)
     scale = half / _LN2
-    coarse = scale * f[..., :_RULE_SPLIT].sum(axis=-1)
-    fine = scale * f[..., _RULE_SPLIT:].sum(axis=-1)
-
-    bound = np.abs(fine - coarse)
-    if not np.all(bound <= _RULE_TOL):
-        worst = np.unravel_index(np.argmax(bound), bound.shape)
-        raise NumericError(
-            f"residual rule orders differ by {bound[worst]:.3g} > {_RULE_TOL:g}",
-            estimate=float(fine[worst]),
-            error_bound=float(bound[worst]),
-        )
-    return fine, bound
+    return _checked("residual", scale * fine, scale * bound)
 
 
 def _closed_form_preconditions(params: SystemParams, dep: DeploymentParams) -> Optional[str]:

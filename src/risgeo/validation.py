@@ -507,13 +507,23 @@ _INTEGRAL_POINTS = (
 )
 
 
+#: Wide annuli, (P dBm, d_min m, d_max m, lambda, N, rho) at C = 10 m:
+#: d_max/d_min = 3, where the annulus axis over ln d^2 keeps the two orders
+#: within 1e-13 of each other.
+_WIDE_ANNULUS_POINTS = [(p, 100.0, 300.0, 0.005, 200, 0.5) for p in (-10.0, 3.0, 20.0, 45.0)]
+_WIDE_ANNULUS_POINTS += [(36.0, 40.0, 120.0, lam, 200, 0.0) for lam in (0.005, 0.05)]
+
+
 def _check_residual_rule(trials: int, seed: int) -> list[Part]:
+    # (P dBm, C, lambda, N, rho, a3, d_min, d_max), on the default annulus or a wide one
+    points = [(*point, 180.0, 220.0) for point in _INTEGRAL_POINTS]
+    points += [(p, 10.0, lam, n, rho, 2.5, d1, d2) for p, d1, d2, lam, n, rho in _WIDE_ANNULUS_POINTS]
     worst = 0.0
-    for p_dbm, c, lam, n, rho, a3 in _INTEGRAL_POINTS:
-        params = _default_params(tx_power_dbm=p_dbm, serve_radius=c, alpha_ris_ue=a3)
+    for p, c, lam, n, rho, a3, d1, d2 in points:
+        params = _default_params(tx_power_dbm=p, serve_radius=c, alpha_ris_ue=a3, d_min=d1, d_max=d2)
         rule, _ = spatial_rate._residual_integral(params, n, rho, lam)
         worst = max(worst, abs(float(rule) - dblquad_residual(params, n, rho, lam)))
-    return [(worst <= 1e-9, f"max |rule - dblquad| = {worst:.2e} over {len(_INTEGRAL_POINTS)} points")]
+    return [(worst <= 1e-9, f"max |rule - dblquad| = {worst:.2e} over {len(points)} points")]
 
 
 def quad_direct(params: SystemParams) -> float:

@@ -354,6 +354,17 @@ class TestRateSpatialCommand:
             quad = float(row[header.index("quadrature_bpshz")])
             assert abs(closed - quad) <= 0.1
 
+    def test_wide_annulus_density_sweep(self, tmp_path):
+        # d_max/d_min = 3: with its annulus axis over d^2 instead of ln d^2, the
+        # residual rule's orders differ by 1.9e-7 here and the command exits 3
+        out, cfg = tmp_path / "wide.csv", tmp_path / "wide.cfg"
+        cfg.write_text("d_min = 40\nd_max = 120\ntx_power_dbm = 36\n")
+        args = ["rate-spatial", "--config", str(cfg), "--sweep", "density:0.005:0.05:3"]
+        assert run_cli(args + ["--trials", "4096", "--out", str(out)]) == 0
+        _, header, rows = read_rows(out)
+        assert len(rows) == 3
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row)
+
 
 class TestRegimeDispatch:
     """`--regime` at the default geometry, where the far-edge direct SNR is

@@ -322,9 +322,10 @@ def test_full_scatter_cold_start_leaves_scipy_stats_unloaded():
     assert _loaded_after(code, ("scipy.stats",)) == "[]"
 
 
-def test_cli_cold_start_leaves_scipy_integrate_optimize_and_stats_unloaded():
+def test_cli_cold_start_leaves_scipy_integrate_optimize_stats_and_linalg_unloaded():
     # scipy.integrate (which loads scipy.optimize) costs ~0.4 s and ~20 MB
-    # at start-up; only `risgeo validate`'s oracles load it
+    # at start-up; only `risgeo validate`'s oracles load it.  scipy.linalg
+    # (~7 MB) is what scipy.special.roots_legendre would load for rule nodes.
     code = (
         "import os\n"
         "from risgeo import cli\n"
@@ -332,7 +333,8 @@ def test_cli_cold_start_leaves_scipy_integrate_optimize_and_stats_unloaded():
         "             ['optimize']):\n"
         "    assert cli.main(argv + ['--out', os.devnull]) == 0\n"
     )
-    assert _loaded_after(code, ("scipy.integrate", "scipy.optimize", "scipy.stats")) == "[]"
+    prefixes = ("scipy.integrate", "scipy.optimize", "scipy.stats", "scipy.linalg")
+    assert _loaded_after(code, prefixes) == "[]"
 
 
 class TestLogPathLoss:

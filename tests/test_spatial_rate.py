@@ -326,23 +326,26 @@ class TestTightenedClosedForms:
 
 
 def reference_rule(params, n, rho, lam, n_r, n_d):
-    """One order of the residual rule, summed node by node in (r, d)."""
+    """One order of the residual rule, summed node by node in (ln u, ln d^2)."""
     m = attenuation_factor(rho)
     a1, a2, a3 = params.alpha_direct, params.alpha_bs_ris, params.alpha_ris_ue
     beta = params.beta_ref
     u_max = math.pi * lam * params.serve_radius**2
     lo, hi = math.log(1e-14 * u_max), math.log(min(u_max, 40.0))
     q1, q2 = params.d_min**2, params.d_max**2
+    v1, v2 = math.log(q1), math.log(q2)
     total = 0.0
     for x_r, w_r in zip(*roots_legendre(n_r)):
         u = math.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * x_r)
         r = math.sqrt(u / (math.pi * lam))
         for x_q, w_q in zip(*roots_legendre(n_d)):
-            d = math.sqrt(0.5 * (q1 + q2) + 0.5 * (q2 - q1) * x_q)
+            q = math.exp(0.5 * (v1 + v2) + 0.5 * (v2 - v1) * x_q)
+            d = math.sqrt(q)
             a = beta**2 * d**-a2 * r**-a3 * n * (m * m * n + 1.0 - m * m)
             inside = a + math.sqrt(math.pi * beta**3) * d ** (-(a1 + a2) / 2) * r ** (-a3 / 2) * m * n
             inside += beta * d**-a1 + 1.0 / params.snr_gain
-            total += w_r * w_q / 2.0 * u * math.exp(-u) * math.log2(inside / a)
+            annulus = 0.5 * (v2 - v1) * q / (q2 - q1)
+            total += w_r * w_q * annulus * u * math.exp(-u) * math.log2(inside / a)
     return 0.5 * (hi - lo) * total
 
 
@@ -360,6 +363,23 @@ class TestResidualRule:
         params = make_params(tx_power_dbm=p_dbm, serve_radius=c, alpha_ris_ue=a3)
         rule, _ = spatial_rate._residual_integral(params, n, rho, lam)
         assert abs(float(rule) - dblquad_residual(params, n, rho, lam)) <= 1e-9
+
+    @pytest.mark.parametrize("p_dbm,d_min,d_max,lam,n,rho", validation._WIDE_ANNULUS_POINTS)
+    def test_wide_annulus_orders_agree(self, p_dbm, d_min, d_max, lam, n, rho):
+        params = validation._default_params(tx_power_dbm=p_dbm, d_min=d_min, d_max=d_max)
+        fine, bound = spatial_rate._residual_integral(params, n, rho, lam)
+        assert float(bound) <= 1e-12
+        assert float(fine) == pytest.approx(reference_rule(params, n, rho, lam, 96, 12), rel=1e-13)
+
+    def test_very_wide_annulus_still_raises(self):
+        # d_max/d_min = 247: the 8- and 12-node annulus orders differ by 6.3e-5,
+        # yet the carried fine estimate is within that bound of dblquad
+        params = validation._default_params(d_min=1.1, d_max=272.0)
+        with pytest.raises(NumericError, match="residual rule") as caught:
+            spatial_rate._residual_integral(params, 20, 0.5, 0.005)
+        assert caught.value.error_bound > spatial_rate._RULE_TOL
+        gap = abs(caught.value.estimate - dblquad_residual(params, 20, 0.5, 0.005))
+        assert gap <= caught.value.error_bound
 
     def test_breakdown_carries_the_two_order_bound(self):
         params = make_params()
