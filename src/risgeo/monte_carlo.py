@@ -2,17 +2,23 @@
 
 Geometry draws (nearest-reflector distance, annulus position), Rayleigh /
 double-Rayleigh fading, uniform phase errors, exact instantaneous rates and
-spatial averaging all live here.  Trials are processed in fixed-size chunks
-whose substreams are spawned from (master_seed, chunk_index); partial sums are
-reduced in chunk order, so estimates are bit-identical for any worker count.
+spatial averaging all live here.  Trials are processed in fixed-size chunks,
+chunk i drawing from the substream spawned from (master_seed, i).  Workers
+take consecutive full chunks in blocks of rows, one chunk per row and each row
+on its own substream, and map a whole block with one numpy call per step; a
+partial last chunk is a block of its own.  The spatial bound estimator, a few
+scalars per trial, runs blocks of several rows; the estimators that draw
+fading, whose chunk arrays are trials x elements already, one row.  Row sums
+are reduced in chunk order, so estimates are bit-identical for any block size
+and worker count.
 
 Both spatial estimators draw a trial's geometry through `_SpatialGeometry`,
-built once per estimate.  A chunk draws, in order: one uniform per trial for
-the squared BS-UE distance q = d^2 on the annulus, then the serving draw,
-which yields the normalized area e = pi lam r^2 of the nearest-reflector
-disk.  Under the `direct_nearest` policy that is one uniform per trial
-through the inverse nearest-distance CDF, e = -ln(1 - U).  Under `full_hppp`
-it is one uniform per trial for the reflector count in the simulation
+built once per estimate.  A chunk, one row of a block, draws, in order: one
+uniform per trial for the squared BS-UE distance q = d^2 on the annulus, then
+the serving draw, which yields the normalized area e = pi lam r^2 of the
+nearest-reflector disk.  Under the `direct_nearest` policy that is one
+uniform per trial through the inverse nearest-distance CDF, e = -ln(1 - U).
+Under `full_hppp` it is one uniform per trial for the reflector count in the simulation
 window, mapped to a Poisson count by inverting its running pmf sum through a
 numpy guide table (`_CountTable`), then one uniform per trial for the
 minimum of that many uniform squared radii, scaled by the window's mean
@@ -52,6 +58,11 @@ from .streams import _is_index, substream
 
 #: Trials per substream chunk.  Fixed: changing it changes the draws.
 _CHUNK = 4096
+
+#: Full chunks the spatial bound estimator maps at once, one per row.  Any
+#: value gives the same estimates; blocks of 8 or 16 rows ran slower, as their
+#: arrays outgrow a 2 MB L2 cache.
+_BLOCK_ROWS = 4
 
 #: Residual nearest-miss probability targeted when auto-sizing the
 #: simulation window of the full point-process policy.
@@ -111,9 +122,12 @@ def hppp_window_radius(lam: float, serve_radius: float) -> float:
     )
 
 
-def _nearest_area(stream: np.random.Generator, size=None):
-    """Normalized nearest-reflector area pi lam r^2 via the inverse CDF -ln(1 - U)."""
-    return -np.log1p(-stream.random(size))
+def _nearest_area(u: np.ndarray) -> np.ndarray:
+    """Normalized nearest-reflector area pi lam r^2 of each uniform u via the
+    inverse CDF -ln(1 - u), in place."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def sample_nearest_distance(lam: float, stream: np.random.Generator, size=None):
@@ -122,7 +136,7 @@ def sample_nearest_distance(lam: float, stream: np.random.Generator, size=None):
         raise DomainError("density must be positive")
     if not (size is None or _is_index(size, 0)):
         raise DomainError("size must be None or a nonnegative integer")
-    return np.sqrt(_nearest_area(stream, size) / (math.pi * lam))
+    return np.sqrt(_nearest_area(np.asarray(stream.random(size))) / (math.pi * lam))
 
 
 def sample_hppp_nearest(
@@ -162,14 +176,16 @@ class _CountTable:
         self._guide = np.searchsorted(self._cum / self._total, np.arange(n) / n)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Count of each uniform u in [0, 1); u = 0 gives count 0."""
+        """Count of each uniform u in [0, 1), in u's shape; u = 0 gives count 0."""
+        shape = np.shape(u)
+        u = np.ravel(u)
         cum = self._cum
         target = u * self._total
-        k = self._guide[(u * cum.size).astype(np.intp)]
-        k += cum[k] < target
-        short = np.flatnonzero(cum[k] < target)
+        k = np.take(self._guide, (u * cum.size).astype(np.intp))
+        k += np.take(cum, k) < target
+        short = np.flatnonzero(np.take(cum, k) < target)
         k[short] = np.searchsorted(cum, target[short])
-        return k
+        return k.reshape(shape)
 
 
 def _poisson_counts(mu: float) -> _CountTable:
@@ -191,8 +207,9 @@ def _poisson_counts(mu: float) -> _CountTable:
 
 
 class _SpatialGeometry:
-    """Geometry of one spatial estimate: draws a chunk's trials in the order
-    the module docstring states and maps them to log-domain path losses.
+    """Geometry of one spatial estimate: draws a block of chunks' trials in
+    the order the module docstring states and maps them to log-domain path
+    losses.
 
     With q = d^2, e = pi lam r^2 and the feeder length tied to d,
 
@@ -219,29 +236,49 @@ class _SpatialGeometry:
         self._half_feeder = 0.5 * params.alpha_bs_ris
         self._half_access = 0.5 * params.alpha_ris_ue
 
-    def sample(self, rng: np.random.Generator, size: int):
-        """ln(bl br), ln bd and the served mask of `size` trials drawn from rng."""
-        q = self._q_min + rng.random(size) * self._q_span
+    def sample(self, rngs: list[np.random.Generator], size: int):
+        """ln(bl br), ln bd and the served mask of a block of chunks, each a
+        len(rngs) x size array.  Row i holds the `size` trials of one chunk,
+        drawn from rngs[i], that chunk's own substream, in the documented
+        order straight into the row (`Generator.random(out=...)`); the block
+        is then mapped in place.  No row's values depend on another row, so
+        the estimates are unchanged for any block size and worker count."""
+        rows = len(rngs)
+        u = np.empty((2 if self.counts is None else 3, rows, size))
+        for i, rng in enumerate(rngs):
+            for draw in u[:, i]:
+                rng.random(out=draw)
+        q, e = u[0], u[-1]
+        q *= self._q_span
+        q += self._q_min
         if self.counts is None:
-            return self.losses(q, _nearest_area(rng, size))
-        counts = self.counts(rng.random(size))
+            return self.losses(q, _nearest_area(e))
+        counts = self.counts(u[1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            min_u = -np.expm1(np.log1p(-rng.random(size)) / counts)  # min of `counts` uniforms
-        return self.losses(q, np.where(counts > 0, self.mean_count * min_u, np.inf))
+            # min of `counts` uniforms -expm1(ln(1 - U) / counts), times the mean count
+            np.negative(e, out=e)
+            np.log1p(e, out=e)
+            e /= counts
+            np.expm1(e, out=e)
+        e *= -self.mean_count
+        e[counts == 0] = np.inf
+        return self.losses(q, e)
 
     def losses(self, q: np.ndarray, e: np.ndarray):
         """ln(bl br), ln bd and the served mask e <= pi lam C^2 per squared
-        distance q and area e.  e = 0 gives an infinite cascade gain, e = inf
-        (an empty window) a zero one."""
-        ln_q = np.log(q)
+        distance q and area e, computed in place: e becomes ln(bl br) and q
+        ln bd.  e = 0 gives an infinite cascade gain, e = inf (an empty
+        window) a zero one."""
+        served = e <= self._serve_area
+        ln_q = np.log(q, out=q)
         with np.errstate(divide="ignore"):
-            ln_cascade = np.log(e)
+            ln_cascade = np.log(e, out=e)
         ln_cascade *= -self._half_access
         ln_cascade += self._cascade0
         ln_cascade -= self._half_feeder * ln_q
         ln_q *= -self._half_direct
         ln_q += self._ln_beta
-        return ln_cascade, ln_q, e <= self._serve_area
+        return ln_cascade, ln_q, served
 
 
 def _cascade(
@@ -286,35 +323,45 @@ def _received_power(cascade, bd, re, im, h_abs):
 
 
 def _accumulate(
-    trial_fn: Callable[[np.random.Generator, int], np.ndarray], mc: McConfig
+    block_fn: Callable[[list[np.random.Generator], int], np.ndarray],
+    mc: McConfig,
+    max_rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chunk-ordered reduction of per-trial statistics to means and stderrs.
 
-    Chunk `index` calls `trial_fn(substream(mc.master_seed, index), size)`,
-    which returns the chunk's `size` per-trial values or a `size` x k array.
+    Chunk i draws from `substream(mc.master_seed, i)`.  Consecutive full
+    chunks run in blocks of up to `max_rows` rows, one chunk per row: a block
+    calls `block_fn(rngs, size)` with one generator per row, in chunk order,
+    and gets back a rows x size array of per-trial values or a rows x size x k
+    one.  A partial last chunk is a block of its own, and workers take whole
+    blocks.  Row sums are added one chunk at a time in chunk order, so the
+    estimates are the same for any block size and worker count.
     """
     trials, workers = mc.trials, mc.workers
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
-    sizes = [(i, min(_CHUNK, trials - i * _CHUNK)) for i in range(n_chunks)]
+    full, rest = divmod(trials, _CHUNK)
+    # never fewer blocks than workers while there are that many full chunks
+    rows = max(1, min(max_rows, full // workers))
+    blocks = [(first, min(rows, full - first), _CHUNK) for first in range(0, full, rows)]
+    if rest:
+        blocks.append((full, 1, rest))
 
-    def run(args):
-        index, size = args
+    def run(block):
+        first, count, size = block
         # `substream` is read from this module at call time, where tracing patches it
-        values = np.asarray(trial_fn(substream(mc.master_seed, index), size), dtype=float)
-        values = values.reshape(size, -1)
-        return values.sum(axis=0), (values**2).sum(axis=0)
+        rngs = [substream(mc.master_seed, first + i) for i in range(count)]
+        values = np.asarray(block_fn(rngs, size), dtype=float).reshape(count, size, -1)
+        sums = values.sum(axis=1)
+        return sums, np.square(values, out=values).sum(axis=1)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, sizes))
+            partials = list(pool.map(run, blocks))
     else:
-        partials = [run(s) for s in sizes]
+        partials = [run(b) for b in blocks]
 
-    total = partials[0][0].copy()
-    total_sq = partials[0][1].copy()
-    for s, s2 in partials[1:]:
-        total += s
-        total_sq += s2
+    # add.accumulate runs left to right: one chunk's sums at a time
+    total = np.add.accumulate(np.concatenate([s for s, _ in partials]))[-1]
+    total_sq = np.add.accumulate(np.concatenate([s2 for _, s2 in partials]))[-1]
     mean = total / trials
     if trials > 1:
         var = np.maximum(total_sq - trials * mean**2, 0.0) / (trials - 1)
@@ -325,9 +372,11 @@ def _accumulate(
 
 
 def _rate_estimate(
-    trial_fn: Callable[[np.random.Generator, int], np.ndarray], mc: McConfig
+    block_fn: Callable[[list[np.random.Generator], int], np.ndarray],
+    mc: McConfig,
+    max_rows: int,
 ) -> RateEstimate:
-    mean, stderr = _accumulate(trial_fn, mc)
+    mean, stderr = _accumulate(block_fn, mc, max_rows=max_rows)
     return RateEstimate(value=float(mean[0]), method="monte_carlo", std_error=float(stderr[0]))
 
 
@@ -346,11 +395,12 @@ def simulate_fixed_rate(
     cascade = math.sqrt(params.beta_bs_ris(geom.l) * params.beta_ris_ue(geom.r))
     bd = params.beta_direct(geom.d)
 
-    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
+    def chunk(rngs: list[np.random.Generator], size: int) -> np.ndarray:
+        (rng,) = rngs  # the cascade estimators run one chunk per block
         re, im, h_abs = _cascade(rng, size, n_elements, rho)
         return np.log2(1.0 + snr * _received_power(cascade, bd, re, im, h_abs))
 
-    return _rate_estimate(chunk, mc)
+    return _rate_estimate(chunk, mc, max_rows=1)
 
 
 def simulate_spatial_bound(
@@ -366,13 +416,16 @@ def simulate_spatial_bound(
     n = float(dep.elements_per_ris)
     geometry = _SpatialGeometry(params, dep.density, mc)
 
-    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
-        ln_cascade, ln_bd, served = geometry.sample(rng, size)
-        bd = np.exp(ln_bd)
-        gain = mean_power_gain(np.exp(ln_cascade), bd, m, n)
-        return np.log2(1.0 + snr * np.where(served, gain, bd))
+    def block(rngs: list[np.random.Generator], size: int) -> np.ndarray:
+        ln_cascade, ln_bd, served = geometry.sample(rngs, size)
+        bd = np.exp(ln_bd, out=ln_bd)
+        gain = mean_power_gain(np.exp(ln_cascade, out=ln_cascade), bd, m, n)
+        power = np.where(served, gain, bd)
+        power *= snr
+        power += 1.0
+        return np.log2(power, out=power)
 
-    return _rate_estimate(chunk, mc)
+    return _rate_estimate(block, mc, max_rows=_BLOCK_ROWS)
 
 
 def simulate_spatial_exact(
@@ -387,15 +440,16 @@ def simulate_spatial_exact(
     snr = params.snr_gain
     geometry = _SpatialGeometry(params, dep.density, mc)
 
-    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
-        ln_cascade, ln_bd, served = geometry.sample(rng, size)
+    def chunk(rngs: list[np.random.Generator], size: int) -> np.ndarray:
+        ln_cascade, ln_bd, served = geometry.sample(rngs, size)
+        (rng,) = rngs  # the fading comes after the geometry on the chunk's stream
         re, im, h_abs = _cascade(rng, size, n_el, rho)
         bd = np.exp(ln_bd)
         cascade = np.exp(0.5 * ln_cascade)  # sqrt(bl*br)
         power = np.where(served, _received_power(cascade, bd, re, im, h_abs), bd * h_abs**2)
         return np.log2(1.0 + snr * power)
 
-    return _rate_estimate(chunk, mc)
+    return _rate_estimate(chunk, mc, max_rows=1)
 
 
 def estimate_reflection_moments(
@@ -405,11 +459,12 @@ def estimate_reflection_moments(
     if not _is_index(n_elements, 1):
         raise DomainError("n_elements must be an integer >= 1")
 
-    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
+    def chunk(rngs: list[np.random.Generator], size: int) -> np.ndarray:
+        (rng,) = rngs
         re, im, _ = _cascade(rng, size, n_elements, rho)
         return np.column_stack([re, re**2 + im**2])
 
-    mean, stderr = _accumulate(chunk, mc)
+    mean, stderr = _accumulate(chunk, mc, max_rows=1)
     return ReflectionMoments(
         mean_re_z=float(mean[0]),
         mean_abs_z_sq=float(mean[1]),

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .params import LinkGeometry, RateEstimate, SystemParams
 from .phase_error import attenuation_factor
+from .streams import _is_index
 
 #: Multiplier operationalizing the "N much larger than ..." precondition of
 #: the large-array asymptote; below it a soft warning is attached.
@@ -43,8 +44,8 @@ def rate_bound_ris(
     params: SystemParams, geom: LinkGeometry, n_elements: int, rho: float
 ) -> RateEstimate:
     """Upper bound on the ergodic rate of the reflector-assisted link (bps/Hz)."""
-    if n_elements < 1:
-        raise DomainError("n_elements must be at least 1")
+    if not _is_index(n_elements, 1):
+        raise DomainError("n_elements must be an integer >= 1")
     m = attenuation_factor(rho)
     bl = params.beta_bs_ris(geom.l)
     br = params.beta_ris_ue(geom.r)

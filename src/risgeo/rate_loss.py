@@ -14,6 +14,7 @@ import math
 from .errors import DomainError
 from .phase_error import attenuation_factor
 from .spatial_rate import association_probability
+from .streams import _is_index
 
 _IDEAL_SQ = math.pi**2 / 16.0
 
@@ -24,8 +25,8 @@ _REGIME_MARGIN = 10.0
 
 def rate_loss(n_elements: int, rho: float, lam: float, serve_radius: float) -> float:
     """Loss in bps/Hz relative to ideal phases at the same array size."""
-    if not n_elements >= 1:
-        raise DomainError("n_elements must be at least 1")
+    if not _is_index(n_elements, 1):
+        raise DomainError("n_elements must be an integer >= 1")
     m = attenuation_factor(rho)
     n = float(n_elements)
     ratio = (_IDEAL_SQ * n + 1.0 - _IDEAL_SQ) / (m * m * n + 1.0 - m * m)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -54,21 +55,22 @@ def spatial_geometry(lam, serve_radius, mc=FULL):
 
 
 def recorded_sample(geometry, rng, size):
-    """geometry.sample(rng, size), and the (q, e) it passed to its losses map."""
+    """The one-chunk block geometry.sample([rng], size), and the (q, e) it
+    passed to its losses map (copied: the map works in place), all as rows."""
     seen = []
     losses = geometry.losses
 
     def recording_losses(q, e):
-        seen.append((q, e))
+        seen.append((q[0].copy(), e[0].copy()))
         return losses(q, e)
 
     geometry.losses = recording_losses
     try:
-        out = geometry.sample(rng, size)
+        out = geometry.sample([rng], size)
     finally:
         del geometry.losses
     (q, e), = seen
-    return out, q, e
+    return tuple(row for row, in out), q, e
 
 
 def annulus_sq(params, u):
@@ -134,7 +136,7 @@ class TestNearestDistanceSampler:
         u = substream(3, 3).random(2 * n)
         np.testing.assert_array_equal(q, annulus_sq(make_params(), u[:n]))
         np.testing.assert_array_equal(e, -np.log1p(-u[n:]))
-        for got, want in zip(out, geometry.losses(q, e)):
+        for got, want in zip(out, geometry.losses(q.copy(), e.copy())):
             np.testing.assert_array_equal(got, want)
 
     def test_dense_deployment_always_covered(self):
@@ -236,7 +238,7 @@ class TestFullScatterWindow:
         want = geometry.mean_count * -np.expm1(np.log1p(-u[2 * n:]) / counts)
         np.testing.assert_array_equal(q, annulus_sq(make_params(), u[:n]))
         np.testing.assert_array_equal(area, np.where(counts > 0, want, np.inf))
-        for got, want in zip(out, geometry.losses(q, area)):
+        for got, want in zip(out, geometry.losses(q.copy(), area.copy())):
             np.testing.assert_array_equal(got, want)
 
 
@@ -377,7 +379,7 @@ class TestLogPathLoss:
                 q = annulus_sq(params, rng.random(size))
                 e = -np.log1p(-rng.random(size))
                 geometry = _SpatialGeometry(params, self.LAM, McConfig(trials=1))
-                ln_cascade, ln_bd, served = geometry.losses(q, e)
+                ln_cascade, ln_bd, served = geometry.losses(q.copy(), e.copy())
                 np.testing.assert_array_equal(served, e <= math.pi * self.LAM * params.serve_radius**2)
                 assert 0 < served.sum() < size
                 cascade, bd = self.linear_losses(params, q, e)
@@ -585,9 +587,11 @@ class TestSimulateSpatial:
         sample = _SpatialGeometry.sample
         seen = []
 
-        def recording_sample(self, rng, size):
-            seen.append(sample(self, rng, size))
-            return seen[-1]
+        def recording_sample(self, rngs, size):
+            out = sample(self, rngs, size)
+            # one entry per chunk, copied: the bound maps its block in place
+            seen.extend(zip(*(np.copy(a) for a in out)))
+            return out
 
         monkeypatch.setattr(_SpatialGeometry, "sample", recording_sample)
         simulate_spatial_bound(params, dep, 0.5, mc)
@@ -611,6 +615,86 @@ class TestSimulateSpatial:
             lambda d: math.log2(1.0 + snr_beta * d**-3.0) * 2 * d / 16000.0, 180.0, 220.0
         )
         assert abs(est.value - oracle) <= 3 * est.std_error
+
+
+class TestBlockReduction:
+    """The spatial bound estimator maps full chunks in blocks of rows; its
+    estimates must be those of a reference that takes one chunk at a time."""
+
+    PARAMS = make_params(tx_power_dbm=20.0)
+    DEP = DeploymentParams(density=0.005, elements_per_ris=64)
+    RHO = 0.5
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def reference(policy, trials, seed=3):
+        """(value, std_error) by the module's documented formulas: chunk i of
+        4096 trials draws from substream(seed, i) the annulus uniforms, then
+        the serving draws; each chunk's sums are added in chunk order."""
+        params, dep = TestBlockReduction.PARAMS, TestBlockReduction.DEP
+        lam = dep.density
+        m, n = attenuation_factor(TestBlockReduction.RHO), float(dep.elements_per_ris)
+        ln_beta = math.log(params.beta_ref)
+        cascade0 = 2.0 * ln_beta + 0.5 * params.alpha_ris_ue * math.log(math.pi * lam)
+        mean_count = lam * math.pi * hppp_window_radius(lam, params.serve_radius) ** 2
+        count_of = _poisson_counts(mean_count)
+        total = total_sq = 0.0
+        for index in range(-(-trials // 4096)):
+            size = min(4096, trials - 4096 * index)
+            rng = substream(seed, index)
+            q = annulus_sq(params, rng.random(size))
+            if policy == "direct_nearest":
+                e = -np.log1p(-rng.random(size))
+            else:
+                counts = count_of(rng.random(size))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    min_u = -np.expm1(np.log1p(-rng.random(size)) / counts)
+                e = np.where(counts > 0, mean_count * min_u, np.inf)
+            ln_q = np.log(q)
+            with np.errstate(divide="ignore"):
+                ln_blbr = np.log(e) * -(0.5 * params.alpha_ris_ue) + cascade0 - 0.5 * params.alpha_bs_ris * ln_q
+            bd = np.exp(ln_q * -(0.5 * params.alpha_direct) + ln_beta)
+            served = e <= math.pi * lam * params.serve_radius**2
+            gain = np.where(served, mean_power_gain(np.exp(ln_blbr), bd, m, n), bd)
+            rate = np.log2(1.0 + params.snr_gain * gain)
+            total += rate.sum()
+            total_sq += (rate * rate).sum()
+        mean = total / trials
+        if trials == 1:
+            return mean, 0.0
+        return mean, math.sqrt(max(total_sq - trials * (mean * mean), 0.0) / (trials - 1) / trials)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 5 * 4096 + 3, 9 * 4096])
+    @pytest.mark.parametrize("policy", ["direct_nearest", "full_hppp"])
+    def test_matches_one_chunk_at_a_time(self, policy, trials, workers):
+        mc = McConfig(trials=trials, master_seed=3, window_policy=policy, workers=workers)
+        got = simulate_spatial_bound(self.PARAMS, self.DEP, self.RHO, mc)
+        value, std_error = self.reference(policy, trials)
+        assert got.value == value
+        assert got.std_error == std_error
+
+    @pytest.mark.parametrize(
+        "trials, workers, blocks",
+        [
+            (20000, 1, [(4, 4096), (1, 3616)]),  # 4 full chunks and a partial one
+            (20000, 2, [(2, 4096), (2, 4096), (1, 3616)]),  # [4, 1] would idle a worker
+            (3 * 4096, 8, [(1, 4096)] * 3),
+            (100000, 2, [(4, 4096)] * 6 + [(1, 1696)]),
+        ],
+    )
+    def test_blocks_never_fewer_than_workers(self, trials, workers, blocks, monkeypatch):
+        # (rows, trials per row) of every block the estimator maps
+        sample = _SpatialGeometry.sample
+        seen = []
+
+        def recording_sample(self, rngs, size):
+            seen.append((len(rngs), size))
+            return sample(self, rngs, size)
+
+        monkeypatch.setattr(_SpatialGeometry, "sample", recording_sample)
+        simulate_spatial_bound(self.PARAMS, self.DEP, self.RHO, McConfig(trials=trials, workers=workers))
+        assert sorted(seen) == sorted(blocks)
 
 
 class TestReflectionMoments:

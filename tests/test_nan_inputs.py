@@ -34,7 +34,8 @@ from risgeo.params import (
     dbm_to_watts,
 )
 from risgeo.phase_error import PhaseErrorSpec, error_difference_pdf, sample_phase_errors
-from risgeo.rate_loss import rate_loss
+from risgeo.rate_bounds import rate_bound_ris
+from risgeo.rate_loss import rate_loss, rate_loss_regime
 from risgeo.spatial_rate import (
     annulus_distance_moment,
     array_gain_term,
@@ -126,6 +127,17 @@ def test_rate_estimate(field):
         pytest.param(lambda: rate_loss(64, NAN, 0.01, 10.0), id="rate_loss-rho"),
         pytest.param(lambda: rate_loss(64, 0.5, NAN, 10.0), id="rate_loss-lam"),
         pytest.param(lambda: rate_loss(64, 0.5, 0.01, NAN), id="rate_loss-radius"),
+        pytest.param(lambda: rate_loss(math.inf, 0.5, 0.01, 10.0), id="rate_loss-n-inf"),
+        pytest.param(lambda: rate_loss(True, 0.5, 0.01, 10.0), id="rate_loss-n-bool"),
+        pytest.param(lambda: rate_loss(2.5, 0.5, 0.01, 10.0), id="rate_loss-n-fraction"),
+        pytest.param(lambda: rate_loss_regime(NAN, 0.5, 0.01, 10.0), id="rate_loss_regime-n"),
+        pytest.param(lambda: rate_loss_regime(math.inf, 0.5, 0.01, 10.0), id="rate_loss_regime-n-inf"),
+        pytest.param(lambda: rate_loss_regime(True, 0.5, 0.01, 10.0), id="rate_loss_regime-n-bool"),
+        pytest.param(lambda: rate_loss_regime(2.5, 0.5, 0.01, 10.0), id="rate_loss_regime-n-fraction"),
+        pytest.param(lambda: rate_bound_ris(PARAMS, GEOM, NAN, 0.5), id="rate_bound_ris-n"),
+        pytest.param(lambda: rate_bound_ris(PARAMS, GEOM, math.inf, 0.5), id="rate_bound_ris-n-inf"),
+        pytest.param(lambda: rate_bound_ris(PARAMS, GEOM, True, 0.5), id="rate_bound_ris-n-bool"),
+        pytest.param(lambda: rate_bound_ris(PARAMS, GEOM, 2.5, 0.5), id="rate_bound_ris-n-fraction"),
         pytest.param(lambda: nearest_ris_pdf(NAN, 1.0), id="nearest_ris_pdf-lam"),
         pytest.param(lambda: nearest_ris_pdf(0.01, NAN), id="nearest_ris_pdf-r"),
         pytest.param(lambda: annulus_distance_moment(NAN, 180.0, 220.0), id="annulus_distance_moment-p"),
