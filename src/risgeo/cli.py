@@ -1,6 +1,7 @@
 """Command-line interface: figure-style CSV sweeps, optimization, validation.
 
-Subcommands: rate-fixed, rate-spatial, optimize, rate-loss, validate.
+Subcommands: rate-fixed, rate-spatial, optimize, rate-loss, validate; the
+table `_COMMANDS` gives each its handler and the config keys its flags set.
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numeric error.  All engineering-unit conversion happens at this boundary;
 every CSV starts with a comment line echoing the resolved linear parameters.
@@ -60,7 +61,7 @@ def _mc_config(cfg: RunConfig) -> monte_carlo.McConfig:
     )
 
 
-def cmd_rate_fixed(cfg: RunConfig) -> list[str]:
+def cmd_rate_fixed(cfg: RunConfig) -> tuple[list[str], int]:
     mc = _mc_config(cfg)
 
     def row(point: RunConfig):
@@ -71,10 +72,10 @@ def cmd_rate_fixed(cfg: RunConfig) -> list[str]:
         return bound.value, est.value, est.std_error
 
     columns = ("bound_bpshz", "mc_mean_bpshz", "mc_stderr_bpshz")
-    return _sweep(cfg, _FIXED_AXES, columns, row)
+    return _sweep(cfg, _FIXED_AXES, columns, row), 0
 
 
-def cmd_rate_spatial(cfg: RunConfig) -> list[str]:
+def cmd_rate_spatial(cfg: RunConfig) -> tuple[list[str], int]:
     mc = _mc_config(cfg)
 
     def row(point: RunConfig):
@@ -88,10 +89,10 @@ def cmd_rate_spatial(cfg: RunConfig) -> list[str]:
 
     columns = ("closed_form_bpshz", "quadrature_bpshz", "mc_bound_bpshz", "mc_bound_stderr",
                "mc_exact_bpshz", "mc_exact_stderr")
-    return _sweep(cfg, _SPATIAL_AXES, columns, row)
+    return _sweep(cfg, _SPATIAL_AXES, columns, row), 0
 
 
-def cmd_optimize(cfg: RunConfig) -> list[str]:
+def cmd_optimize(cfg: RunConfig) -> tuple[list[str], int]:
     params = cfg.system_params()
     rho = cfg.rho
     snr_regime = cfg["regime"]
@@ -112,10 +113,10 @@ def cmd_optimize(cfg: RunConfig) -> list[str]:
     lams = eta / np.arange(1, n_max + 1)
     values = deployment.deployment_objective(lams, eta, params, rho, regime)
     lines.extend(f"{n},{_fmt(value)}" for n, value in enumerate(values, start=1))
-    return lines
+    return lines, 0
 
 
-def cmd_rate_loss(cfg: RunConfig) -> list[str]:
+def cmd_rate_loss(cfg: RunConfig) -> tuple[list[str], int]:
     rhos = cfg["rho_list"]
 
     def row(point: RunConfig):
@@ -125,7 +126,7 @@ def cmd_rate_loss(cfg: RunConfig) -> list[str]:
         return losses + [None if rho == 1.0 else rate_loss_asymptote(rho, lam, c) for rho in rhos]
 
     columns = [f"{name}_rho{rho:g}" for name in ("loss", "asymptote") for rho in rhos]
-    return _sweep(cfg, ("n_elements",), columns, row)
+    return _sweep(cfg, ("n_elements",), columns, row), 0
 
 
 def cmd_validate(cfg: RunConfig) -> tuple[list[str], int]:
@@ -152,31 +153,47 @@ def cmd_validate(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 1 if (hard_fail or flake) else 0
 
 
+#: config key -> (flag, metavar, help) of every key a subcommand's flags can set
+_KEY_FLAGS = {
+    "seed": ("--seed", "N", "master seed for all Monte-Carlo draws"),
+    "trials": ("--trials", "N", "Monte-Carlo trials per estimate"),
+    "validate_trials": ("--trials", "N", "Monte-Carlo trials per row, capped by its criterion"),
+    "sweep": ("--sweep", "AXIS:MIN:MAX:POINTS[:log]", "the sweep axis and its points"),
+    "regime": ("--regime", "{high,low,auto}", "SNR regime of the objective"),
+    "out": ("--out", "PATH", "write the CSV or report here instead of stdout"),
+}
+
+#: subcommand -> (handler, help, the config keys its flags set); each handler
+#: returns its output lines and exit code.  Every subcommand also takes
+#: --config and --dump-linear.
+_COMMANDS = {
+    "rate-fixed": (cmd_rate_fixed, "fixed-geometry rate bound vs Monte-Carlo over a sweep",
+                   ("seed", "trials", "sweep", "out")),
+    "rate-spatial": (cmd_rate_spatial,
+                     "spatially averaged rate: closed form, quadrature, Monte-Carlo",
+                     ("seed", "trials", "sweep", "out")),
+    "optimize": (cmd_optimize, "optimal density / array size under an element budget",
+                 ("seed", "trials", "regime", "out")),
+    "rate-loss": (cmd_rate_loss, "phase-error rate loss and its saturation levels vs array size",
+                  ("seed", "trials", "sweep", "out")),
+    "validate": (cmd_validate, "run the self-check suite", ("seed", "validate_trials", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Flag values stay text here; `config.resolve` parses and checks each one."""
     parser = argparse.ArgumentParser(
         prog="risgeo",
         description="Rate analysis and deployment optimization for reflector-assisted "
         "downlink networks with random reflector placement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("rate-fixed", "fixed-geometry rate bound vs Monte-Carlo over a sweep"),
-        ("rate-spatial", "spatially averaged rate: closed form, quadrature, Monte-Carlo"),
-        ("optimize", "optimal density / array size under an element budget"),
-        ("rate-loss", "phase-error rate loss and its saturation levels vs array size"),
-        ("validate", "run the self-check suite"),
-    ):
+    for name, (_, helptext, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--seed", type=int, help="master seed for all Monte-Carlo draws")
-        p.add_argument("--trials", type=int, help="Monte-Carlo trials per estimate")
-        p.add_argument("--out", help="write the CSV or report here instead of stdout")
-        p.add_argument("--sweep", help="AXIS:MIN:MAX:POINTS[:log]")
-        p.add_argument(
-            "--regime",
-            choices=("high", "low", "auto"),
-            help="SNR regime of the optimize objective (optimize only)",
-        )
+        p.add_argument("--config", metavar="PATH", help="flat key = value configuration file")
+        for key in keys:
+            flag, metavar, flaghelp = _KEY_FLAGS[key]
+            p.add_argument(flag, dest=key, metavar=metavar, help=flaghelp)
         p.add_argument(
             "--dump-linear",
             action="store_true",
@@ -187,32 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "out": args.out,
-        "sweep": args.sweep,
-        "regime": args.regime,
-    }
-    if args.command == "validate" and args.trials is not None:
-        overrides["validate_trials"] = args.trials
+    command, _, keys = _COMMANDS[args.command]
     try:
-        cfg = resolve(args.config, overrides)
-        if cfg.sweep is None and args.command in ("rate-fixed", "rate-spatial", "rate-loss"):
+        cfg = resolve(args.config, {key: getattr(args, key) for key in keys})
+        if "sweep" in keys and cfg.sweep is None:
             raise ConfigError("missing required key 'sweep'")
         if args.dump_linear:
             print(cfg.linear_echo())
             return 0
-        if args.command == "validate":
-            lines, code = cmd_validate(cfg)
-        else:
-            command = {
-                "rate-fixed": cmd_rate_fixed,
-                "rate-spatial": cmd_rate_spatial,
-                "optimize": cmd_optimize,
-                "rate-loss": cmd_rate_loss,
-            }[args.command]
-            lines, code = command(cfg), 0
+        lines, code = command(cfg)
         _emit(lines, cfg.get("out"))
         return code
     except (ConfigError, DomainError) as exc:

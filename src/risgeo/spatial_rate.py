@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 # Bound under the name `integrate` because bench/tracer.py patches
 # `spatial_rate.integrate` to span the direct rule and count its integrand
@@ -58,7 +57,12 @@ from . import quadrature as integrate
 from .errors import DomainError, NumericError
 from .params import DeploymentParams, SystemParams
 from .phase_error import attenuation_factor
-from .special_math import exp_integral_ei, lower_incomplete_gamma, power_integral
+from .special_math import (
+    exp_integral_ei,
+    lower_incomplete_gamma,
+    power_integral,
+    upper_incomplete_gamma,
+)
 
 _LN2 = math.log(2.0)
 
@@ -168,20 +172,6 @@ class SpatialRateBreakdown:
         return self.baseline_term + self.h_term + self.g_bar_term + low + self.direct_term
 
 
-def _upper_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) for x > 0 and any real s.
-
-    s <= 0 arises for r^-a3 with access exponents 2 <= a3 <= 4: E1 at s = 0,
-    and the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x) / s below it
-    (one step for s in [-1, 0)).
-    """
-    if s > 0.0:
-        return special.gammaincc(s, x) * special.gamma(s)
-    if s == 0.0:
-        return special.exp1(x)
-    return (_upper_gamma(s + 1.0, x) - x**s * np.exp(-x)) / s
-
-
 def _radial_moment(p: float, lam, inner: float, outer: float):
     """Partial moment E{r^p ; inner < r <= outer} of the nearest-reflector distance.
 
@@ -194,7 +184,8 @@ def _radial_moment(p: float, lam, inner: float, outer: float):
     x_outer = np.pi * lam * outer * outer
     if inner == 0.0:
         return _disk_moment(s, x_outer, lam, p / 2.0)
-    gam = _upper_gamma(s, np.pi * lam * inner * inner) - _upper_gamma(s, x_outer)
+    x_inner = np.pi * lam * inner * inner
+    gam = upper_incomplete_gamma(s, x_inner) - upper_incomplete_gamma(s, x_outer)
     return gam / (np.pi * lam) ** (p / 2.0)
 
 

@@ -2,10 +2,11 @@
 
 The exponential integral Ei and the lower incomplete gamma function are thin
 wrappers over `scipy.special` that take scalars or arrays and reject
-arguments outside their domain; both are cross-checked against adaptive
-quadrature in the test suite.  A stabilized power integral absorbs the
-degenerate exponents (p -> -1) that appear in the distance-moment constants
-for realistic pathloss combinations.
+arguments outside their domain.  The upper incomplete gamma function covers
+any real order, the s <= 0 orders included, through E1 and the recurrence.
+All three are cross-checked against adaptive quadrature in the test suite.
+A stabilized power integral absorbs the degenerate exponents (p -> -1) that
+appear in the distance-moment constants for realistic pathloss combinations.
 """
 
 from __future__ import annotations
@@ -44,6 +45,20 @@ def lower_incomplete_gamma(a: float, x):
     if not (np.asarray(x) >= 0.0).all():
         raise DomainError("lower_incomplete_gamma requires x >= 0")
     return special.gammainc(a, x) * special.gamma(a)
+
+
+def upper_incomplete_gamma(s: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(s, x) for x > 0 and any real s.
+
+    s <= 0 arises for r^-a3 with access exponents 2 <= a3 <= 4: E1 at s = 0,
+    and the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x) / s below it
+    (one step for s in [-1, 0)).
+    """
+    if s > 0.0:
+        return special.gammaincc(s, x) * special.gamma(s)
+    if s == 0.0:
+        return special.exp1(x)
+    return (upper_incomplete_gamma(s + 1.0, x) - x**s * np.exp(-x)) / s
 
 
 def power_integral(p: float, a: float, b: float) -> float:

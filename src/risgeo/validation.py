@@ -395,11 +395,17 @@ def _check_optimizer_grid(trials: int, seed: int) -> list[Part]:
 def _check_optimizer_product(trials: int, seed: int) -> list[Part]:
     params = _default_params(tx_power_dbm=30.0, alpha_ris_ue=4.0, serve_radius=5.0)
     regime = deployment.OptimizerRegime(snr="high", phase="bounded")
-    opt = deployment.optimize_density(10.0, params, 0.25, regime)
+    eta = 10.0
+    opt = deployment.optimize_density(eta, params, 0.25, regime)
     m = phase_error.attenuation_factor(0.25)
     scale = math.exp(0.5 * (opt.d_constant * math.log(2.0) + math.log(params.beta_ref)))
-    product = (m * 10.0 / 25.0 * scale) * (25.0 / (m * scale))
-    return [(math.isclose(product, 10.0, rel_tol=1e-12), f"closed-form product={product!r}")]
+    # lambda* = m eta s / C^2 gives back the budget, and N* = ceil(C^2 / (m s)) = ceil(78.991)
+    product = opt.lambda_star * params.serve_radius**2 / (m * scale)
+    return [
+        (opt.branch == "bounded_closed_form", f"branch={opt.branch}"),
+        (math.isclose(product, eta, rel_tol=1e-12), f"lambda_star C^2/(m s)={product!r}"),
+        (opt.n_star == 79, f"n_star={opt.n_star}"),
+    ]
 
 
 def _check_determinism(trials: int, seed: int) -> list[Part]:

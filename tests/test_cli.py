@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +111,74 @@ class TestExitCodes:
         assert run_cli(["optimize", "--dump-linear"]) == 0
         out = capsys.readouterr().out
         assert "tx_power_w=" in out and "beta=0.001" in out
+
+
+#: the flags each subcommand reads besides --config, --out and --dump-linear
+COMMAND_FLAGS = {
+    "rate-fixed": ("--seed", "--trials", "--sweep"),
+    "rate-spatial": ("--seed", "--trials", "--sweep"),
+    "optimize": ("--seed", "--trials", "--regime"),
+    "rate-loss": ("--seed", "--trials", "--sweep"),
+    "validate": ("--seed", "--trials"),
+}
+SHARED_FLAGS = ("--config", "--out", "--dump-linear")
+#: a valid value of each flag; an empty config file is os.devnull
+FLAG_VALUES = {
+    "--config": [os.devnull], "--out": [os.devnull], "--dump-linear": [], "--seed": ["1"],
+    "--trials": ["10"], "--sweep": ["n_elements:1:2:2"], "--regime": ["high"],
+}
+
+
+def help_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+
+
+class TestCommandTable:
+    """Each subcommand takes only the flags it reads; any other flag exits 2."""
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_help_lists_exactly_its_flags(self, command, capsys):
+        assert help_flags(command, capsys) == {*COMMAND_FLAGS[command], *SHARED_FLAGS}
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in COMMAND_FLAGS for f in FLAG_VALUES])
+    def test_flag_slot(self, command, flag, capsys):
+        # --dump-linear and a sweep where one is required make every other flag
+        # vector a valid run that writes nothing
+        args = [command, flag, *FLAG_VALUES[flag], "--dump-linear"]
+        if "--sweep" in COMMAND_FLAGS[command]:
+            args += ["--sweep", *FLAG_VALUES["--sweep"]]
+        if flag in COMMAND_FLAGS[command] or flag in SHARED_FLAGS:
+            assert run_cli(args) == 0
+            assert "seed=" in capsys.readouterr().out
+            return
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["optimize", "--seed", "x"], "value 'x' for key 'seed' is not int"),
+            (["rate-fixed", "--sweep", "rho:0:1:2", "--trials", "1.5"],
+             "value '1.5' for key 'trials' is not int"),
+            (["validate", "--trials", "0"], "value 0 out of domain for key 'validate_trials'"),
+        ],
+        ids=["seed_text", "trials_text", "validate_trials_domain"],
+    )
+    def test_flag_value_checked_by_its_key(self, capsys, args, named):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: command line: {named}"]
+
+    def test_validate_trials_flag(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(validation, "run_all", lambda trials, seed: seen.append(trials) or [])
+        assert run_cli(["validate", "--trials", "123"]) == 0
+        assert seen == [123]
 
 
 class TestNonFiniteInputs:
@@ -372,9 +442,12 @@ class TestRegimeDispatch:
 
     @staticmethod
     def _spatial_row(tmp_path, tx_power_dbm, regime):
-        out = tmp_path / f"s{tx_power_dbm}{regime}.csv"
-        args = ["rate-spatial", "--sweep", f"tx_power_dbm:{tx_power_dbm}:{tx_power_dbm}:1"]
-        args += ["--trials", "200", "--regime", regime, "--out", str(out)]
+        # a config file shared with `optimize` may set the regime; rate-spatial ignores it
+        out, cfg = tmp_path / f"s{tx_power_dbm}{regime}.csv", tmp_path / f"s{regime}.cfg"
+        cfg.write_text(f"regime = {regime}\n")
+        args = ["rate-spatial", "--config", str(cfg)]
+        args += ["--sweep", f"tx_power_dbm:{tx_power_dbm}:{tx_power_dbm}:1"]
+        args += ["--trials", "200", "--out", str(out)]
         assert run_cli(args) == 0
         _, header, rows = read_rows(out)
         (row,) = rows
@@ -423,10 +496,9 @@ class TestRegimeDispatch:
             assert "out of domain" in capsys.readouterr().err
 
     def test_integral_regime_flag_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["optimize", "--regime", "integral"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'integral'" in capsys.readouterr().err
+        assert run_cli(["optimize", "--regime", "integral"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "out of domain" in err
 
 
 class TestOptimizeCommand:

@@ -10,6 +10,7 @@ from risgeo.special_math import (
     exp_integral_ei,
     lower_incomplete_gamma,
     power_integral,
+    upper_incomplete_gamma,
 )
 
 
@@ -130,6 +131,19 @@ class TestLowerIncompleteGamma:
             rtol=1e-15,
             atol=0.0,
         )
+
+
+class TestUpperIncompleteGamma:
+    """Gamma(s, x) for the orders s = p/2 + 1 of the partial radial moments,
+    the s <= 0 branches (E1 at s = 0, one recurrence step below) included."""
+
+    @pytest.mark.parametrize("x", [0.05, 0.7, 3.0, 12.0])
+    @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 1.25])
+    def test_quadrature_agreement(self, s, x):
+        ref, _ = integrate.quad(
+            lambda t: t ** (s - 1.0) * math.exp(-t), x, np.inf, epsabs=0.0, epsrel=1e-13
+        )
+        assert upper_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-12)
 
 
 class TestPowerIntegral:
