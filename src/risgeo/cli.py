@@ -66,7 +66,7 @@ def cmd_rate_fixed(cfg: RunConfig) -> tuple[list[str], int]:
 
     def row(point: RunConfig):
         params, geom = point.system_params(), point.link_geometry()
-        n, rho = point["elements_per_ris"], point.rho
+        n, rho = point["elements_per_ris"], point["rho"]
         bound = rate_bounds.rate_bound_ris(params, geom, n, rho)
         est = monte_carlo.simulate_fixed_rate(params, geom, n, rho, mc)
         return bound.value, est.value, est.std_error
@@ -79,7 +79,7 @@ def cmd_rate_spatial(cfg: RunConfig) -> tuple[list[str], int]:
     mc = _mc_config(cfg)
 
     def row(point: RunConfig):
-        params, dep, rho = point.system_params(), point.deployment_params(), point.rho
+        params, dep, rho = point.system_params(), point.deployment_params(), point["rho"]
         quad = spatial_rate_integral(params, dep, rho)
         closed = spatial_rate_closed_form(params, dep, rho)
         mc_bound = monte_carlo.simulate_spatial_bound(params, dep, rho, mc)
@@ -94,7 +94,7 @@ def cmd_rate_spatial(cfg: RunConfig) -> tuple[list[str], int]:
 
 def cmd_optimize(cfg: RunConfig) -> tuple[list[str], int]:
     params = cfg.system_params()
-    rho = cfg.rho
+    rho = cfg["rho"]
     snr_regime = cfg["regime"]
     if snr_regime == "auto":
         edge_snr = params.snr_gain * params.beta_direct(params.d_max)
@@ -199,11 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="print the resolved linear-unit parameters and exit",
         )
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # the chosen subcommand's usage lists the flags it does take
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     command, _, keys = _COMMANDS[args.command]
     try:
         cfg = resolve(args.config, {key: getattr(args, key) for key in keys})

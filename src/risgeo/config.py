@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .monte_carlo import usable_cores
 from .params import DeploymentParams, LinkGeometry, SystemParams, dbm_to_watts, db_to_linear
@@ -31,10 +33,6 @@ class SweepSpec:
     scale: str = "linear"  # or "log"
 
     def values(self):
-        import numpy as np
-
-        if self.points == 1:
-            return np.array([self.start])
         if self.scale == "log":
             if self.start <= 0 or self.stop <= 0:
                 raise ConfigError("log sweep endpoints must be positive")
@@ -168,17 +166,11 @@ class RunConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
-    @property
-    def rho(self) -> float:
-        if "quant_bits" in self.values:
-            return 2.0 ** (-self.values["quant_bits"])
-        return self.values["rho"]
-
     def points(self, axes) -> list["RunConfig"]:
         """The configuration at each value of the sweep, whose axis must be one of `axes`.
 
         Each value is checked as the key it sets.  An `n_elements` value rounds to
-        an element count of at least 1; a `rho` value replaces `quant_bits`.
+        an element count of at least 1.
         """
         axis = self.sweep.axis
         if axis not in axes:
@@ -190,8 +182,6 @@ class RunConfig:
             if key == "elements_per_ris" and math.isfinite(value):
                 value = max(1, round(value))
             values = {**self.values, key: _coerce(key, value, where)}
-            if axis == "rho":
-                values.pop("quant_bits", None)
             out.append(RunConfig(values=values))
         return out
 
@@ -230,7 +220,7 @@ class RunConfig:
             f"density={v['density']:g}",
             f"elements_per_ris={v['elements_per_ris']}",
             f"element_budget={v['element_budget']:g}",
-            f"rho={self.rho:g}",
+            f"rho={v['rho']:g}",
             f"seed={v['seed']}",
             f"trials={v['trials']}",
         ]
@@ -255,12 +245,13 @@ def resolve(
     if not tokens:
         raise ConfigError("rho_list is empty")
     values["rho_list"] = tuple(_coerce("rho", token, "rho_list entry") for token in tokens)
-    if "quant_bits" in values and "rho" in given:
+    if "quant_bits" in values:
         # quantizer bits pin rho exactly; an explicit rho must agree with them
-        if not math.isclose(values["rho"], 2.0 ** (-values["quant_bits"])):
+        if "rho" in given and not math.isclose(values["rho"], 2.0 ** (-values["quant_bits"])):
             raise ConfigError(
                 f"rho={values['rho']} conflicts with quant_bits={values['quant_bits']}"
             )
+        values["rho"] = 2.0 ** (-values["quant_bits"])
     cfg = RunConfig(values=values)
     if values.get("sweep"):
         cfg.sweep = parse_sweep(values["sweep"])

@@ -30,8 +30,8 @@ from .params import SystemParams
 from .phase_error import attenuation_factor
 from .spatial_rate import (
     _array_gain,
-    _disk_moment,
     _noise_residual,
+    _radial_moment,
     annulus_distance_moment,
     expected_log2_d,
 )
@@ -168,18 +168,18 @@ def _prepare(
     coef = a3 / 2.0 - 1.0 if random else a3 / 2.0 - 2.0
 
     def common(lam):
-        """(pi lam C^2, the budget quotient, the objective's terms common to both SNRs)."""
+        """(the budget quotient, the objective's terms common to both SNRs)."""
         x = np.pi * lam * c * c
         n = eta / lam
         ex = np.exp(-x)
         ei_part = exp_integral_ei(-x) - ex * ln_c2 - np.log(np.pi * lam)
-        return x, n, ei_coef * ei_part + _array_gain(n, m2, -np.expm1(-x)) - ex * edge
+        return n, ei_coef * ei_part + _array_gain(n, m2, -np.expm1(-x)) - ex * edge
 
     if high:
         log_base = offset * _LN2 + math.log(beta) - a3 * math.log(c)
 
         def objective(lam):
-            return common(lam)[2]
+            return common(lam)[1]
 
         def slope(lam):
             x = np.pi * lam * c * c
@@ -197,7 +197,6 @@ def _prepare(
     log_base = offset * _LN2 - a3 * math.log(c)
     k3 = annulus_distance_moment(params.alpha_bs_ris, params.d_min, params.d_max)
     s = a3 / 2.0 + 1.0
-    half_a3 = a3 / 2.0
     snr_beta = params.snr_gain * beta
     beta_ln2 = beta * _LN2
     snr_beta_sq = params.snr_gain * beta**2
@@ -209,8 +208,8 @@ def _prepare(
         extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2
 
     def objective(lam):
-        x, n, value = common(lam)
-        moment = _disk_moment(s, x, lam, half_a3)
+        n, value = common(lam)
+        moment = _radial_moment(a3, lam, 0.0, c)
         return value + _noise_residual(n, m2, moment, k3, snr_beta, beta_ln2)
 
     def slope(lam):
@@ -243,14 +242,10 @@ def deployment_objective(
     """
     if prepared is None:
         prepared = _prepare(eta, params, rho, regime)
-    if isinstance(lam, float):
-        if not 0.0 < lam <= eta:
-            raise DomainError(f"lam must lie in (0, eta], got {lam}")
-    else:
-        lam_flat = np.ravel(lam)
-        outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
-        if outside.any():
-            raise DomainError(f"lam must lie in (0, eta], got {lam_flat[outside][0]}")
+    lam_flat = np.ravel(lam)
+    outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
+    if outside.any():
+        raise DomainError(f"lam must lie in (0, eta], got {lam_flat[outside][0]}")
     return prepared.objective(lam)
 
 

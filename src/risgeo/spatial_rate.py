@@ -183,16 +183,10 @@ def _radial_moment(p: float, lam, inner: float, outer: float):
     s = p / 2.0 + 1.0
     x_outer = np.pi * lam * outer * outer
     if inner == 0.0:
-        return _disk_moment(s, x_outer, lam, p / 2.0)
+        return lower_incomplete_gamma(s, x_outer) / (np.pi * lam) ** (p / 2.0)
     x_inner = np.pi * lam * inner * inner
     gam = upper_incomplete_gamma(s, x_inner) - upper_incomplete_gamma(s, x_outer)
     return gam / (np.pi * lam) ** (p / 2.0)
-
-
-def _disk_moment(s: float, x, lam, half_p: float):
-    """Core of _radial_moment on a disk: E{r^p ; r <= C} from s = p/2 + 1,
-    x = pi lam C^2 and half_p = p/2, with no checks of its own."""
-    return lower_incomplete_gamma(s, x) / (np.pi * lam) ** half_p
 
 
 def array_gain_term(n_elements, rho: float, lam, serve_radius: float):

@@ -23,7 +23,6 @@ from scipy import integrate
 
 from . import deployment, monte_carlo, phase_error, rate_bounds, spatial_rate
 from .config import resolve
-from .errors import RegimeWarning
 from .rate_loss import rate_loss, rate_loss_asymptote
 from .params import DeploymentParams, LinkGeometry, SystemParams
 from .special_math import exp_integral_ei, lower_incomplete_gamma, power_integral
@@ -206,11 +205,16 @@ def _check_log_moments(trials: int, seed: int) -> list[Part]:
         )
         worst = max(worst, abs(spatial_rate.expected_log2_r_truncated(lam, c) - oracle))
     for d1, d2 in ((180.0, 220.0), (50.0, 300.0)):
-        oracle, _ = integrate.quad(
-            lambda d: math.log2(d) * 2 * d / (d2**2 - d1**2), d1, d2, epsabs=1e-13
-        )
-        worst = max(worst, abs(spatial_rate.expected_log2_d(d1, d2) - oracle))
+        worst = max(worst, abs(spatial_rate.expected_log2_d(d1, d2) - _log2_d_oracle(d1, d2)))
     return [(worst <= 1e-8, f"max gap {worst:.3e}")]
+
+
+def _log2_d_oracle(d1: float, d2: float) -> float:
+    """E{log2 d} for d uniform in area on the annulus d1..d2, by adaptive quadrature."""
+    value, _ = integrate.quad(
+        lambda d: math.log2(d) * 2 * d / (d2**2 - d1**2), d1, d2, epsabs=1e-13
+    )
+    return value
 
 
 def _check_annulus_moments(trials: int, seed: int) -> list[Part]:
@@ -383,12 +387,10 @@ def _optimizer_instances():
 
 def _check_optimizer_grid(trials: int, seed: int) -> list[Part]:
     worst = -np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        for regime, eta, rho, params, n_max in _optimizer_instances():
-            opt = deployment.optimize_density(eta, params, rho, regime)
-            oracle = deployment.grid_search_oracle(eta, params, rho, regime, n_max(opt.n_star))
-            worst = max(worst, oracle.objective - opt.objective)
+    for regime, eta, rho, params, n_max in _optimizer_instances():
+        opt = deployment.optimize_density(eta, params, rho, regime)
+        oracle = deployment.grid_search_oracle(eta, params, rho, regime, n_max(opt.n_star))
+        worst = max(worst, oracle.objective - opt.objective)
     return [(worst <= 0.02, f"max (grid - dispatched) objective gap = {worst:.4f}")]
 
 
@@ -397,12 +399,18 @@ def _check_optimizer_product(trials: int, seed: int) -> list[Part]:
     regime = deployment.OptimizerRegime(snr="high", phase="bounded")
     eta = 10.0
     opt = deployment.optimize_density(eta, params, 0.25, regime)
+    # the high-SNR offset D = (a1 - a2) E{log2 d}, free of the optimizer's own
+    offset = (params.alpha_direct - params.alpha_bs_ris) * _log2_d_oracle(
+        params.d_min, params.d_max
+    )
     m = phase_error.attenuation_factor(0.25)
-    scale = math.exp(0.5 * (opt.d_constant * math.log(2.0) + math.log(params.beta_ref)))
+    scale = math.exp(0.5 * (offset * math.log(2.0) + math.log(params.beta_ref)))
     # lambda* = m eta s / C^2 gives back the budget, and N* = ceil(C^2 / (m s)) = ceil(78.991)
     product = opt.lambda_star * params.serve_radius**2 / (m * scale)
     return [
         (opt.branch == "bounded_closed_form", f"branch={opt.branch}"),
+        (math.isclose(opt.d_constant, offset, rel_tol=1e-12),
+         f"d_constant={opt.d_constant!r} (quadrature {offset!r})"),
         (math.isclose(product, eta, rel_tol=1e-12), f"lambda_star C^2/(m s)={product!r}"),
         (opt.n_star == 79, f"n_star={opt.n_star}"),
     ]

@@ -54,13 +54,13 @@ class TestConfigParsing:
         cfg.write_text("tx_power_dbm = 17  # downlink power\nrho = 0.5\n")
         resolved = resolve(str(cfg), {"seed": 9})
         assert resolved["tx_power_dbm"] == 17.0
-        assert resolved.rho == 0.5
+        assert resolved["rho"] == 0.5
         assert resolved["seed"] == 9
 
     def test_quantizer_bits_pin_rho(self, tmp_path):
         cfg = tmp_path / "q.cfg"
         cfg.write_text("quant_bits = 2\n")
-        assert resolve(str(cfg), {}).rho == 0.25
+        assert resolve(str(cfg), {})["rho"] == 0.25
 
     @pytest.mark.parametrize("rho", ["0", "0.5"])
     def test_explicit_rho_conflicting_with_quant_bits(self, tmp_path, rho):
@@ -77,7 +77,7 @@ class TestConfigParsing:
     def test_explicit_rho_agreeing_with_quant_bits(self, tmp_path):
         cfg = tmp_path / "q.cfg"
         cfg.write_text("rho = 0.25\nquant_bits = 2\n")
-        assert resolve(str(cfg), {}).rho == 0.25
+        assert resolve(str(cfg), {})["rho"] == 0.25
 
     @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
     def test_retired_tolerance_keys_are_unknown(self, tmp_path, capsys, key):
@@ -157,7 +157,10 @@ class TestCommandTable:
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the usage line is the subcommand's own, so it lists the flags it takes
+        assert err.startswith(f"usage: risgeo {command} ")
+        assert f"unrecognized arguments: {flag}" in err
 
     @pytest.mark.parametrize(
         "args, named",
@@ -195,9 +198,10 @@ class TestNonFiniteInputs:
             # finite bounds whose span overflows make non-finite sweep points
             (["rate-fixed", "--sweep", "tx_power_dbm:-1e308:1e308:3"], "",
              "'tx_power_dbm:-1e308:1e308:3'"),
+            (["rate-fixed", "--sweep", "d:1e308:-1e308:1"], "", "'d:1e308:-1e308:1'"),
         ],
         ids=["sweep_n_elements", "sweep_density", "tx_power_dbm", "element_budget",
-             "sweep_point_overflow"],
+             "sweep_point_overflow", "sweep_point_overflow_one_point"],
     )
     def test_cli_exits_2(self, tmp_path, capsys, command, config, named):
         cfg = tmp_path / "inf.cfg"
@@ -302,6 +306,11 @@ class TestRateFixedCommand:
         )
         _, _, rows = read_rows(out)
         assert len(rows) == 1
+
+    def test_single_point_log_sweep_needs_positive_endpoints(self, capsys):
+        args = ["rate-spatial", "--sweep", "density:0.01:0:1:log", "--trials", "10"]
+        assert run_cli(args) == 2
+        assert "log sweep endpoints must be positive" in capsys.readouterr().err
 
     def test_rho_sweep_overrides_quant_bits(self, tmp_path):
         # quant_bits pins the configured rho, but each rho sweep point replaces it
@@ -475,8 +484,8 @@ class TestRegimeDispatch:
         cfg = resolve(None, {"tx_power_dbm": tx_power_dbm})
         params, dep = cfg.system_params(), cfg.deployment_params()
         closed, quad = self._spatial_row(tmp_path, tx_power_dbm, regime)
-        assert closed == format(spatial_rate_closed_form(params, dep, cfg.rho).total, ".12g")
-        assert quad == format(spatial_rate_integral(params, dep, cfg.rho).total, ".12g")
+        assert closed == format(spatial_rate_closed_form(params, dep, cfg["rho"]).total, ".12g")
+        assert quad == format(spatial_rate_integral(params, dep, cfg["rho"]).total, ".12g")
         assert closed != quad
 
     @pytest.mark.parametrize(

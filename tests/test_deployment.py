@@ -203,9 +203,15 @@ class TestObjectiveSlope:
 
     def test_array_domain_error_names_offending_value(self):
         params = make_params()
-        for lam, bad in (([0.375, 12.5, 0.625], "12.5"), ([0.375, 0.0], "0.0")):
+        cases = (
+            (np.array([0.375, 12.5, 0.625]), "12.5"),
+            (np.array([0.375, 0.0]), "0.0"),
+            (20.0, "20.0"),
+            (np.float64(20.0), "20.0"),
+        )
+        for lam, bad in cases:
             with pytest.raises(DomainError) as err:
-                deployment_objective(np.array(lam), 10.0, params, 1.0, HIGH_RANDOM)
+                deployment_objective(lam, 10.0, params, 1.0, HIGH_RANDOM)
             message = str(err.value)
             assert message.endswith(f"got {bad}")
             assert "0.375" not in message

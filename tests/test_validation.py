@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from risgeo import validation
+from risgeo import deployment, validation
 from risgeo.validation import CHECKS, CRITERIA
 
 
@@ -60,3 +60,17 @@ class TestCheckTable:
         parts = validation.run_criterion(9)
         assert parts == [(True, "pairwise_cosine_3sigma"), (True, "reflection_moments_3sigma")]
         assert set(recorded.values()) == {(1_000_000, 99)}
+
+
+class TestOptimizerProductRow:
+    """The closed-form product row takes D from quadrature, not from the optimizer."""
+
+    def test_fails_when_the_objective_offset_shifts(self, monkeypatch):
+        offset = deployment.objective_offset
+        monkeypatch.setattr(
+            deployment, "objective_offset", lambda params, regime: offset(params, regime) + 1e-9
+        )
+        check = next(c for c in CHECKS if c.check_id == "optimizer_closed_form_product")
+        parts = check.run(0, 0)
+        assert not all(ok for ok, _ in parts)
+        assert any(not ok and detail.startswith("d_constant=") for ok, detail in parts)
