@@ -19,8 +19,8 @@ the serving draw, which yields the normalized area e = pi lam r^2 of the
 nearest-reflector disk.  Under the `direct_nearest` policy that is one
 uniform per trial through the inverse nearest-distance CDF, e = -ln(1 - U).
 Under `full_hppp` it is one uniform per trial for the reflector count in the simulation
-window, mapped to a Poisson count by inverting its running pmf sum through a
-numpy guide table (`_CountTable`), then one uniform per trial for the
+window, mapped to a Poisson count by inverting its running pmf sum through an
+exact slot table (`_CountTable`), then one uniform per trial for the
 minimum of that many uniform squared radii, scaled by the window's mean
 count.  The count table leaves out the upper tail below 2^-53, the
 resolution of the uniforms, and a uniform of exactly 0 maps to count 0 (an
@@ -71,6 +71,12 @@ _WINDOW_MISS_PROB = 1e-9
 #: Upper-tail mass of the window count left out of its inversion table: below
 #: the 2^-53 resolution of `Generator.random`'s uniforms.
 _COUNT_TAIL = 2.0**-53
+
+#: Slots of a count table per count, rounded up to a power of two and capped
+#: at _MAX_SLOTS (4 MB of int32 counts and 1 MB of flags).  At 32, about 1% of
+#: the draws or fewer land in a slot that holds a boundary and are searched.
+_SLOTS_PER_COUNT = 32
+_MAX_SLOTS = 2**20
 
 
 def usable_cores() -> int:
@@ -156,35 +162,49 @@ def sample_hppp_nearest(
 
 
 class _CountTable:
-    """Inversion of a finite probability vector over the counts 0..n-1 by
-    guide table.
+    """Inversion of a finite probability vector over the counts 0..n-1 by an
+    exact slot table.
 
     A uniform u gives the smallest count k with cum[k] >= u * cum[-1], cum
-    being the running sum of the vector.  Slice j of the guide table holds
-    the smallest count whose cum / cum[-1] reaches j / n, so a draw starts
-    at slot floor(u n), takes one vectorized step up, and the few draws
-    still short finish by bisection.  This is UNU.RAN's guide-table method
-    (DGT, guide factor 1): the same running sum, guide table and search,
-    so its draws are those of `scipy.stats.sampling.DiscreteGuideTable`
-    bit for bit.
+    being the running sum of the vector: `searchsorted` of u * cum[-1], so
+    u = 0 gives count 0.  That count never falls as u grows.  The table
+    splits [0, 1) into M slots [j / M, (j + 1) / M), M a power of two so that
+    floor(u M) is exact.  A slot whose two edges give the same count gives it
+    to every uniform inside, and holds it.  A slot whose edges differ holds a
+    boundary and is flagged; only its draws are searched.  Every draw is
+    thus the `searchsorted` count.  UNU.RAN's guide-table method
+    (`scipy.stats.sampling.DiscreteGuideTable`) inverts the same running sum
+    to the same count, so the draws are its draws bit for bit.
     """
 
     def __init__(self, pmf: np.ndarray):
-        self._cum = np.cumsum(pmf)
-        self._total = self._cum[-1]
-        n = self._cum.size
-        self._guide = np.searchsorted(self._cum / self._total, np.arange(n) / n)
+        cum = self._cum = np.cumsum(pmf)
+        self._total = cum[-1]
+        self._slots = min(_MAX_SLOTS, 1 << (_SLOTS_PER_COUNT * cum.size - 1).bit_length())
+        # slot edge j maps to the target (j / M) * total = j * step exactly,
+        # M being a power of two.  cum[k] reaches the edges 0..j with
+        # j * step <= cum[k]; that last j is within one of cum[k] / step
+        # rounded down, and two exact comparisons settle it
+        step = self._total / self._slots
+        last = np.floor(cum / step)
+        reached = np.zeros(cum.size + 1)  # edges reached by cum[k - 1]; none before k = 0
+        np.add(last, last * step <= cum, out=reached[1:])
+        last += 1.0
+        reached[1:] += last * step <= cum
+        # edge j's count is the first k whose cum reaches it
+        widths = (reached[1:] - reached[:-1]).astype(np.intp)
+        edges = np.repeat(np.arange(cum.size, dtype=np.int32), widths)
+        self._counts = edges[:-1]
+        self._ambiguous = edges[:-1] != edges[1:]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """Count of each uniform u in [0, 1), in u's shape; u = 0 gives count 0."""
         shape = np.shape(u)
         u = np.ravel(u)
-        cum = self._cum
-        target = u * self._total
-        k = np.take(self._guide, (u * cum.size).astype(np.intp))
-        k += np.take(cum, k) < target
-        short = np.flatnonzero(np.take(cum, k) < target)
-        k[short] = np.searchsorted(cum, target[short])
+        slot = (u * self._slots).astype(np.intp)
+        k = np.take(self._counts, slot)
+        searched = np.flatnonzero(np.take(self._ambiguous, slot))
+        k[searched] = np.searchsorted(self._cum, u[searched] * self._total)
         return k.reshape(shape)
 
 
@@ -192,7 +212,8 @@ def _poisson_counts(mu: float) -> _CountTable:
     """Count table of Poisson(mu), cut at the first count whose upper tail is
     below 2^-53, the resolution of `Generator.random`, so the cut tail is below
     what any uniform resolves.  The pmf is poisson.pmf's exp(xlogy(k, mu) -
-    gammaln(k + 1) - mu).
+    gammaln(k + 1) - mu), and a uniform draws the count UNU.RAN's guide table
+    on that pmf draws, bit for bit (see `_CountTable`).
     """
     # poisson.isf(tail, mu): the inverse CDF at 1 - tail, one count lower when
     # the CDF reaches 1 - tail there; then stepped up, as isf is loose this far out

@@ -8,10 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate, stats
 from scipy.stats import sampling
 
-from risgeo import config, monte_carlo
+from risgeo import config, monte_carlo, streams
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
@@ -73,6 +74,11 @@ def recorded_sample(geometry, rng, size):
     return tuple(row for row, in out), q, e
 
 
+def spawned_pcg64(seed, index):
+    """numpy's own generator for spawn key (index,) of `seed`."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+
+
 def annulus_sq(params, u):
     """Squared BS-UE distance of each annulus uniform u, by the estimators' formula."""
     return params.d_min**2 + u * (params.d_max**2 - params.d_min**2)
@@ -86,12 +92,20 @@ class TestStreams:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
-    @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2**64 + 5, 2**40)])
+    @pytest.mark.parametrize("index", [0, 3, 255, 256, 2**32 - 1, 2**32, 2**40])
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 7])
     def test_substream_is_spawned_pcg64(self, seed, index):
-        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+        # seeds of 1, 1, 1, 2, 3 and 6 words; indices either side of a
+        # 256-chunk batch and of the spawn key's second word
+        expected = spawned_pcg64(seed, index)
         got = substream(seed, index)
+        assert got.bit_generator.state == expected.bit_generator.state
         assert np.array_equal(got.integers(0, 2**63, 64), expected.integers(0, 2**63, 64))
         assert np.array_equal(got.standard_exponential(64), expected.standard_exponential(64))
+
+    @given(seed=st.integers(0, 2**200 - 1), index=st.integers(0, 2**48 - 1))
+    def test_substream_state_is_numpy_spawn(self, seed, index):
+        assert substream(seed, index).bit_generator.state == spawned_pcg64(seed, index).bit_generator.state
 
     def test_seeds_beyond_64_bits_do_not_alias(self):
         assert not np.array_equal(substream(2**64, 0).random(8), substream(0, 0).random(8))
@@ -276,7 +290,10 @@ class TestCountTableOracle:
     def test_counts_match_at_edges_and_on_grid(self, tables):
         table, reference = tables
         n = table._cum.size
-        j = np.arange(n) / n  # guide-slot edges, and the doubles either side
+        m = table._slots
+        # the edges of the old guide's n slots and of the table's m slots, and
+        # the doubles either side of each
+        j = np.concatenate([np.arange(n) / n, np.arange(m + 1) / m])
         u = np.concatenate([
             j, np.nextafter(j, 0.0), np.nextafter(j, 1.0), np.linspace(0.0, 1.0, 10001),
             1.0 - 2.0**-53 * np.arange(1, 65),  # the last 64 doubles below 1
@@ -287,6 +304,37 @@ class TestCountTableOracle:
         # a uniform of 0 draws count 0 (scipy's ppf reports -1 there, the
         # support convention a - 1, not a draw)
         assert table(np.zeros(3)).tolist() == [0, 0, 0]
+        # m is a power of two; a slot holds the searched count of its left
+        # edge, and is flagged exactly where its right edge's count differs
+        assert m & (m - 1) == 0 and (m >= 32 * n or m == monte_carlo._MAX_SLOTS)
+        edges = np.searchsorted(table._cum, np.arange(m + 1) / m * table._total)
+        np.testing.assert_array_equal(table._counts, edges[:-1])
+        np.testing.assert_array_equal(table._ambiguous, edges[:-1] != edges[1:])
+
+    def test_slot_edges_of_sums_beside_edge_targets(self):
+        # running sums on, or one double either side of, the target
+        # (j / M) * total of a slot edge, where rounding cum / step alone can
+        # land on the neighbouring edge
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            total = rng.uniform(0.5, 2.0)
+            targets = np.sort(rng.choice(np.arange(1, 256), 5, replace=False)) * (total / 256)
+            cum = np.maximum.accumulate(targets + rng.choice([-1, 0, 1], 5) * np.spacing(targets))
+            table = monte_carlo._CountTable(np.diff(cum, prepend=0.0, append=total))
+            assert table._slots == 256
+            edges = np.searchsorted(table._cum, np.arange(257) / 256 * table._total)
+            np.testing.assert_array_equal(table._counts, edges[:-1])
+            np.testing.assert_array_equal(table._ambiguous, edges[:-1] != edges[1:])
+
+    def test_large_window_table_is_capped(self):
+        # lambda = 50, C = 10: a window mean count of 1.4e5 over ~1.4e5 counts
+        table = spatial_geometry(50.0, 10.0).counts
+        assert table._cum.size > 1.4e5
+        assert table._slots == monte_carlo._MAX_SLOTS == 2**20
+        assert table._counts.dtype == np.int32
+        assert table._counts.nbytes + table._ambiguous.nbytes <= 5 * 2**20
+        u = substream(22, 0).random(10**5)
+        np.testing.assert_array_equal(table(u), np.searchsorted(table._cum, u * table._total))
 
     def test_cut_and_pmf_match_over_means(self):
         for mu in np.geomspace(0.5, 1e4, 600):
@@ -545,27 +593,36 @@ class TestSimulateSpatial:
         assert runs[0].value == runs[1].value == runs[2].value
         assert runs[0].std_error == runs[1].std_error == runs[2].std_error
 
-    @pytest.mark.parametrize("simulate", [simulate_spatial_bound, simulate_spatial_exact])
-    def test_full_scatter_worker_determinism(self, simulate):
-        # every chunk's threads share one count table; with more workers than
-        # cores and frequent thread switches, a draw taken from another chunk's
-        # stream would change the estimate
+    @staticmethod
+    def runs_under_thread_switches(simulate, policy):
+        """Estimates at 1, 2 and 8 workers, switching threads every
+        microsecond, each starting from an empty seed cache."""
         params = make_params(tx_power_dbm=20.0)
         dep = DeploymentParams(density=0.005, elements_per_ris=32)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        runs = []
         try:
-            runs = [
-                simulate(
-                    params,
-                    dep,
-                    0.5,
-                    McConfig(trials=9 * 4096 + 17, master_seed=4, window_policy="full_hppp", workers=w),
-                )
-                for w in (1, 2, 8)
-            ]
+            for w in (1, 2, 8):
+                streams._seed_batch.cache_clear()
+                mc = McConfig(trials=9 * 4096 + 17, master_seed=4, window_policy=policy, workers=w)
+                runs.append(simulate(params, dep, 0.5, mc))
         finally:
             sys.setswitchinterval(interval)
+        return runs
+
+    @pytest.mark.parametrize("simulate", [simulate_spatial_bound, simulate_spatial_exact])
+    def test_full_scatter_worker_determinism(self, simulate):
+        # every chunk's threads share one count table and the seed cache; with
+        # more workers than cores and frequent thread switches, a draw taken
+        # from another chunk's stream would change the estimate
+        runs = self.runs_under_thread_switches(simulate, "full_hppp")
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("simulate", [simulate_spatial_bound, simulate_spatial_exact])
+    def test_direct_nearest_worker_determinism(self, simulate):
+        # the worker threads share the seed cache under this policy too
+        runs = self.runs_under_thread_switches(simulate, "direct_nearest")
         assert runs[0] == runs[1] == runs[2]
 
     def test_exact_below_bound_and_gap_small(self):
