@@ -36,7 +36,16 @@ the direct amplitude |h_d| as sqrt(E).  The cascade z = sum |g||h| e^{j tau}
 is summed as its real and imaginary parts, sum a*cos(tau) and sum a*sin(tau),
 with the rotation evaluated from the half-angle tangent t = tan(tau/2):
 cos(tau) = (1 - t^2)/(1 + t^2) and sin(tau) = 2t/(1 + t^2).  With perfect
-phases (rho = 0) z is the plain sum of the amplitudes.
+phases (rho = 0) z is the plain sum of the amplitudes.  A chunk of `size`
+trials over N elements draws, in order: size x N exponentials, size x N more,
+size x N phase errors (none at rho = 0), then size exponentials for the direct
+links.  Only the first exponentials, held as the amplitudes, make a size x N
+array.  The second exponentials and the phases pass through blocks of rows of
+about `_CASCADE_BLOCK` elements (512 KB), each drawn into a block buffer and
+folded into its rows, so a chunk at N = 200 peaks at about 1.2 times its
+amplitude array, not 3 times.  Each generator fills its output in stream order
+and each row sum reads one row, so the draws and the values are those of the
+whole chunk taken at once.
 """
 
 from __future__ import annotations
@@ -63,6 +72,10 @@ _CHUNK = 4096
 #: value gives the same estimates; blocks of 8 or 16 rows ran slower, as their
 #: arrays outgrow a 2 MB L2 cache.
 _BLOCK_ROWS = 4
+
+#: Elements (trials x reflecting elements) in one block of the cascade
+#: kernel's second exponentials and phases; a chunk that fits runs as one block.
+_CASCADE_BLOCK = 2**16
 
 #: Residual nearest-miss probability targeted when auto-sizing the
 #: simulation window of the full point-process policy.
@@ -315,26 +328,47 @@ def _cascade(
     t = tan(tau/2) rather than from cos and sin: 1/(1 + t^2) is folded into
     the amplitudes, so Re z = sum a (1 - t^2) / (1 + t^2) and
     Im z = 2 sum a t / (1 + t^2).  This is accurate at every tau, including
-    tau = -pi (t is large but finite, giving cos = -1), and works in three
-    size x n_elements arrays.
+    tau = -pi (t is large but finite, giving cos = -1).
+
+    Works in one size x n_elements array, the amplitudes, plus two buffers
+    of one block of rows: _CASCADE_BLOCK // n_elements rows but at least
+    two, so the whole chunk if it fits, and a lone last row joins the block
+    before it.  A first pass draws each block's second exponentials into its
+    buffer and folds them in; at rho > 0 a second pass draws each block's
+    phases and folds in the rotation.  The values are bit for bit those of
+    one pass over the chunk.
     """
-    amp, other = rng.standard_exponential((2, size, n_elements))
-    amp *= other
-    np.sqrt(amp, out=amp)
+    amp = rng.standard_exponential((size, n_elements))
+    rows = max(2, _CASCADE_BLOCK // max(n_elements, 1))
+    bounds = [*range(0, size, rows), size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # einsum sums a lone row of over 8192 elements in another order than
+        # a row of a taller block, so a last row joins the block before it
+        del bounds[-2]
+    blocks = [slice(first, stop) for first, stop in zip(bounds, bounds[1:])]
+    buf = np.empty((max(b.stop - b.start for b in blocks), n_elements))
+    re = np.empty(size)
+    for block in blocks:
+        a = amp[block]
+        a *= rng.standard_exponential(out=buf[: len(a)])
+        np.sqrt(a, out=a)
+        if rho == 0.0:
+            a.sum(axis=1, out=re[block])
     if rho == 0.0:
-        re = amp.sum(axis=1)
-        im = np.zeros(size)
-    else:
-        tau = sample_phase_errors(rho, size * n_elements, rng).reshape(size, n_elements)
-        # `other` is dead once folded into amp and holds w = 1 + t^2
-        t = np.tan(np.multiply(tau, 0.5, out=tau), out=tau)
-        w = np.multiply(t, t, out=other)
+        return re, np.zeros(size), np.sqrt(rng.standard_exponential(size))
+    im = np.empty(size)
+    for block in blocks:
+        a = amp[block]
+        t = sample_phase_errors(rho, a.size, rng).reshape(a.shape)  # tau, then tan(tau/2)
+        np.tan(np.multiply(t, 0.5, out=t), out=t)
+        w = np.multiply(t, t, out=buf[: len(a)])
         w += 1.0
-        amp /= w
-        re = np.einsum("ij,ij->i", amp, np.subtract(2.0, w, out=w))
-        im = 2.0 * np.einsum("ij,ij->i", amp, t)
-    h_abs = np.sqrt(rng.standard_exponential(size))
-    return re, im, h_abs
+        a /= w
+        np.einsum("ij,ij->i", a, np.subtract(2.0, w, out=w), out=re[block])
+        np.einsum("ij,ij->i", a, t, out=im[block])
+        del t  # else it outlives the next block's draw
+    im *= 2.0
+    return re, im, np.sqrt(rng.standard_exponential(size))
 
 
 def _received_power(cascade, bd, re, im, h_abs):
@@ -355,8 +389,9 @@ def _accumulate(
     calls `block_fn(rngs, size)` with one generator per row, in chunk order,
     and gets back a rows x size array of per-trial values or a rows x size x k
     one.  A partial last chunk is a block of its own, and workers take whole
-    blocks.  Row sums are added one chunk at a time in chunk order, so the
-    estimates are the same for any block size and worker count.
+    blocks; a lone block runs on the calling thread.  Row sums are added one
+    chunk at a time in chunk order, so the estimates are the same for any
+    block size and worker count.
     """
     trials, workers = mc.trials, mc.workers
     full, rest = divmod(trials, _CHUNK)
@@ -374,8 +409,8 @@ def _accumulate(
         sums = values.sum(axis=1)
         return sums, np.square(values, out=values).sum(axis=1)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             partials = list(pool.map(run, blocks))
     else:
         partials = [run(b) for b in blocks]

@@ -497,9 +497,51 @@ class TestCascadeKernel:
         assert np.all(np.abs(re - amp @ np.cos(edges)) <= tol)
         assert np.all(np.abs(im - amp @ np.sin(edges)) <= tol)
 
-    def test_peak_memory_three_arrays(self):
-        # amplitudes, the exponentials folded into them, and the phases:
-        # the rotation allocates no further size x n array
+    @staticmethod
+    def one_shot(rng, size, n, rho):
+        """The kernel drawing and reducing a whole chunk at once, in three
+        size x n arrays: the reference the blocked kernel must match bit for bit."""
+        amp, other = rng.standard_exponential((2, size, n))
+        amp *= other
+        np.sqrt(amp, out=amp)
+        if rho == 0.0:
+            re = amp.sum(axis=1)
+            im = np.zeros(size)
+        else:
+            tau = sample_phase_errors(rho, size * n, rng).reshape(size, n)
+            t = np.tan(np.multiply(tau, 0.5, out=tau), out=tau)
+            w = np.multiply(t, t, out=other)
+            w += 1.0
+            amp /= w
+            re = np.einsum("ij,ij->i", amp, np.subtract(2.0, w, out=w))
+            im = 2.0 * np.einsum("ij,ij->i", amp, t)
+        h_abs = np.sqrt(rng.standard_exponential(size))
+        return re, im, h_abs
+
+    # a block of the wide rows would hold one row: it holds two, and a lone
+    # last row joins the block before it (sizes 3 and 5); einsum sums a lone
+    # row of over 8192 elements another way than a row of a taller block
+    WIDE = monte_carlo._CASCADE_BLOCK + 1
+    ROWS_9000 = monte_carlo._CASCADE_BLOCK // 9000
+    CASES = [(size, n) for size in (1, 1000, 4095, 4096) for n in (0, 1, 200)]
+    CASES += [(1, WIDE), (2, WIDE), (3, WIDE), (5, WIDE), (2 * ROWS_9000 + 1, 9000)]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("size, n", CASES)
+    def test_matches_one_shot_kernel(self, size, n, rho):
+        got = _cascade(substream(37, n), size, n, rho)
+        want = self.one_shot(substream(37, n), size, n, rho)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_blocks_cover_partial_last_block(self):
+        # the (4096, 200) cases above end on a partial block, and fit none
+        rows = monte_carlo._CASCADE_BLOCK // 200
+        assert 1 < rows < 4096 and 4096 % rows > 1
+
+    def test_peak_memory_one_array_and_block_buffers(self):
+        # the amplitudes are the one size x n array; the second exponentials
+        # and the phases take a block at a time, beside O(size) vectors
         size, n = 4096, 200
         tracemalloc.start()
         try:
@@ -507,7 +549,7 @@ class TestCascadeKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.01 * 3 * size * n * 8
+        assert peak <= 1.3 * size * n * 8
 
     def test_amplitude_law_matches_complex_gaussians(self):
         # the moment tests pin two moments; the rate depends on the whole law
@@ -730,6 +772,19 @@ class TestBlockReduction:
         value, std_error = self.reference(policy, trials)
         assert got.value == value
         assert got.std_error == std_error
+
+    def test_one_block_runs_on_calling_thread(self, monkeypatch):
+        # a single block starts no thread pool, and the estimates stay those of one worker
+        fixed = functools.partial(simulate_fixed_rate, self.PARAMS, GEOM, 64, self.RHO)
+        spatial = functools.partial(simulate_spatial_bound, self.PARAMS, self.DEP, self.RHO)
+        want = [simulate(McConfig(trials=4096, master_seed=3, workers=1)) for simulate in (fixed, spatial)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started for one block")
+
+        monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", no_pool)
+        got = [simulate(McConfig(trials=4096, master_seed=3, workers=2)) for simulate in (fixed, spatial)]
+        assert got == want
 
     @pytest.mark.parametrize(
         "trials, workers, blocks",
