@@ -18,16 +18,26 @@ uniform per trial for the squared BS-UE distance q = d^2 on the annulus, then
 the serving draw, which yields the normalized area e = pi lam r^2 of the
 nearest-reflector disk.  Under the `direct_nearest` policy that is one
 uniform per trial through the inverse nearest-distance CDF, e = -ln(1 - U).
-Under `full_hppp` it is one uniform per trial for the reflector count in the simulation
-window, mapped to a Poisson count by inverting its running pmf sum through an
-exact slot table (`_CountTable`), then one uniform per trial for the
-minimum of that many uniform squared radii, scaled by the window's mean
-count.  The count table leaves out the upper tail below 2^-53, the
-resolution of the uniforms, and a uniform of exactly 0 maps to count 0 (an
-empty window, e = inf).  No distance is ever formed: the path losses are
-taken in the log domain from ln q and ln e, and a trial is served when
-e <= pi lam C^2.  The exact estimator draws its fading after the geometry,
-so for one McConfig both estimators see the same geometry.
+Under `full_hppp` it is one uniform per trial for the reflector count in
+the simulation window, mapped to a Poisson count by inverting its running
+pmf sum through an exact slot table (`_CountTable`), then one uniform per
+trial for the minimum of that many uniform squared radii, scaled by the
+window's mean count.  The table is one int32 code per slot: the slot's
+count, or -1 where a count boundary falls inside it or the count is 0.
+One gather thus codes every draw, only the draws coded -1 are searched,
+and the empty windows (count 0, e = inf) are found among those alone.  The
+count table leaves out the upper tail below 2^-53, the resolution of the
+uniforms, and a uniform of exactly 0 maps to count 0.  No distance is ever
+formed: the path losses are taken in the log domain from ln q and ln e, and
+a trial is served when e <= pi lam C^2.  The exact estimator draws its
+fading after the geometry, so for one McConfig both estimators see the
+same geometry.
+
+The bound estimator gives a served trial the Jensen bracket of
+`rate_bounds.mean_power_gain` and any other trial the direct gain bd.  It
+selects by multiplying the cascade gain by the served mask, not by a
+branchy `np.where`: at a cascade gain of 0 the bracket is bd bit for bit.
+The bracket is computed in the block's own buffers, with one scratch array.
 
 The three fading estimators share one real-arithmetic cascade kernel.  The
 squared magnitude of a CN(0,1) gain is Exp(1), so each per-element amplitude
@@ -69,9 +79,13 @@ from .streams import _is_index, substream
 _CHUNK = 4096
 
 #: Full chunks the spatial bound estimator maps at once, one per row.  Any
-#: value gives the same estimates; blocks of 8 or 16 rows ran slower, as their
-#: arrays outgrow a 2 MB L2 cache.
-_BLOCK_ROWS = 4
+#: value gives the same estimates.  Against 4 rows, in-process on a 2-core
+#: host with a 2 MB L2: 8 rows took 0.94x the time on the benchmark's
+#: spatial grid (median of 20 paired passes, 13 lower) and 0.93-0.98x per
+#: trial at 2^20 trials, workers 1, over both policies and three serving
+#: radii; at workers 2, 0.73x at 2^20 trials and 0.98x at 10^5.  16 rows
+#: took 1.04x the time of 8.
+_BLOCK_ROWS = 8
 
 #: Elements (trials x reflecting elements) in one block of the cascade
 #: kernel's second exponentials and phases; a chunk that fits runs as one block.
@@ -86,8 +100,8 @@ _WINDOW_MISS_PROB = 1e-9
 _COUNT_TAIL = 2.0**-53
 
 #: Slots of a count table per count, rounded up to a power of two and capped
-#: at _MAX_SLOTS (4 MB of int32 counts and 1 MB of flags).  At 32, about 1% of
-#: the draws or fewer land in a slot that holds a boundary and are searched.
+#: at _MAX_SLOTS (4 MB of int32 codes).  At 32, about 1% of the draws or
+#: fewer land in a slot that holds a boundary and are searched.
 _SLOTS_PER_COUNT = 32
 _MAX_SLOTS = 2**20
 
@@ -182,12 +196,16 @@ class _CountTable:
     being the running sum of the vector: `searchsorted` of u * cum[-1], so
     u = 0 gives count 0.  That count never falls as u grows.  The table
     splits [0, 1) into M slots [j / M, (j + 1) / M), M a power of two so that
-    floor(u M) is exact.  A slot whose two edges give the same count gives it
-    to every uniform inside, and holds it.  A slot whose edges differ holds a
-    boundary and is flagged; only its draws are searched.  Every draw is
-    thus the `searchsorted` count.  UNU.RAN's guide-table method
-    (`scipy.stats.sampling.DiscreteGuideTable`) inverts the same running sum
-    to the same count, so the draws are its draws bit for bit.
+    floor(u M) is exact.  A slot whose two edges give the same count k > 0
+    gives it to every uniform inside, and its int32 code is k.  A slot whose
+    edges differ holds a boundary, and a slot of count 0 holds an empty
+    window; both have code -1, and only their draws are searched, so one
+    gather serves every draw and the empty windows are found among the
+    searched draws alone.  Every draw is thus the `searchsorted` count.
+    The table holds no per-call state, so worker threads share it.
+    UNU.RAN's guide-table method (`scipy.stats.sampling.DiscreteGuideTable`)
+    inverts the same running sum to the same count, so the draws are its
+    draws bit for bit.
     """
 
     def __init__(self, pmf: np.ndarray):
@@ -207,18 +225,19 @@ class _CountTable:
         # edge j's count is the first k whose cum reaches it
         widths = (reached[1:] - reached[:-1]).astype(np.intp)
         edges = np.repeat(np.arange(cum.size, dtype=np.int32), widths)
-        self._counts = edges[:-1]
-        self._ambiguous = edges[:-1] != edges[1:]
+        codes = self._codes = edges[:-1]
+        codes[(codes != edges[1:]) | (codes == 0)] = -1
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Count of each uniform u in [0, 1), in u's shape; u = 0 gives count 0."""
+    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Count of each uniform u in [0, 1), in u's shape, and the flat
+        indices of the uniforms whose count is 0; u = 0 gives count 0."""
         shape = np.shape(u)
         u = np.ravel(u)
-        slot = (u * self._slots).astype(np.intp)
-        k = np.take(self._counts, slot)
-        searched = np.flatnonzero(np.take(self._ambiguous, slot))
-        k[searched] = np.searchsorted(self._cum, u[searched] * self._total)
-        return k.reshape(shape)
+        k = np.take(self._codes, (u * self._slots).astype(np.intp))
+        searched = np.flatnonzero(k < 0)
+        found = np.searchsorted(self._cum, u[searched] * self._total)
+        k[searched] = found
+        return k.reshape(shape), searched[found == 0]
 
 
 def _poisson_counts(mu: float) -> _CountTable:
@@ -287,7 +306,7 @@ class _SpatialGeometry:
         q += self._q_min
         if self.counts is None:
             return self.losses(q, _nearest_area(e))
-        counts = self.counts(u[1])
+        counts, empty = self.counts(u[1])
         with np.errstate(divide="ignore", invalid="ignore"):
             # min of `counts` uniforms -expm1(ln(1 - U) / counts), times the mean count
             np.negative(e, out=e)
@@ -295,7 +314,7 @@ class _SpatialGeometry:
             e /= counts
             np.expm1(e, out=e)
         e *= -self.mean_count
-        e[counts == 0] = np.inf
+        np.put(e, empty, np.inf)
         return self.losses(q, e)
 
     def losses(self, q: np.ndarray, e: np.ndarray):
@@ -475,8 +494,11 @@ def simulate_spatial_bound(
     def block(rngs: list[np.random.Generator], size: int) -> np.ndarray:
         ln_cascade, ln_bd, served = geometry.sample(rngs, size)
         bd = np.exp(ln_bd, out=ln_bd)
-        gain = mean_power_gain(np.exp(ln_cascade, out=ln_cascade), bd, m, n)
-        power = np.where(served, gain, bd)
+        # an unserved trial's cascade gain, finite as its area is positive,
+        # times 0 turns its bracket into bd bit for bit
+        blbr = np.exp(ln_cascade, out=ln_cascade)
+        blbr *= served
+        power = mean_power_gain(blbr, bd, m, n, out=blbr)
         power *= snr
         power += 1.0
         return np.log2(power, out=power)

@@ -27,17 +27,25 @@ from .streams import _is_index
 _ASYMPTOTE_MARGIN = 10.0
 
 
-def mean_power_gain(blbr, bd, m, n):
+def mean_power_gain(blbr, bd, m, n, out=None):
     """The bracket above: mean received power gain E|sqrt(bl*br) z + sqrt(bd) |h||^2.
 
     Takes the cascade gain as the product blbr = bl*br.  Elementwise over
-    arrays or scalars; n is the element count as a float.
+    arrays or scalars; n is the element count as a float.  As with numpy's
+    ufuncs, the bracket is written into `out` if given (it may be blbr
+    itself); the cross term takes one scratch array.  At blbr = 0 the
+    bracket is bd bit for bit (0 K + sqrt(0) m n + bd), so a cascade gain
+    multiplied by a 0/1 mask selects between the bracket and bd alone.
     """
-    return (
-        blbr * (m * m * n * n + (1.0 - m * m) * n)
-        + np.sqrt(np.pi * blbr * bd) * m * n
-        + bd
-    )
+    cross = np.pi * blbr  # the scratch array, or a float for floats
+    cross *= bd
+    cross = np.sqrt(cross, out=cross if isinstance(cross, np.ndarray) else None)
+    cross *= m
+    cross *= n
+    out = np.multiply(blbr, m * m * n * n + (1.0 - m * m) * n, out=out)
+    out += cross
+    out += bd
+    return out
 
 
 def rate_bound_ris(

@@ -29,7 +29,7 @@ from risgeo.monte_carlo import (
 )
 from risgeo.params import DeploymentParams, LinkGeometry, SystemParams
 from risgeo.phase_error import attenuation_factor, sample_phase_errors
-from risgeo.rate_bounds import mean_power_gain, rate_bound_ris
+from risgeo.rate_bounds import mean_power_gain, rate_bound_direct, rate_bound_ris
 from risgeo.streams import substream
 
 
@@ -217,7 +217,7 @@ class TestFullScatterWindow:
         mu = lam * math.pi * hppp_window_radius(lam, serve_radius) ** 2
         assert geometry.mean_count == mu
         n = 200000
-        counts = geometry.counts(substream(10, 0).random(n))
+        counts, _ = geometry.counts(substream(10, 0).random(n))
         # bins 0..hi, with both tails folded into the end bins so that every
         # bin expects at least 5 counts
         lo = int(stats.poisson.ppf(5.0 / n, mu))
@@ -248,12 +248,24 @@ class TestFullScatterWindow:
         geometry = spatial_geometry(lam, 10.0)
         out, q, area = recorded_sample(geometry, substream(11, 0), n)
         u = substream(11, 0).random(3 * n)
-        counts = geometry.counts(u[n:2 * n])
+        counts, _ = geometry.counts(u[n:2 * n])
         want = geometry.mean_count * -np.expm1(np.log1p(-u[2 * n:]) / counts)
         np.testing.assert_array_equal(q, annulus_sq(make_params(), u[:n]))
         np.testing.assert_array_equal(area, np.where(counts > 0, want, np.inf))
         for got, want in zip(out, geometry.losses(q.copy(), area.copy())):
             np.testing.assert_array_equal(got, want)
+
+
+class StubGenerator:
+    """Stands in for a chunk's generator: each `random(out=...)` call fills
+    its row with the next prescribed uniforms."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, out):
+        out[...] = self.draws.pop(0)
+        return out
 
 
 class TestCountTableOracle:
@@ -271,6 +283,19 @@ class TestCountTableOracle:
             top += 1
         return top
 
+    @staticmethod
+    def assert_codes(table):
+        """A slot's code is its left edge's searched count where its two
+        edges agree, and -1 exactly where they differ or the count is 0."""
+        m = table._slots
+        edges = np.searchsorted(table._cum, np.arange(m + 1) / m * table._total)
+        left, agree = edges[:-1], edges[:-1] == edges[1:]
+        codes = table._codes
+        assert codes.dtype == np.int32 and codes.shape == (m,)
+        np.testing.assert_array_equal(codes < 0, ~agree | (left == 0))
+        np.testing.assert_array_equal(codes[codes >= 0], left[codes >= 0])
+        assert codes.min() >= -1
+
     @pytest.fixture(params=WINDOWS, ids=lambda w: f"lam={w[0]},C={w[1]}")
     def tables(self, request):
         lam, serve_radius = request.param
@@ -282,10 +307,9 @@ class TestCountTableOracle:
     def test_draws_match_on_shared_streams(self, tables):
         table, reference = tables
         for index in range(16):
-            np.testing.assert_array_equal(
-                table(substream(21, index).random(4096)),
-                reference.rvs(4096, random_state=substream(21, index)),
-            )
+            counts, empty = table(substream(21, index).random(4096))
+            np.testing.assert_array_equal(counts, reference.rvs(4096, random_state=substream(21, index)))
+            np.testing.assert_array_equal(empty, np.flatnonzero(counts == 0))
 
     def test_counts_match_at_edges_and_on_grid(self, tables):
         table, reference = tables
@@ -297,44 +321,47 @@ class TestCountTableOracle:
         u = np.concatenate([
             j, np.nextafter(j, 0.0), np.nextafter(j, 1.0), np.linspace(0.0, 1.0, 10001),
             1.0 - 2.0**-53 * np.arange(1, 65),  # the last 64 doubles below 1
-            [5e-324, 2.0**-53],
+            [5e-324, 2.0**-53, np.nextafter(table._cum[0] / table._total, 0.0)],
         ])
         u = u[(u > 0.0) & (u < 1.0)]  # `Generator.random` never returns 1
-        np.testing.assert_array_equal(table(u), reference.ppf(u))
+        counts, empty = table(u)
+        np.testing.assert_array_equal(counts, reference.ppf(u))
+        np.testing.assert_array_equal(empty, np.flatnonzero(counts == 0))
         # a uniform of 0 draws count 0 (scipy's ppf reports -1 there, the
-        # support convention a - 1, not a draw)
-        assert table(np.zeros(3)).tolist() == [0, 0, 0]
-        # m is a power of two; a slot holds the searched count of its left
-        # edge, and is flagged exactly where its right edge's count differs
+        # support convention a - 1, not a draw); empty windows are flat indices
+        counts, empty = table(np.array([[0.0, 0.5], [0.0, 0.0]]))
+        assert counts.tolist() == [[0, reference.ppf(0.5)], [0, 0]]
+        assert empty.tolist() == [0, 2, 3]
+        # m is a power of two
         assert m & (m - 1) == 0 and (m >= 32 * n or m == monte_carlo._MAX_SLOTS)
-        edges = np.searchsorted(table._cum, np.arange(m + 1) / m * table._total)
-        np.testing.assert_array_equal(table._counts, edges[:-1])
-        np.testing.assert_array_equal(table._ambiguous, edges[:-1] != edges[1:])
+        self.assert_codes(table)
 
     def test_slot_edges_of_sums_beside_edge_targets(self):
         # running sums on, or one double either side of, the target
         # (j / M) * total of a slot edge, where rounding cum / step alone can
-        # land on the neighbouring edge
+        # land on the neighbouring edge.  Count 0 spans one slot or more, or
+        # has no mass
         rng = np.random.default_rng(5)
-        for _ in range(200):
+        for i in range(200):
             total = rng.uniform(0.5, 2.0)
             targets = np.sort(rng.choice(np.arange(1, 256), 5, replace=False)) * (total / 256)
             cum = np.maximum.accumulate(targets + rng.choice([-1, 0, 1], 5) * np.spacing(targets))
-            table = monte_carlo._CountTable(np.diff(cum, prepend=0.0, append=total))
+            pmf = np.diff(cum, prepend=0.0, append=total)
+            table = monte_carlo._CountTable(np.concatenate([[0.0], pmf]) if i % 2 else pmf)
             assert table._slots == 256
-            edges = np.searchsorted(table._cum, np.arange(257) / 256 * table._total)
-            np.testing.assert_array_equal(table._counts, edges[:-1])
-            np.testing.assert_array_equal(table._ambiguous, edges[:-1] != edges[1:])
+            self.assert_codes(table)
 
     def test_large_window_table_is_capped(self):
         # lambda = 50, C = 10: a window mean count of 1.4e5 over ~1.4e5 counts
         table = spatial_geometry(50.0, 10.0).counts
         assert table._cum.size > 1.4e5
         assert table._slots == monte_carlo._MAX_SLOTS == 2**20
-        assert table._counts.dtype == np.int32
-        assert table._counts.nbytes + table._ambiguous.nbytes <= 5 * 2**20
+        assert table._codes.dtype == np.int32
+        assert table._codes.nbytes <= 4 * 2**20
         u = substream(22, 0).random(10**5)
-        np.testing.assert_array_equal(table(u), np.searchsorted(table._cum, u * table._total))
+        counts, empty = table(u)
+        np.testing.assert_array_equal(counts, np.searchsorted(table._cum, u * table._total))
+        assert empty.size == 0
 
     def test_cut_and_pmf_match_over_means(self):
         for mu in np.geomspace(0.5, 1e4, 600):
@@ -343,6 +370,29 @@ class TestCountTableOracle:
             assert table._cum.size - 1 == top, mu
             pmf = stats.poisson.pmf(np.arange(top + 1), mu)
             np.testing.assert_array_equal(table._cum, np.cumsum(pmf))
+
+    def test_empty_windows_get_the_direct_gain_alone(self, monkeypatch):
+        # u = 0 and the double just below pmf[0] / total on the count axis
+        # both draw an empty window, whatever the minimum's uniform: e = inf,
+        # unserved, and the bound estimate is the direct-only rate
+        lam = 0.005
+        geometry = spatial_geometry(lam, 10.0)
+        table = geometry.counts
+        below = np.nextafter(table._cum[0] / table._total, 0.0)
+        draws = (np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.0, below, below, 0.0]), np.array([0.0, 0.3, 0.0, 0.7]))
+        assert np.searchsorted(table._cum, draws[1] * table._total).tolist() == [0, 0, 0, 0]
+        (ln_cascade, ln_bd, served), q, e = recorded_sample(geometry, StubGenerator(*draws), 4)
+        assert e.tolist() == [np.inf] * 4
+        assert not served.any() and ln_cascade.tolist() == [-np.inf] * 4
+        params = make_params()
+        monkeypatch.setattr(monte_carlo, "substream", lambda seed, index: StubGenerator(*draws))
+        mc = McConfig(trials=4, window_policy="full_hppp", workers=1)
+        rates = np.log2(1.0 + params.snr_gain * np.exp(ln_bd))
+        direct = [rate_bound_direct(params, math.sqrt(d2)).value for d2 in q.tolist()]
+        for rho in (0.0, 0.5, 1.0):
+            got = simulate_spatial_bound(params, DeploymentParams(lam, 64), rho, mc)
+            assert got.value == np.add.accumulate(rates)[-1] / 4
+            assert got.value == pytest.approx(np.mean(direct), rel=1e-13)
 
 
 def _loaded_after(code: str, prefixes: tuple[str, ...]) -> str:
@@ -718,7 +768,8 @@ class TestSimulateSpatial:
 
 class TestBlockReduction:
     """The spatial bound estimator maps full chunks in blocks of rows; its
-    estimates must be those of a reference that takes one chunk at a time."""
+    estimates must be those of a reference that takes one chunk at a time
+    and selects each trial's gain with `np.where`."""
 
     PARAMS = make_params(tx_power_dbm=20.0)
     DEP = DeploymentParams(density=0.005, elements_per_ris=64)
@@ -726,11 +777,12 @@ class TestBlockReduction:
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
-    def reference(policy, trials, seed=3):
+    def reference(policy, trials, serve_radius, seed=3):
         """(value, std_error) by the module's documented formulas: chunk i of
         4096 trials draws from substream(seed, i) the annulus uniforms, then
         the serving draws; each chunk's sums are added in chunk order."""
-        params, dep = TestBlockReduction.PARAMS, TestBlockReduction.DEP
+        params = dataclasses.replace(TestBlockReduction.PARAMS, serve_radius=serve_radius)
+        dep = TestBlockReduction.DEP
         lam = dep.density
         m, n = attenuation_factor(TestBlockReduction.RHO), float(dep.elements_per_ris)
         ln_beta = math.log(params.beta_ref)
@@ -745,7 +797,7 @@ class TestBlockReduction:
             if policy == "direct_nearest":
                 e = -np.log1p(-rng.random(size))
             else:
-                counts = count_of(rng.random(size))
+                counts, _ = count_of(rng.random(size))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     min_u = -np.expm1(np.log1p(-rng.random(size)) / counts)
                 e = np.where(counts > 0, mean_count * min_u, np.inf)
@@ -766,10 +818,14 @@ class TestBlockReduction:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 5 * 4096 + 3, 9 * 4096])
     @pytest.mark.parametrize("policy", ["direct_nearest", "full_hppp"])
-    def test_matches_one_chunk_at_a_time(self, policy, trials, workers):
+    # served fractions 0.32, 0.79 and 1 - 7e-7: mixed masks, and one that is
+    # all ones in every chunk here
+    @pytest.mark.parametrize("serve_radius", [5.0, 10.0, 30.0])
+    def test_matches_one_chunk_at_a_time(self, serve_radius, policy, trials, workers):
         mc = McConfig(trials=trials, master_seed=3, window_policy=policy, workers=workers)
-        got = simulate_spatial_bound(self.PARAMS, self.DEP, self.RHO, mc)
-        value, std_error = self.reference(policy, trials)
+        params = dataclasses.replace(self.PARAMS, serve_radius=serve_radius)
+        got = simulate_spatial_bound(params, self.DEP, self.RHO, mc)
+        value, std_error = self.reference(policy, trials, serve_radius)
         assert got.value == value
         assert got.std_error == std_error
 
@@ -792,7 +848,7 @@ class TestBlockReduction:
             (20000, 1, [(4, 4096), (1, 3616)]),  # 4 full chunks and a partial one
             (20000, 2, [(2, 4096), (2, 4096), (1, 3616)]),  # [4, 1] would idle a worker
             (3 * 4096, 8, [(1, 4096)] * 3),
-            (100000, 2, [(4, 4096)] * 6 + [(1, 1696)]),
+            (100000, 2, [(8, 4096)] * 3 + [(1, 1696)]),
         ],
     )
     def test_blocks_never_fewer_than_workers(self, trials, workers, blocks, monkeypatch):

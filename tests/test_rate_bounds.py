@@ -10,6 +10,7 @@ from risgeo.params import LinkGeometry, SystemParams
 from risgeo.phase_error import attenuation_factor
 from risgeo.rate_bounds import (
     compensation,
+    mean_power_gain,
     rate_asymptotic,
     rate_bound_direct,
     rate_bound_ris,
@@ -31,6 +32,41 @@ def make_params(tx_power_dbm=10.0, alpha_direct=3.0, alpha_ris_ue=2.5):
 
 
 GEOM = LinkGeometry(d=200.0, l=200.0, r=10.0)
+
+
+class TestMeanPowerGain:
+    """The bracket the spatial bound estimator selects by a 0/1 mask on blbr."""
+
+    BD = np.geomspace(1e-300, 1e3, 607)
+
+    @pytest.mark.parametrize("n", [1.0, 64.0, 1e4])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_zero_cascade_gain_gives_direct_gain_bit_for_bit(self, rho, n):
+        m = attenuation_factor(rho)
+        with np.errstate(all="raise"):
+            for bd in self.BD.tolist():
+                assert mean_power_gain(0.0, bd, m, n) == bd
+            np.testing.assert_array_equal(mean_power_gain(np.zeros_like(self.BD), self.BD, m, n), self.BD)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_infinite_cascade_gain_stays_infinite(self, rho):
+        # a served trial at area 0; at rho = 1 (m = 0) the cross term is
+        # inf * 0, and the bracket is NaN
+        m = attenuation_factor(rho)
+        assert mean_power_gain(np.inf, 1e-9, m, 64.0) == np.inf
+        got = mean_power_gain(np.array([np.inf, 0.0]), np.array([1e-9, 1e-9]), m, 64.0)
+        assert got.tolist() == [np.inf, 1e-9]
+
+    def test_out_matches_fresh_array_and_scalars(self):
+        rng = np.random.default_rng(3)
+        blbr, bd = 10.0 ** rng.uniform(-20, 0, (2, 4, 256))
+        m = attenuation_factor(0.3)
+        want = np.array([mean_power_gain(a, b, m, 32.0) for a, b in zip(blbr.ravel().tolist(), bd.ravel().tolist())])
+        fresh = mean_power_gain(blbr, bd, m, 32.0)
+        in_place = blbr.copy()
+        assert mean_power_gain(in_place, bd, m, 32.0, out=in_place) is in_place
+        np.testing.assert_array_equal(fresh.ravel(), want)
+        np.testing.assert_array_equal(in_place, fresh)
 
 
 class TestRateBoundRis:
