@@ -30,8 +30,9 @@ from .params import SystemParams
 from .phase_error import attenuation_factor
 from .spatial_rate import (
     _array_gain,
+    _disk_moment,
     _noise_residual,
-    _radial_moment,
+    _power_per_element,
     annulus_distance_moment,
     expected_log2_d,
 )
@@ -147,7 +148,8 @@ def _prepare(
     overflow.  Neither function checks lam; both take a scalar or an array.
     Each density-free constant is formed once, with the operations, in the
     order, of the formula written out per call, so values are bit-identical
-    to it.
+    to it.  Likewise each evaluation forms pi lam, x = pi lam C^2, -x, e^-x
+    and m^2 N + 1 - m^2 once and hands them to the `spatial_rate` cores.
     """
     if regime.phase == "random" and rho != 1.0:
         raise DomainError("random-phase regime requires rho = 1")
@@ -166,39 +168,45 @@ def _prepare(
     ln_c2 = math.log(c * c)
     ei_coef = -a3 / (2.0 * _LN2)
     coef = a3 / 2.0 - 1.0 if random else a3 / 2.0 - 2.0
+    # the low-SNR noise residual's constants
+    k3 = annulus_distance_moment(params.alpha_bs_ris, params.d_min, params.d_max)
+    snr_beta = params.snr_gain * beta
+    beta_ln2 = beta * _LN2
 
-    def common(lam):
-        """(the budget quotient, the objective's terms common to both SNRs)."""
-        x = np.pi * lam * c * c
+    def objective(lam):
+        pi_lam = np.pi * lam
+        x = pi_lam * c * c
+        neg_x = -x
+        ex = np.exp(neg_x)
         n = eta / lam
-        ex = np.exp(-x)
-        ei_part = exp_integral_ei(-x) - ex * ln_c2 - np.log(np.pi * lam)
-        return n, ei_coef * ei_part + _array_gain(n, m2, -np.expm1(-x)) - ex * edge
+        per_element = _power_per_element(n, m2)
+        ei_part = exp_integral_ei(neg_x) - ex * ln_c2 - np.log(pi_lam)
+        value = ei_coef * ei_part + _array_gain(n, per_element, -np.expm1(neg_x)) - ex * edge
+        if high:
+            return value
+        moment = _disk_moment(a3, pi_lam, x)
+        return value + _noise_residual(n, per_element, moment, k3, snr_beta, beta_ln2)
 
     if high:
         log_base = offset * _LN2 + math.log(beta) - a3 * math.log(c)
 
-        def objective(lam):
-            return common(lam)[1]
-
         def slope(lam):
             x = np.pi * lam * c * c
+            neg_x = -x
             n = eta / lam
             # log argument: 2^D * beta * C^-a3 * N * (m^2 N + 1 - m^2), in log space
             log_arg = log_base + np.log(n)
             scale = coef  # random: m = 0 collapses the bounded form to this
             if not random:
-                log_arg += np.log(m2 * n + 1.0 - m2)
-                scale = coef + (1.0 - m2) / (m2 * n + 1.0 - m2)
-            return x * np.exp(-x) * log_arg + scale * -np.expm1(-x)
+                per_element = _power_per_element(n, m2)
+                log_arg += np.log(per_element)
+                scale = coef + (1.0 - m2) / per_element
+            return x * np.exp(neg_x) * log_arg + scale * -np.expm1(neg_x)
 
         return _Prepared(offset, objective, slope)
 
     log_base = offset * _LN2 - a3 * math.log(c)
-    k3 = annulus_distance_moment(params.alpha_bs_ris, params.d_min, params.d_max)
     s = a3 / 2.0 + 1.0
-    snr_beta = params.snr_gain * beta
-    beta_ln2 = beta * _LN2
     snr_beta_sq = params.snr_gain * beta**2
     if random:
         q = 1.0 - a3 / 2.0
@@ -207,19 +215,15 @@ def _prepare(
         q = 2.0 - a3 / 2.0
         extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2
 
-    def objective(lam):
-        n, value = common(lam)
-        moment = _radial_moment(a3, lam, 0.0, c)
-        return value + _noise_residual(n, m2, moment, k3, snr_beta, beta_ln2)
-
     def slope(lam):
         x = np.pi * lam * c * c
+        neg_x = -x
         n = eta / lam
-        ex = np.exp(-x)
+        ex = np.exp(neg_x)
         gam = lower_incomplete_gamma(s, x)
         log_arg = log_base + np.log(n if random else m2 * n * n)
         extra = (x**s * ex + q * gam) * k3 * lam**q / extra_denom
-        return x * ex * log_arg + coef * -np.expm1(-x) + extra
+        return x * ex * log_arg + coef * -np.expm1(neg_x) + extra
 
     return _Prepared(offset, objective, slope)
 
@@ -242,9 +246,14 @@ def deployment_objective(
     """
     if prepared is None:
         prepared = _prepare(eta, params, rho, regime)
-    lam_flat = np.ravel(lam)
-    outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
-    if outside.any():
+    if isinstance(lam, float):
+        inside = 0.0 < lam <= eta
+    else:
+        values = np.asarray(lam, dtype=float)
+        inside = values.min(initial=np.inf) > 0.0 and values.max(initial=-np.inf) <= eta
+    if not inside:  # a NaN fails both comparisons
+        lam_flat = np.ravel(lam)
+        outside = ~((lam_flat > 0.0) & (lam_flat <= eta))
         raise DomainError(f"lam must lie in (0, eta], got {lam_flat[outside][0]}")
     return prepared.objective(lam)
 

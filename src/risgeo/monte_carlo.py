@@ -78,7 +78,7 @@ from .streams import _is_index, substream
 #: Trials per substream chunk.  Fixed: changing it changes the draws.
 _CHUNK = 4096
 
-#: Full chunks the spatial bound estimator maps at once, one per row.  Any
+#: Most full chunks the spatial bound estimator maps at once, one per row.  Any
 #: value gives the same estimates.  Against 4 rows, in-process on a 2-core
 #: host with a 2 MB L2: 8 rows took 0.94x the time on the benchmark's
 #: spatial grid (median of 20 paired passes, 13 lower) and 0.93-0.98x per
@@ -414,9 +414,13 @@ def _accumulate(
     """
     trials, workers = mc.trials, mc.workers
     full, rest = divmod(trials, _CHUNK)
-    # never fewer blocks than workers while there are that many full chunks
-    rows = max(1, min(max_rows, full // workers))
-    blocks = [(first, min(rows, full - first), _CHUNK) for first in range(0, full, rows)]
+    # the fewest blocks of at most max_rows rows, rounded up to a multiple of
+    # workers but at most one per chunk, with row counts that differ by at most
+    # one, so the workers share the full chunks evenly
+    count = -(-full // max_rows)
+    count = min(full, -(-count // workers) * workers)
+    starts = [full * i // count for i in range(count)] + [full]
+    blocks = [(first, end - first, _CHUNK) for first, end in zip(starts, starts[1:])]
     if rest:
         blocks.append((full, 1, rest))
 

@@ -35,15 +35,21 @@ def mean_power_gain(blbr, bd, m, n, out=None):
     ufuncs, the bracket is written into `out` if given (it may be blbr
     itself); the cross term takes one scratch array.  At blbr = 0 the
     bracket is bd bit for bit (0 K + sqrt(0) m n + bd), so a cascade gain
-    multiplied by a 0/1 mask selects between the bracket and bd alone.
+    multiplied by a 0/1 mask selects between the bracket and bd alone.  At
+    m = 0 the cross term is left out, not formed as sqrt(blbr pi bd) * 0,
+    which is NaN at blbr = inf; for finite blbr x + 0.0 = x, so no bit moves.
     """
-    cross = np.pi * blbr  # the scratch array, or a float for floats
-    cross *= bd
-    cross = np.sqrt(cross, out=cross if isinstance(cross, np.ndarray) else None)
-    cross *= m
-    cross *= n
-    out = np.multiply(blbr, m * m * n * n + (1.0 - m * m) * n, out=out)
-    out += cross
+    gain = m * m * n * n + (1.0 - m * m) * n
+    if m == 0.0:
+        out = np.multiply(blbr, gain, out=out)
+    else:  # the cross term comes first: `out` may be blbr itself
+        cross = np.pi * blbr  # the scratch array, or a float for floats
+        cross *= bd
+        cross = np.sqrt(cross, out=cross if isinstance(cross, np.ndarray) else None)
+        cross *= m
+        cross *= n
+        out = np.multiply(blbr, gain, out=out)
+        out += cross
     out += bd
     return out
 

@@ -58,6 +58,7 @@ from .errors import DomainError, NumericError
 from .params import DeploymentParams, SystemParams
 from .phase_error import attenuation_factor
 from .special_math import (
+    _least,
     exp_integral_ei,
     lower_incomplete_gamma,
     power_integral,
@@ -85,7 +86,7 @@ def association_probability(lam, serve_radius: float):
 
     `lam` may be an array of densities.
     """
-    if not (np.asarray(lam) > 0).all():
+    if not _least(lam) > 0:
         raise DomainError("density must be positive")
     if not serve_radius >= 0:
         raise DomainError("serve_radius must be nonnegative")
@@ -180,13 +181,20 @@ def _radial_moment(p: float, lam, inner: float, outer: float):
     gamma(p/2+1, pi lam outer^2) is used, which requires p > -2.  `lam` may
     be an array.
     """
-    s = p / 2.0 + 1.0
-    x_outer = np.pi * lam * outer * outer
+    pi_lam = np.pi * lam
+    x_outer = pi_lam * outer * outer
     if inner == 0.0:
-        return lower_incomplete_gamma(s, x_outer) / (np.pi * lam) ** (p / 2.0)
-    x_inner = np.pi * lam * inner * inner
+        return _disk_moment(p, pi_lam, x_outer)
+    s = p / 2.0 + 1.0
+    x_inner = pi_lam * inner * inner
     gam = upper_incomplete_gamma(s, x_inner) - upper_incomplete_gamma(s, x_outer)
-    return gam / (np.pi * lam) ** (p / 2.0)
+    return gam / pi_lam ** (p / 2.0)
+
+
+def _disk_moment(p: float, pi_lam, x):
+    """Core of _radial_moment on a disk r <= R from pi_lam = pi lam and
+    x = pi lam R^2: gamma(p/2+1, x) / (pi lam)^(p/2)."""
+    return lower_incomplete_gamma(p / 2.0 + 1.0, x) / pi_lam ** (p / 2.0)
 
 
 def array_gain_term(n_elements, rho: float, lam, serve_radius: float):
@@ -197,12 +205,21 @@ def array_gain_term(n_elements, rho: float, lam, serve_radius: float):
     if not (np.asarray(n_elements) > 0).all():
         raise DomainError("n_elements must be positive")
     m = attenuation_factor(rho)
-    return _array_gain(n_elements, m * m, association_probability(lam, serve_radius))
+    return _array_gain(
+        n_elements, _power_per_element(n_elements, m * m), association_probability(lam, serve_radius)
+    )
 
 
-def _array_gain(n, m2: float, assoc):
-    """Core of array_gain_term from m2 = m^2 and assoc = P(served); no checks."""
-    return assoc * np.log2(n * (m2 * n + 1.0 - m2))
+def _power_per_element(n, m2: float):
+    """m^2 N + 1 - m^2 from m2 = m^2: the array's mean power gain
+    N (m^2 N + 1 - m^2) over N."""
+    return m2 * n + 1.0 - m2
+
+
+def _array_gain(n, per_element, assoc):
+    """Core of array_gain_term from per_element = m^2 N + 1 - m^2 and
+    assoc = P(served); no checks."""
+    return assoc * np.log2(n * per_element)
 
 
 def cascade_residual_term(
@@ -224,7 +241,7 @@ def cascade_residual_term(
     a1, a2 = params.alpha_direct, params.alpha_bs_ris
     k1 = annulus_distance_moment((a2 - a1) / 2.0, params.d_min, params.d_max)
     k2 = annulus_distance_moment(a2 - a1, params.d_min, params.d_max)
-    denom = m * m * n + 1.0 - m * m
+    denom = _power_per_element(n, m * m)
     t1 = (
         k1
         * math.sqrt(math.pi * params.beta_ref)
@@ -247,7 +264,7 @@ def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
     moment = _radial_moment(params.alpha_ris_ue, lam, 0.0, params.serve_radius)
     return _noise_residual(
         n_elements,
-        m * m,
+        _power_per_element(n_elements, m * m),
         moment,
         annulus_distance_moment(params.alpha_bs_ris, params.d_min, params.d_max),
         params.snr_gain * params.beta_ref,
@@ -255,10 +272,11 @@ def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
     )
 
 
-def _noise_residual(n, m2: float, moment, k3: float, snr_beta: float, beta_ln2: float):
-    """Core of noise_residual_term from m2 = m^2, the disk moment
-    E{r^a3 ; r <= C}, k3 = E{d^a2}, snr_beta = snr beta and beta_ln2 = beta ln 2."""
-    return k3 * moment / (snr_beta * n * (m2 * n + 1.0 - m2)) / beta_ln2
+def _noise_residual(n, per_element, moment, k3: float, snr_beta: float, beta_ln2: float):
+    """Core of noise_residual_term from per_element = m^2 N + 1 - m^2, the disk
+    moment E{r^a3 ; r <= C}, k3 = E{d^a2}, snr_beta = snr beta and
+    beta_ln2 = beta ln 2."""
+    return k3 * moment / (snr_beta * n * per_element) / beta_ln2
 
 
 def _baseline_term(params: SystemParams, lam: float) -> float:
@@ -356,7 +374,7 @@ def _residual_integral(params: SystemParams, n_elements, rho: float, lam):
     cross = (np.sqrt(np.pi * beta * da) * m)[i_q]
     array = (da + q ** (a2 / 2.0) / (params.snr_gain * beta))[i_q]
     weight = _RESIDUAL_RULE.weight * (q * (0.5 * (v2 - v1) / (q2 - q1)))[i_q]
-    denom = beta * n * (m * m * n + 1.0 - m * m)
+    denom = beta * n * _power_per_element(n, m * m)
 
     u_max = np.pi * lam * params.serve_radius**2
     lo = np.log(_U_FLOOR * u_max)
@@ -424,11 +442,10 @@ def spatial_rate_closed_form(
     beta, c = params.beta_ref, params.serve_radius
     d1, d2 = params.d_min, params.d_max
     k_direct = annulus_distance_moment(-a1, d1, d2)  # E{d^-a1}
+    per_element = _power_per_element(n, m * m)
     # snr E_d{A} r^a3, the annulus-averaged array-gain SNR at r = 1, falls to
     # 1 at r* = array_snr^(1/a3)
-    array_snr = (
-        params.snr_gain * beta**2 * annulus_distance_moment(-a2, d1, d2) * n * (m * m * n + 1.0 - m * m)
-    )
+    array_snr = params.snr_gain * beta**2 * annulus_distance_moment(-a2, d1, d2) * n * per_element
     r0 = min(c, array_snr ** (1.0 / a3))
 
     # r <= r0: the exact log2(snr A) pieces, and Jensen on the residual
@@ -437,7 +454,7 @@ def spatial_rate_closed_form(
     inner = replace(params, serve_radius=r0)
     mass = association_probability(lam, r0)
     baseline = _baseline_term(inner, lam)
-    h = _array_gain(n, m * m, mass)
+    h = _array_gain(n, per_element, mass)
     cascade_mean = cascade_residual_term(n, rho, lam, inner) * _LN2
     noise_mean = noise_residual_term(n, rho, lam, inner) * _LN2
     g = _jensen_log2(mass, cascade_mean)

@@ -22,6 +22,18 @@ from .errors import DomainError
 _POWER_LIMIT_SWITCH = 1e-8
 
 
+def _least(x):
+    """Smallest value of a scalar or an array, for domain checks.
+
+    A float (np.float64 included) is its own smallest value, so checking one
+    costs a single comparison; an array costs one reduction.  A NaN anywhere
+    gives NaN, which fails every comparison, and an empty array gives inf.
+    """
+    if isinstance(x, float):
+        return x
+    return np.asarray(x, dtype=float).min(initial=np.inf)
+
+
 def exp_integral_ei(x):
     """Exponential integral Ei(x) = PV integral of e^t / t from -inf to x.
 
@@ -29,8 +41,8 @@ def exp_integral_ei(x):
     Raises DomainError at the logarithmic singularity x = 0 and at NaN.
     """
     out = special.expi(x)
-    # expi is -inf exactly at x = +-0 and NaN at NaN, which min propagates
-    if not out.min(initial=np.inf) > -np.inf:
+    # expi is -inf exactly at x = +-0 and NaN at NaN, which _least propagates
+    if not _least(out) > -np.inf:
         raise DomainError("Ei(x) has a logarithmic singularity at x = 0 and is undefined at NaN")
     return out
 
@@ -42,7 +54,7 @@ def lower_incomplete_gamma(a: float, x):
     """
     if not a > 0.0:
         raise DomainError("lower_incomplete_gamma requires a > 0")
-    if not (np.asarray(x) >= 0.0).all():
+    if not _least(x) >= 0.0:
         raise DomainError("lower_incomplete_gamma requires x >= 0")
     return special.gammainc(a, x) * special.gamma(a)
 

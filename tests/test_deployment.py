@@ -311,7 +311,12 @@ class TestPreparedConstants:
         params = make_params(**kwargs)
         eta = 10.0
         prepared = deployment._prepare(eta, params, rho, regime)
-        lam = np.geomspace(1e-12 * eta, eta, 64)
+        # the optimizer's scan, the grid oracle's points eta / N, and one late
+        # zoom round between neighbours 5e-8 apart, built as `_zoom_max` builds it
+        lo, hi = eta / 37.0, eta / 37.0 * (1.0 + 5e-8)
+        zoom = lo * (hi / lo) ** deployment._ZOOM_STEPS
+        zoom[0], zoom[-1] = lo, hi
+        lam = np.concatenate([np.geomspace(1e-12 * eta, eta, 64), eta / np.arange(1, 513), zoom])
         want = reference(lam, eta, params, rho, regime)
         np.testing.assert_array_equal(fn(lam, eta, params, rho, regime), want)
         np.testing.assert_array_equal(fn(lam, eta, params, rho, regime, prepared), want)
@@ -547,6 +552,62 @@ class TestOptimizeDensity:
             optimize_density(0.0, params, 1.0, HIGH_RANDOM)
         with pytest.raises(DomainError):
             DeploymentOptimum(lambda_star=0.0, n_star=1, objective=0.0, branch="grid", d_constant=0.0)
+
+
+# optimize_density's (lambda_star, n_star, objective, branch) on the 32
+# criterion-8 instances, then on REGIME_CASES at eta = 10, with lambda_star and
+# the objective as float.hex: a faster objective or slope may not move a bit.
+PINNED_OPTIMA = [
+    ("0x1.f93f5c991e051p-8", 1849, "0x1.24ab92e2bd215p+3", "bisection"),
+    ("0x1.31d5aba35e911p+3", 1, "0x1.1406711be7b98p+3", "boundary_eta"),
+    ("0x1.9d0d0eba8cbdcp-6", 211, "0x1.03e9087744eddp+3", "bisection"),
+    ("0x1.ef1a8409d3d60p+2", 1, "0x1.dcce1c1bbe47cp+2", "boundary_eta"),
+    ("0x1.67079965563d9p-7", 168, "0x1.8b40078a618efp+2", "bisection"),
+    ("0x1.013d4ff48690dp+3", 1, "0x1.1e5444680a530p+3", "boundary_eta"),
+    ("0x1.d0cb2dd4394eep-5", 242, "0x1.18fa94ae21a93p+3", "bisection"),
+    ("0x1.4f4d56e13e6a6p-7", 1593, "0x1.aec1346ba06d9p+3", "bisection"),
+    ("0x1.d279fccab3ceep-8", 161, "0x1.34a8c253cb7f0p+1", "bisection"),
+    ("0x1.37055297f1d55p+3", 1, "0x1.09e5c984bc5b4p+3", "boundary_eta"),
+    ("0x1.3e6d2eaacde48p+3", 1, "0x1.6e7fa6f4d5fafp+2", "monotone_boundary"),
+    ("0x1.73ff79e557107p+3", 1, "0x1.0d4a4973344a1p+3", "boundary_eta"),
+    ("0x1.1862aa9528242p+3", 1, "0x1.b9b635e5575d2p+2", "monotone_boundary"),
+    ("0x1.a5028ffa9bdd7p+2", 1, "0x1.344895db8e938p+2", "monotone_boundary"),
+    ("0x1.17154d5d98c90p+3", 1, "0x1.0c4cefe353c33p+3", "boundary_eta"),
+    ("0x1.d731c9c7951a9p+3", 1, "0x1.7af716147028ep+2", "monotone_boundary"),
+    ("0x1.30778329e9ce0p-3", 104, "0x1.58d243301bfb5p+3", "bisection"),
+    ("0x1.3476c031d93f0p+1", 3, "0x1.35845bbe4d3e7p+3", "bisection"),
+    ("0x1.5e14743a42562p+3", 2, "0x1.8bd340a16a07ap+3", "bisection"),
+    ("0x1.10b09d75f5989p-3", 140, "0x1.743baa22c3bd5p+3", "bisection"),
+    ("0x1.21f2869ff2a0ep-3", 127, "0x1.582af27f484d4p+3", "bisection"),
+    ("0x1.06537a24dbbd0p-4", 231, "0x1.69b31d1cd3b55p+3", "bisection"),
+    ("0x1.6905c0e698c77p-4", 82, "0x1.1bdb494db546bp+3", "bisection"),
+    ("0x1.706eaa20d0435p-4", 114, "0x1.3b204ab38801ep+3", "bisection"),
+    ("0x1.c0be918c391e4p-4", 57, "0x1.a93e0eecf4c10p+7", "bisection"),
+    ("0x1.f10f9577790a6p-4", 100, "0x1.cc58220cb5e56p+4", "bisection"),
+    ("0x1.628c11bc31d2dp-3", 31, "0x1.66bd446976e83p+3", "bisection"),
+    ("0x1.7729a0619e8d3p-3", 37, "0x1.4636cc436b9c6p+6", "bisection"),
+    ("0x1.d6c03707b6942p-4", 144, "0x1.7f6e4689b4c42p+3", "bisection"),
+    ("0x1.835a5ef70a9dfp-2", 36, "0x1.f8d77e99e4a44p+5", "bisection"),
+    ("0x1.6c34dcd99a61cp-3", 109, "0x1.b750d487caab0p+5", "bisection"),
+    ("0x1.b4fe53ce2b8ebp-4", 71, "0x1.3272c974dba70p+5", "bisection"),
+    ("0x1.e0d3e96ec1169p-6", 341, "0x1.4f66b29fc11f7p+3", "bisection"),
+    ("0x1.4000000000000p+3", 1, "0x1.8ddfba65bcb84p+2", "monotone_boundary"),
+    ("0x1.4000000000000p+3", 1, "0x1.5555652c40db2p+3", "boundary_eta"),
+    ("0x1.1e999aa48f8f3p-3", 72, "0x1.65245f9a89da5p+4", "bisection"),
+]
+
+
+def test_optima_pinned_bit_for_bit():
+    cases = list(criterion8_instances())
+    cases += [(regime, rho, 10.0, make_params(**kwargs)) for regime, rho, kwargs in REGIME_CASES]
+    assert len(cases) == len(PINNED_OPTIMA)
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for regime, rho, eta, params in cases:
+            opt = optimize_density(eta, params, rho, regime)
+            got.append((opt.lambda_star.hex(), opt.n_star, opt.objective.hex(), opt.branch))
+    assert got == PINNED_OPTIMA
 
 
 # The regime/rho pairing and the element budget are checked in one place,

@@ -848,7 +848,9 @@ class TestBlockReduction:
             (20000, 1, [(4, 4096), (1, 3616)]),  # 4 full chunks and a partial one
             (20000, 2, [(2, 4096), (2, 4096), (1, 3616)]),  # [4, 1] would idle a worker
             (3 * 4096, 8, [(1, 4096)] * 3),
-            (100000, 2, [(8, 4096)] * 3 + [(1, 1696)]),
+            (100000, 2, [(6, 4096)] * 4 + [(1, 1696)]),  # not [8, 8, 8]: 16 chunks on one worker
+            (20 * 4096, 1, [(6, 4096), (7, 4096), (7, 4096)]),  # near-equal rows
+            (256 * 4096, 1, [(8, 4096)] * 32),
         ],
     )
     def test_blocks_never_fewer_than_workers(self, trials, workers, blocks, monkeypatch):

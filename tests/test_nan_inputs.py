@@ -15,7 +15,13 @@ import math
 import numpy as np
 import pytest
 
-from risgeo.deployment import DeploymentOptimum, OptimizerRegime, grid_search_oracle, objective_slope
+from risgeo.deployment import (
+    DeploymentOptimum,
+    OptimizerRegime,
+    deployment_objective,
+    grid_search_oracle,
+    objective_slope,
+)
 from risgeo.errors import DomainError
 from risgeo.monte_carlo import (
     McConfig,
@@ -205,3 +211,45 @@ def test_rate_estimate(field):
 def test_function(call):
     with pytest.raises(DomainError):
         call()
+
+
+# The value checks of the analytic hot path read a float (np.float64 included)
+# with one comparison and anything else with one reduction; every form of a
+# value outside the domain must still raise, NaN and the domain's edges included.
+VALUE_FORMS = [
+    pytest.param(float, id="float"),
+    pytest.param(np.float64, id="float64"),
+    pytest.param(np.array, id="0d-array"),
+    pytest.param(lambda v: np.array([1.0, v]), id="array"),
+]
+
+
+@pytest.mark.parametrize("form", VALUE_FORMS)
+@pytest.mark.parametrize(
+    "check, bad",
+    [
+        pytest.param(lambda x: lower_incomplete_gamma(1.5, x), (NAN, -1.0, -1e-300), id="lower_incomplete_gamma"),
+        pytest.param(exp_integral_ei, (NAN, 0.0, -0.0), id="exp_integral_ei"),
+        pytest.param(lambda lam: association_probability(lam, 10.0), (NAN, -1.0, 0.0), id="association_probability"),
+        pytest.param(
+            lambda lam: deployment_objective(lam, 10.0, PARAMS, 0.5, HIGH_BOUNDED),
+            (NAN, -1.0, 0.0, 10.5),
+            id="deployment_objective",
+        ),
+    ],
+)
+def test_value_checks_reject_every_form(check, bad, form):
+    for value in bad:
+        with pytest.raises(DomainError):
+            check(form(value))
+
+
+@pytest.mark.parametrize("form", VALUE_FORMS)
+def test_value_checks_accept_domain_edges(form):
+    def last(value):
+        return np.ravel(value)[-1]
+
+    assert last(lower_incomplete_gamma(1.5, form(0.0))) == 0.0
+    assert math.isfinite(last(exp_integral_ei(form(-1e-300))))
+    assert last(association_probability(form(1e-300), 10.0)) >= 0.0
+    assert math.isfinite(last(deployment_objective(form(10.0), 10.0, PARAMS, 0.5, HIGH_BOUNDED)))

@@ -48,10 +48,10 @@ class TestMeanPowerGain:
                 assert mean_power_gain(0.0, bd, m, n) == bd
             np.testing.assert_array_equal(mean_power_gain(np.zeros_like(self.BD), self.BD, m, n), self.BD)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
     def test_infinite_cascade_gain_stays_infinite(self, rho):
-        # a served trial at area 0; at rho = 1 (m = 0) the cross term is
-        # inf * 0, and the bracket is NaN
+        # a served trial at area 0; at rho = 1 (m = 0) there is no cross term
+        # to form as sqrt(inf) * 0, which would make the bracket NaN
         m = attenuation_factor(rho)
         assert mean_power_gain(np.inf, 1e-9, m, 64.0) == np.inf
         got = mean_power_gain(np.array([np.inf, 0.0]), np.array([1e-9, 1e-9]), m, 64.0)
