@@ -5,11 +5,14 @@ table `_COMMANDS` gives each its handler and the config keys its flags set.
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numeric error.  All engineering-unit conversion happens at this boundary;
 every CSV starts with a comment line echoing the resolved linear parameters.
+The argument parser is built once per process and shared by every `main`
+call, so an in-process call pays only for its own work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -180,8 +183,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Flag values stay text here; `config.resolve` parses and checks each one."""
+    """The process's shared parser, built on the first call; every `main` call
+    parses against it, so callers must not change it.  Parsing leaves it as it
+    was: each call reads its flags into a new namespace.  Flag values stay text
+    here; `config.resolve` parses and checks each one."""
     parser = argparse.ArgumentParser(
         prog="risgeo",
         description="Rate analysis and deployment optimization for reflector-assisted "

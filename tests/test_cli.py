@@ -1,6 +1,9 @@
+import argparse
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +185,70 @@ class TestCommandTable:
         monkeypatch.setattr(validation, "run_all", lambda trials, seed: seen.append(trials) or [])
         assert run_cli(["validate", "--trials", "123"]) == 0
         assert seen == [123]
+
+
+def cli_outcome(args, capsys):
+    """(exit code, stdout, stderr) of one in-process call."""
+    try:
+        code = run_cli(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    """Every `main` call in a process parses against one parser, and no call
+    changes what a later call sees."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        assert run_cli(["optimize", "--dump-linear"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for args in (["rate-fixed", "--sweep", "n_elements:1:2:2", "--dump-linear"],
+                     ["rate-spatial", "--sweep", "density:0.01:0.02:2", "--dump-linear"],
+                     ["optimize", "--dump-linear"],
+                     ["rate-loss", "--sweep", "n_elements:1:2:2", "--dump-linear"],
+                     ["validate", "--dump-linear"],
+                     ["optimize", "--sweep", "x"]):
+            cli_outcome(args, capsys)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "first, first_code, second, second_shows",
+        [
+            (["rate-fixed", "--trials", "64", "--seed", "5", "--sweep", "n_elements:1:2:2",
+              "--dump-linear"], 0, ["rate-fixed", "--sweep", "n_elements:1:2:2", "--dump-linear"],
+             " seed=0 trials=100000\n"),
+            (["validate", "--sweep", "x"], 2, ["optimize", "--dump-linear"], "tx_power_w="),
+            (["validate", "--sweep", "x"], 2, ["optimize", "--sweep", "x"],
+             "usage: risgeo optimize "),
+            (["rate-loss", "--help"], 0, ["rate-loss", "--sweep", "n_elements:1:10:2"],
+             "\nn_elements,loss_rho0.25,"),
+        ],
+        ids=["flag_values", "usage_error_then_run", "usage_error_then_usage_error",
+             "help_then_run"],
+    )
+    def test_later_call_answers_as_in_a_fresh_process(
+        self, monkeypatch, capsys, first, first_code, second, second_shows
+    ):
+        # usage and help text wrap at the terminal width; pin it for both processes
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli_outcome(first, capsys)[0] == first_code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "risgeo", *second],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=120,
+        )
+        code, out, err = cli_outcome(second, capsys)
+        assert second_shows in out + err
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestNonFiniteInputs:
