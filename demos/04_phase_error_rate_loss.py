@@ -31,5 +31,5 @@ for rho in (0.25, 0.5, 0.6):
 # asymptotic loss fast; 3 bits already cost under 0.1 bps/Hz.
 print("\nquantizer resolution vs asymptotic loss:")
 for bits in (1, 2, 3, 4):
-    spec = rg.PhaseErrorSpec.from_quantizer_bits(bits)
-    print(f"  {bits} bit: rho={spec.rho:<7g} loss -> {rg.rate_loss_asymptote(spec.rho, LAM, C):.4f} bps/Hz")
+    rho = 2.0 ** -bits
+    print(f"  {bits} bit: rho={rho:<7g} loss -> {rg.rate_loss_asymptote(rho, LAM, C):.4f} bps/Hz")

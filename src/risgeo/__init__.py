@@ -35,7 +35,6 @@ from .params import (
     dbm_to_watts,
 )
 from .phase_error import (
-    PhaseErrorSpec,
     attenuation_factor,
     error_difference_pdf,
     expected_cos_diff,
@@ -78,7 +77,6 @@ __all__ = [
     "McConfig",
     "NumericError",
     "OptimizerRegime",
-    "PhaseErrorSpec",
     "RateEstimate",
     "ReflectionMoments",
     "RegimeWarning",

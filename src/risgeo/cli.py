@@ -176,9 +176,9 @@ _COMMANDS = {
                      "spatially averaged rate: closed form, quadrature, Monte-Carlo",
                      ("seed", "trials", "sweep", "out")),
     "optimize": (cmd_optimize, "optimal density / array size under an element budget",
-                 ("seed", "trials", "regime", "out")),
+                 ("regime", "out")),
     "rate-loss": (cmd_rate_loss, "phase-error rate loss and its saturation levels vs array size",
-                  ("seed", "trials", "sweep", "out")),
+                  ("sweep", "out")),
     "validate": (cmd_validate, "run the self-check suite", ("seed", "validate_trials", "out")),
 }
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, RegimeWarning
 from .params import SystemParams
-from .phase_error import attenuation_factor
+from .phase_error import LARGE_ARRAY_MARGIN, attenuation_factor, crossover_size
 from .spatial_rate import (
     _array_gain,
     _disk_moment,
@@ -40,10 +40,6 @@ from .special_math import exp_integral_ei, lower_incomplete_gamma
 from .streams import _is_index
 
 _LN2 = math.log(2.0)
-
-#: Bounded-error branches drop a term that is small only when
-#: lam << attenuation^2 * budget / (1 - attenuation^2); flag beyond this fraction.
-_BOUNDED_REGIME_FRACTION = 0.1
 
 #: Scan resolution for bracketing the root of J.
 _SCAN_POINTS = 64
@@ -270,17 +266,18 @@ def objective_slope(
     The derivative equals exp(-pi lam C^2) / (lam ln 2) times this value.
 
     Exact for both high-SNR branches and the low-SNR random branch; the
-    low-SNR bounded branch assumes a moderate-to-large array (lam well below
-    attenuation^2 * eta).  Raises NumericError once exp(pi*lam*C^2)
-    overflows (pi*lam*C^2 > ~709.8); its estimate, copysign(inf, scaled
-    slope), carries the sign only.
+    low-SNR bounded branch assumes an array size eta / lam well above the
+    crossover size (`phase_error.crossover_size`), and both bounded branches
+    warn (RegimeWarning) below that.  Raises NumericError once
+    exp(pi*lam*C^2) overflows (pi*lam*C^2 > ~709.8); its estimate,
+    copysign(inf, scaled slope), carries the sign only.
     """
     slope = _prepare(eta, params, rho, regime).slope
     if not lam > 0:
         raise DomainError("lam must be positive")
     if regime.phase == "bounded":
-        m = attenuation_factor(rho)
-        cap = _BOUNDED_REGIME_FRACTION * m * m * eta / max(1.0 - m * m, 1e-300)
+        # the array size eta / lam must sit well above the crossover size
+        cap = eta / (LARGE_ARRAY_MARGIN * crossover_size(rho))
         if lam > cap:
             warnings.warn(
                 f"lam={lam:.3g} outside the bounded-branch regime "

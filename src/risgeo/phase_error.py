@@ -4,13 +4,18 @@ Per-element reflection errors are i.i.d. uniform on [-rho*pi, rho*pi]; a
 b-bit uniform quantizer corresponds to rho = 2^-b and rho = 1 to fully
 random phases.  The attenuation factor sin(rho*pi)/(4*rho) is the mean
 per-element effective amplitude of the cascaded channel under this error law.
+
+The array's mean power gain N (m^2 N + 1 - m^2) turns from growing like N
+(the random-phase term) to growing like m^2 N^2 at the crossover array size
+1/m^2 - 1.  The paper's large-array results (the bounded loss saturates, the
+random-phase loss grows like log2 N) hold for N well above it: at least
+LARGE_ARRAY_MARGIN times it.  "Well below" is at most 1/LARGE_ARRAY_MARGIN
+of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,6 +39,19 @@ def attenuation_factor(rho: float) -> float:
     if rho == 1.0:
         return 0.0  # sin(pi) exactly; avoids the ~1e-16 float residue
     return math.sin(rho * math.pi) / (4.0 * rho)
+
+
+#: The factor by which an array size must exceed (or fall short of) the
+#: crossover size to count as well above (or well below) it.
+LARGE_ARRAY_MARGIN = 10.0
+
+
+def crossover_size(rho: float) -> float:
+    """Array size 1/m^2 - 1 at which m^2 N overtakes 1 - m^2; inf at m = 0."""
+    m = attenuation_factor(rho)
+    if m == 0.0:
+        return math.inf
+    return 1.0 / (m * m) - 1.0
 
 
 def expected_cos_diff(rho: float) -> float:
@@ -68,32 +86,3 @@ def sample_phase_errors(rho: float, count: int, stream: np.random.Generator) -> 
     if rho == 0.0:
         return np.zeros(count)
     return stream.uniform(-rho * math.pi, rho * math.pi, size=count)
-
-
-@dataclass(frozen=True)
-class PhaseErrorSpec:
-    """Half-range fraction rho of the uniform error law, optionally tied to a quantizer.
-
-    When quant_bits is set, rho must equal 2^-quant_bits exactly.
-    """
-
-    rho: float
-    quant_bits: Optional[int] = None
-
-    def __post_init__(self):
-        _check_rho(self.rho)
-        if self.quant_bits is not None:
-            if not _is_index(self.quant_bits, 1):
-                raise DomainError("quant_bits must be a positive integer")
-            if self.rho != 2.0 ** (-self.quant_bits):
-                raise DomainError(
-                    f"rho={self.rho} inconsistent with quant_bits={self.quant_bits}"
-                )
-
-    @classmethod
-    def from_quantizer_bits(cls, bits: int) -> "PhaseErrorSpec":
-        return cls(rho=2.0 ** (-bits), quant_bits=bits)
-
-    @property
-    def attenuation(self) -> float:
-        return attenuation_factor(self.rho)

@@ -19,12 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 from .params import LinkGeometry, RateEstimate, SystemParams
-from .phase_error import attenuation_factor
+from .phase_error import LARGE_ARRAY_MARGIN, attenuation_factor, crossover_size
 from .streams import _is_index
-
-#: Multiplier operationalizing the "N much larger than ..." precondition of
-#: the large-array asymptote; below it a soft warning is attached.
-_ASYMPTOTE_MARGIN = 10.0
 
 
 def mean_power_gain(blbr, bd, m, n, out=None):
@@ -81,7 +77,7 @@ def rate_asymptotic(
 
     Accepts a real-valued n_elements so exact compensation scalings
     (N -> N * m0/m1) can be expressed; flags a warning when N is below
-    10x the validity threshold instead of failing.
+    LARGE_ARRAY_MARGIN times the validity threshold instead of failing.
     """
     if n_elements <= 0:
         raise DomainError("n_elements must be positive")
@@ -91,11 +87,11 @@ def rate_asymptotic(
     bl = params.beta_bs_ris(geom.l)
     br = params.beta_ris_ue(geom.r)
     bd = params.beta_direct(geom.d)
-    threshold = max(1.0 / (m * m) - 1.0, math.sqrt(math.pi * bd / (bl * br)) / m)
+    threshold = max(crossover_size(rho), math.sqrt(math.pi * bd / (bl * br)) / m)
     warning = None
-    if n_elements < _ASYMPTOTE_MARGIN * threshold:
+    if n_elements < LARGE_ARRAY_MARGIN * threshold:
         warning = (
-            f"n_elements={n_elements:g} below {_ASYMPTOTE_MARGIN:g} x the "
+            f"n_elements={n_elements:g} below {LARGE_ARRAY_MARGIN:g} x the "
             f"large-array threshold {threshold:.3g}; asymptote may be loose"
         )
     xi = m * m * n_elements * n_elements * params.snr_gain

@@ -12,15 +12,11 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .phase_error import attenuation_factor
-from .spatial_rate import association_probability
+from .phase_error import LARGE_ARRAY_MARGIN, attenuation_factor, crossover_size
+from .spatial_rate import _power_per_element, association_probability
 from .streams import _is_index
 
 _IDEAL_SQ = math.pi**2 / 16.0
-
-#: Factor quantifying "much larger / much smaller" than the crossover array
-#: size 1/m^2 - 1 when classifying the loss regime.
-_REGIME_MARGIN = 10.0
 
 
 def rate_loss(n_elements: int, rho: float, lam: float, serve_radius: float) -> float:
@@ -29,7 +25,7 @@ def rate_loss(n_elements: int, rho: float, lam: float, serve_radius: float) -> f
         raise DomainError("n_elements must be an integer >= 1")
     m = attenuation_factor(rho)
     n = float(n_elements)
-    ratio = (_IDEAL_SQ * n + 1.0 - _IDEAL_SQ) / (m * m * n + 1.0 - m * m)
+    ratio = _power_per_element(n, _IDEAL_SQ) / _power_per_element(n, m * m)
     return association_probability(lam, serve_radius) * math.log2(ratio)
 
 
@@ -46,16 +42,14 @@ def rate_loss_regime(
 ) -> tuple[str, float]:
     """Classify the loss as saturating / log_growth / mixed, with its value.
 
-    The crossover array size is 1/m^2 - 1: well above it the loss sits at its
-    asymptote, well below it grows like the random-phase loss.
+    Well above the crossover array size (`phase_error.crossover_size`) the
+    loss sits at its asymptote, well below it grows like the random-phase
+    loss; fully random phases have an infinite crossover.
     """
     value = rate_loss(n_elements, rho, lam, serve_radius)
-    m = attenuation_factor(rho)
-    if m == 0.0:
-        return "log_growth", value
-    crossover = 1.0 / (m * m) - 1.0
-    if n_elements >= _REGIME_MARGIN * crossover:
+    crossover = crossover_size(rho)
+    if n_elements >= LARGE_ARRAY_MARGIN * crossover:
         return "saturating", value
-    if n_elements <= crossover / _REGIME_MARGIN:
+    if n_elements <= crossover / LARGE_ARRAY_MARGIN:
         return "log_growth", value
     return "mixed", value

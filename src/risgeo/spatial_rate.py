@@ -67,9 +67,8 @@ from .special_math import (
 
 _LN2 = math.log(2.0)
 
-#: Soft-precondition thresholds for the closed form.
-_LOW_SNR_EDGE_MAX = 0.5     # direct-link SNR at the near annulus edge
-_MIN_CLOSED_FORM_N = 8      # "moderate-to-large" array size
+#: The closed form's soft precondition: direct-link SNR at the near annulus edge.
+_LOW_SNR_EDGE_MAX = 0.5
 
 
 def nearest_ris_pdf(lam: float, r: float) -> float:
@@ -388,20 +387,14 @@ def _residual_integral(params: SystemParams, n_elements, rho: float, lam):
     return _checked("residual", scale * fine, scale * bound)
 
 
-def _closed_form_preconditions(params: SystemParams, dep: DeploymentParams) -> Optional[str]:
-    notes = []
+def _closed_form_preconditions(params: SystemParams) -> Optional[str]:
     edge_snr = params.snr_gain * params.beta_direct(params.d_min)
     if edge_snr > _LOW_SNR_EDGE_MAX:
-        notes.append(
+        return (
             f"direct-link SNR at the near edge is {edge_snr:.3g}; "
             "the Jensen residual of the closed form loosens as the SNR grows"
         )
-    if dep.elements_per_ris < _MIN_CLOSED_FORM_N:
-        notes.append(
-            f"elements_per_ris={dep.elements_per_ris} is below the "
-            "moderate-to-large array regime; the Jensen residual may be loose"
-        )
-    return "; ".join(notes) if notes else None
+    return None
 
 
 def spatial_rate_integral(
@@ -487,7 +480,7 @@ def spatial_rate_closed_form(
         baseline_term=baseline,
         g_bar_low_term=g_low,
         method="closed_form",
-        warning=_closed_form_preconditions(params, dep),
+        warning=_closed_form_preconditions(params),
     )
 
 

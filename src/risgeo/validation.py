@@ -606,8 +606,8 @@ def _check_cosine(trials: int, seed: int) -> list[Part]:
         t1 = rng.uniform(-rho * math.pi, rho * math.pi, trials)
         t2 = rng.uniform(-rho * math.pi, rho * math.pi, trials)
         vals = np.cos(t1 - t2)
-        want = (math.sin(math.pi * rho) / (math.pi * rho)) ** 2
-        worst = max(worst, _z_score(vals.mean() - want, vals.std(ddof=1) / math.sqrt(trials)))
+        gap = vals.mean() - phase_error.expected_cos_diff(rho)
+        worst = max(worst, _z_score(gap, vals.std(ddof=1) / math.sqrt(trials)))
     detail = f"pairwise cosine moment: worst |gap|/stderr={worst:.2f} (bound 3)"
     return [(worst <= 3.0, detail)]
 

