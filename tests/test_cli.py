@@ -13,6 +13,7 @@ from risgeo.cli import main
 from risgeo.config import ConfigError, parse_sweep, read_config_file, resolve
 from risgeo.errors import DomainError
 from risgeo.params import SystemParams
+from risgeo.phase_error import attenuation_factor
 from risgeo.rate_loss import rate_loss
 from risgeo.spatial_rate import spatial_rate_closed_form, spatial_rate_integral
 
@@ -63,6 +64,23 @@ class TestConfigParsing:
     def test_quantizer_bits_pin_rho(self, tmp_path):
         cfg = tmp_path / "q.cfg"
         cfg.write_text("quant_bits = 2\n")
+        assert resolve(str(cfg), {})["rho"] == 0.25
+
+    @pytest.mark.parametrize(
+        "bits, rho, attenuation", [(1, 0.5, 0.5), (3, 0.125, 0.7653668647), (8, 2.0**-8, 0.7853784503)]
+    )
+    def test_quantizer_bits_set_rho_exactly(self, tmp_path, bits, rho, attenuation):
+        # a b-bit quantizer leaves errors uniform on [-pi 2^-b, pi 2^-b]
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(f"quant_bits = {bits}\n")
+        resolved = resolve(str(cfg), {})["rho"]
+        assert resolved == rho
+        assert attenuation_factor(resolved) == pytest.approx(attenuation, rel=1e-6)
+
+    def test_explicit_rho_within_rounding_is_pinned(self, tmp_path):
+        # an explicit rho that agrees with quant_bits up to rounding is replaced by 2^-b
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("rho = 0.25000000000001\nquant_bits = 2\n")
         assert resolve(str(cfg), {})["rho"] == 0.25
 
     @pytest.mark.parametrize("rho", ["0", "0.5"])
