@@ -53,7 +53,7 @@ def _sweep(cfg: RunConfig, axes, columns, row) -> list[str]:
     lines = [f"# params: {cfg.linear_echo()}", ",".join([axis, *columns])]
     for point in points:
         cell = str(point["elements_per_ris"]) if axis == "n_elements" else _fmt(point[axis])
-        cells = ("" if x is None else _fmt(x) for x in row(point))
+        cells = ("" if x is None else "%.12g" % x for x in row(point))
         lines.append(",".join([cell, *cells]))
     return lines
 
@@ -115,7 +115,7 @@ def cmd_optimize(cfg: RunConfig) -> tuple[list[str], int]:
     n_max = min(cfg["n_max"], max(64, 4 * opt.n_star))
     lams = eta / np.arange(1, n_max + 1)
     values = deployment.deployment_objective(lams, eta, params, rho, regime)
-    lines.extend(f"{n},{_fmt(value)}" for n, value in enumerate(values, start=1))
+    lines.extend("%d,%.12g" % row for row in enumerate(values.tolist(), start=1))
     return lines, 0
 
 

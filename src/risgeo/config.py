@@ -132,18 +132,29 @@ def read_config_file(path: str) -> dict:
     return raw
 
 
+def _not_type(key: str, value, where: str) -> ConfigError:
+    return ConfigError(f"{where}: value {value!r} for key {key!r} is not {_KEYS[key][0].__name__}")
+
+
 def _coerce(key: str, value, where: str):
-    """Parse `value` for `key` if it is text, then check it against the key's domain."""
+    """Parse `value` for `key` if it is text, then check its type and the key's domain.
+
+    A value given in code is held to the type its text would parse to: no key
+    takes a bool, an `int` key takes only an integer, and a `float` key also
+    takes an integer.
+    """
     parser, check, _ = _KEYS[key]
     if isinstance(value, str) and parser is not str:
         try:
             value = parser(value)
         except ValueError as exc:
-            raise ConfigError(
-                f"{where}: value {value!r} for key {key!r} is not {parser.__name__}"
-            ) from exc
+            raise _not_type(key, value, where) from exc
+    elif isinstance(value, (bool, np.bool_)):
+        raise _not_type(key, value, where)
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}: value {value!r} for key {key!r} is not finite")
+    if parser is int and not isinstance(value, (int, np.integer)):
+        raise _not_type(key, value, where)
     try:
         ok = check is None or check(value)
     except DomainError as exc:  # a unit conversion that overflows

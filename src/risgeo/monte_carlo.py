@@ -67,7 +67,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .params import DeploymentParams, LinkGeometry, RateEstimate, SystemParams
@@ -247,6 +246,8 @@ def _poisson_counts(mu: float) -> _CountTable:
     gammaln(k + 1) - mu), and a uniform draws the count UNU.RAN's guide table
     on that pmf draws, bit for bit (see `_CountTable`).
     """
+    from scipy import special  # only the full-scatter policy needs it
+
     # poisson.isf(tail, mu): the inverse CDF at 1 - tail, one count lower when
     # the CDF reaches 1 - tail there; then stepped up, as isf is loose this far out
     p = 1.0 - _COUNT_TAIL

@@ -5,6 +5,7 @@ wrappers over `scipy.special` that take scalars or arrays and reject
 arguments outside their domain.  The upper incomplete gamma function covers
 any real order, the s <= 0 orders included, through E1 and the recurrence.
 All three are cross-checked against adaptive quadrature in the test suite.
+`scipy.special` itself is imported on the first call of a special function.
 A stabilized power integral absorbs the degenerate exponents (p -> -1) that
 appear in the distance-moment constants for realistic pathloss combinations.
 """
@@ -14,12 +15,30 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
 #: |p + 1| below which power_integral switches to its log-limit branch.
 _POWER_LIMIT_SWITCH = 1e-8
+
+
+class _LazySpecial:
+    """Stands in for `scipy.special` until a special function is first called.
+
+    Importing `scipy.special` costs about a quarter of a second, and some
+    subcommands (`rate-fixed`) never call a special function.  The first
+    attribute read imports the module and rebinds the global `special` to it,
+    so every later call reaches scipy directly.
+    """
+
+    def __getattr__(self, name):
+        global special
+        from scipy import special
+
+        return getattr(special, name)
+
+
+special = _LazySpecial()
 
 
 def _least(x):

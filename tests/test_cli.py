@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -99,6 +100,33 @@ class TestConfigParsing:
         cfg = tmp_path / "q.cfg"
         cfg.write_text("rho = 0.25\nquant_bits = 2\n")
         assert resolve(str(cfg), {})["rho"] == 0.25
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("quant_bits", True, "int"),
+            ("trials", True, "int"),
+            ("tx_power_dbm", True, "float"),
+            ("rho", np.bool_(False), "float"),
+            ("regime", True, "str"),
+            ("n_max", 2.5, "int"),
+            ("trials", 4096.0, "int"),
+            ("seed", np.float64(3.0), "int"),
+        ],
+    )
+    def test_value_given_in_code_is_type_checked(self, key, value, kind):
+        # text is parsed by the key's type; a value passed in code must
+        # already have it: no bool anywhere, only integers for int keys
+        with pytest.raises(ConfigError, match=f"for key '{key}' is not {kind}"):
+            resolve(None, {key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tx_power_dbm", 12), ("alpha_ris_ue", 3), ("quant_bits", 2), ("seed", np.int64(7))],
+    )
+    def test_integer_values_given_in_code_are_kept(self, key, value):
+        # an int stays valid for a float key, and a numpy integer for an int key
+        assert resolve(None, {key: value})[key] == value
 
     @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
     def test_retired_tolerance_keys_are_unknown(self, tmp_path, capsys, key):
@@ -450,6 +478,28 @@ GOLDEN_RATE_LOSS = (
     '1000,0.239573749217,1.02941315772,1.5581223617,7.34269681233,0.240006356518,1.03212678017,1.56353094559,\n'
 )
 
+#: The `optimize` CSVs at the default config (its auto regime is low) and at
+#: --regime high: the optimum line, the first and last of the 512 curve rows,
+#: and the SHA-256 of the whole file.  --regime low must give the default's bytes.
+GOLDEN_OPTIMIZE = {
+    "default": (
+        [],
+        "# optimum: lambda_star=0.00881197223418 n_star=1135 branch=bisection "
+        "objective=12.8054147872 d_constant=-5.5089003659 regime=low",
+        "1,7.10465084868",
+        "512,12.2775818868",
+        "6158b74de1897c28951961e57034c79b7b8510f6d8638524c5a0f81dd8383b27",
+    ),
+    "high": (
+        ["--regime", "high"],
+        "# optimum: lambda_star=0.0104661682859 n_star=956 branch=bisection "
+        "objective=12.645591887 d_constant=7.6462630929 regime=high",
+        "1,6.21678028045",
+        "512,12.2576228504",
+        "01147bb92a50d0a2d7d890e360bdb3777838b805d7d0e255d02f292bc10f3652",
+    ),
+}
+
 
 class TestGoldenCsv:
     def test_rate_fixed(self, tmp_path):
@@ -466,6 +516,21 @@ class TestGoldenCsv:
         args += ["--trials", "20000", "--seed", "3", "--out", str(out)]
         assert run_cli(args) == 0
         assert out.read_bytes() == GOLDEN_RATE_SPATIAL.encode()
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_OPTIMIZE))
+    def test_optimize(self, tmp_path, case):
+        flags, optimum, first, last, digest = GOLDEN_OPTIMIZE[case]
+        out = tmp_path / "optimize.csv"
+        assert run_cli(["optimize", *flags, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert (lines[1], lines[3], lines[-1], len(lines)) == (optimum, first, last, 515)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_optimize_low_regime_is_the_default(self, tmp_path):
+        default, low = tmp_path / "default.csv", tmp_path / "low.csv"
+        assert run_cli(["optimize", "--out", str(default)]) == 0
+        assert run_cli(["optimize", "--regime", "low", "--out", str(low)]) == 0
+        assert low.read_bytes() == default.read_bytes()
 
     def test_rate_loss(self, tmp_path):
         # default rho_list: rho = 1 leaves its asymptote cells empty

@@ -437,6 +437,18 @@ def test_cli_cold_start_leaves_scipy_integrate_optimize_stats_and_linalg_unloade
     assert _loaded_after(code, prefixes) == "[]"
 
 
+def test_rate_fixed_cold_start_loads_no_scipy():
+    # rate-fixed calls no special function, so scipy.special (~0.25 s of a
+    # cold start) must stay unloaded until one is called
+    code = (
+        "import os\n"
+        "from risgeo import cli\n"
+        "argv = ['rate-fixed', '--sweep', 'n_elements:8:8:1', '--trials', '4096']\n"
+        "assert cli.main(argv + ['--out', os.devnull]) == 0\n"
+    )
+    assert _loaded_after(code, ("scipy",)) == "[]"
+
+
 class TestLogPathLoss:
     """The log-domain path losses of the spatial estimators against the linear
     formula beta d^-a, with d = sqrt(q) and r = sqrt(e / (pi lam))."""
