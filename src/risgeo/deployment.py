@@ -162,8 +162,8 @@ def _prepare(
         raise DomainError("random-phase regime requires rho = 1")
     if regime.phase == "bounded" and rho == 1.0:
         raise DomainError("bounded-phase regime requires rho < 1")
-    if not eta > 0:
-        raise DomainError("element budget must be positive")
+    if not 0 < eta < math.inf:
+        raise DomainError("element budget must be positive and finite")
     m = attenuation_factor(rho)
     m2 = m * m
     c = params.serve_radius

@@ -8,8 +8,10 @@ take consecutive full chunks in blocks of rows, one chunk per row and each row
 on its own substream, and map a whole block with one numpy call per step; a
 partial last chunk is a block of its own.  The spatial bound estimator, a few
 scalars per trial, runs blocks of several rows; the estimators that draw
-fading, whose chunk arrays are trials x elements already, one row.  Row sums
-are reduced in chunk order, so estimates are bit-identical for any block size
+fading, whose chunk arrays are trials x elements already, one row.  A block
+returns rows x size values, or rows x k x size for k statistics, so each
+statistic of a chunk is one contiguous row, summed pairwise.  Row sums are
+reduced in chunk order, so estimates are bit-identical for any block size
 and worker count.
 
 Both spatial estimators draw a trial's geometry through `_SpatialGeometry`,
@@ -51,11 +53,13 @@ trials over N elements draws, in order: size x N exponentials, size x N more,
 size x N phase errors (none at rho = 0), then size exponentials for the direct
 links.  Only the first exponentials, held as the amplitudes, make a size x N
 array.  The second exponentials and the phases pass through blocks of rows of
-about `_CASCADE_BLOCK` elements (512 KB), each drawn into a block buffer and
-folded into its rows, so a chunk at N = 200 peaks at about 1.2 times its
-amplitude array, not 3 times.  Each generator fills its output in stream order
-and each row sum reads one row, so the draws and the values are those of the
-whole chunk taken at once.
+about `_CASCADE_BLOCK` elements (512 KB), each drawn into a block buffer,
+reused from block to block, and folded into its rows, so a chunk at N = 200
+peaks at about 1.2 times its amplitude array, not 3 times.  The phases are
+drawn as half-angles, `sample_phase_errors(rho / 2)`: scaling a uniform draw
+by a power of two is exact, so these are the draws at rho, halved.  Each
+generator fills its output in stream order and each row sum reads one row, so
+the draws and the values are those of the whole chunk taken at once.
 """
 
 from __future__ import annotations
@@ -351,12 +355,14 @@ def _cascade(
     tau = -pi (t is large but finite, giving cos = -1).
 
     Works in one size x n_elements array, the amplitudes, plus two buffers
-    of one block of rows: _CASCADE_BLOCK // n_elements rows but at least
-    two, so the whole chunk if it fits, and a lone last row joins the block
-    before it.  A first pass draws each block's second exponentials into its
-    buffer and folds them in; at rho > 0 a second pass draws each block's
-    phases and folds in the rotation.  The values are bit for bit those of
-    one pass over the chunk.
+    of one block of rows, each reused across blocks: _CASCADE_BLOCK //
+    n_elements rows but at least two, so the whole chunk if it fits, and a
+    lone last row joins the block before it.  A first pass draws each block's
+    second exponentials into one buffer and folds them in; at rho > 0 a
+    second pass draws each block's half-angles tau/2 into the other as
+    `sample_phase_errors(rho / 2)`, which halves each draw at rho exactly,
+    and folds in the rotation.  The values are bit for bit those of one pass
+    over the chunk.
     """
     amp = rng.standard_exponential((size, n_elements))
     rows = max(2, _CASCADE_BLOCK // max(n_elements, 1))
@@ -377,16 +383,18 @@ def _cascade(
     if rho == 0.0:
         return re, np.zeros(size), np.sqrt(rng.standard_exponential(size))
     im = np.empty(size)
+    half = np.empty_like(buf)
     for block in blocks:
         a = amp[block]
-        t = sample_phase_errors(rho, a.size, rng).reshape(a.shape)  # tau, then tan(tau/2)
-        np.tan(np.multiply(t, 0.5, out=t), out=t)
+        # tau/2 drawn as a phase error at rho/2, then tan(tau/2) in place
+        t = sample_phase_errors(rho / 2, a.size, rng, out=half[: len(a)])
+        np.tan(t, out=t)
         w = np.multiply(t, t, out=buf[: len(a)])
         w += 1.0
         a /= w
         np.einsum("ij,ij->i", a, np.subtract(2.0, w, out=w), out=re[block])
         np.einsum("ij,ij->i", a, t, out=im[block])
-        del t  # else it outlives the next block's draw
+    del half, t  # else they outlive the loop, beside the direct-link draw
     im *= 2.0
     return re, im, np.sqrt(rng.standard_exponential(size))
 
@@ -407,11 +415,15 @@ def _accumulate(
     Chunk i draws from `substream(mc.master_seed, i)`.  Consecutive full
     chunks run in blocks of up to `max_rows` rows, one chunk per row: a block
     calls `block_fn(rngs, size)` with one generator per row, in chunk order,
-    and gets back a rows x size array of per-trial values or a rows x size x k
-    one.  A partial last chunk is a block of its own, and workers take whole
-    blocks; a lone block runs on the calling thread.  Row sums are added one
-    chunk at a time in chunk order, so the estimates are the same for any
-    block size and worker count.
+    and gets back a rows x size array of per-trial values, or a rows x k x
+    size one for k statistics.  Each statistic of a chunk is thus one
+    contiguous row of `size` values, summed (and its squares summed) by
+    numpy's pairwise sum; a rows x size x k layout would be summed along a
+    strided axis, one value after another, and several times slower.  A
+    partial last chunk is a block of its own, and workers take whole blocks;
+    a lone block runs on the calling thread.  Row sums are added one chunk
+    at a time in chunk order, so the estimates are the same for any block
+    size and worker count.
     """
     trials, workers = mc.trials, mc.workers
     full, rest = divmod(trials, _CHUNK)
@@ -429,9 +441,9 @@ def _accumulate(
         first, count, size = block
         # `substream` is read from this module at call time, where tracing patches it
         rngs = [substream(mc.master_seed, first + i) for i in range(count)]
-        values = np.asarray(block_fn(rngs, size), dtype=float).reshape(count, size, -1)
-        sums = values.sum(axis=1)
-        return sums, np.square(values, out=values).sum(axis=1)
+        values = np.asarray(block_fn(rngs, size), dtype=float).reshape(count, -1, size)
+        sums = values.sum(axis=2)
+        return sums, np.square(values, out=values).sum(axis=2)
 
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
@@ -545,7 +557,7 @@ def estimate_reflection_moments(
     def chunk(rngs: list[np.random.Generator], size: int) -> np.ndarray:
         (rng,) = rngs
         re, im, _ = _cascade(rng, size, n_elements, rho)
-        return np.column_stack([re, re**2 + im**2])
+        return np.stack([re, re**2 + im**2])
 
     mean, stderr = _accumulate(chunk, mc, max_rows=1)
     return ReflectionMoments(

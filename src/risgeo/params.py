@@ -7,7 +7,7 @@ enter only through the conversion helpers and `SystemParams.from_engineering`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import DomainError
@@ -34,6 +34,14 @@ def db_to_linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError as exc:
         raise DomainError(f"{db} dB overflows a float in linear units") from exc
+
+
+def _check_finite(params, names) -> None:
+    """DomainError naming the first of the positive fields `names` of
+    `params` that is infinite."""
+    for name in names:
+        if not getattr(params, name) < math.inf:
+            raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,7 @@ class SystemParams:
             raise DomainError("annulus requires 0 < d_min < d_max")
         if not self.serve_radius > 0:
             raise DomainError("serve_radius must be positive")
+        _check_finite(self, [f.name for f in fields(self)])
 
     @classmethod
     def from_engineering(
@@ -125,6 +134,7 @@ class LinkGeometry:
     def __post_init__(self):
         if not (self.d > 0 and self.l > 0 and self.r > 0):
             raise DomainError("all link distances must be positive")
+        _check_finite(self, ("d", "l", "r"))
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,7 @@ class DeploymentParams:
             raise DomainError("density must be positive")
         if not _is_index(self.elements_per_ris, 1):
             raise DomainError("elements_per_ris must be an integer >= 1")
+        _check_finite(self, ("density",))
 
 
 @dataclass(frozen=True)

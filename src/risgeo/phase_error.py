@@ -78,11 +78,32 @@ def error_difference_pdf(rho: float, z: float) -> float:
     return 1.0 / (2.0 * rho * math.pi) - abs(z) / (4.0 * rho * rho * math.pi * math.pi)
 
 
-def sample_phase_errors(rho: float, count: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw i.i.d. uniform phase errors on [-rho*pi, rho*pi] from `stream`."""
+def sample_phase_errors(
+    rho: float, count: int, stream: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw i.i.d. uniform phase errors on [-rho*pi, rho*pi] from `stream`.
+
+    `out`, a C-contiguous float64 array of `count` elements in any shape,
+    receives the draws and is returned; without it they go to a new array of
+    shape (count,).  The draws are `count` uniforms u from
+    `Generator.random`, mapped to -rho*pi + u * (rho*pi - (-rho*pi)) in
+    place: the values `Generator.uniform(-rho*pi, rho*pi, count)` gives, bit
+    for bit, from the same stream positions.  Halving rho halves each draw
+    exactly, since no value then falls below the normal range (for any rho
+    above 1e-290).  At rho = 0 nothing is drawn and the errors are 0.
+    """
     _check_rho(rho)
     if not _is_index(count, 0):
         raise DomainError("count must be a nonnegative integer")
+    if out is None:
+        out = np.empty(count)
+    elif out.size != count:
+        raise DomainError(f"out holds {out.size} elements, not count = {count}")
     if rho == 0.0:
-        return np.zeros(count)
-    return stream.uniform(-rho * math.pi, rho * math.pi, size=count)
+        out.fill(0.0)
+        return out
+    low, high = -rho * math.pi, rho * math.pi
+    stream.random(out=out)
+    out *= high - low
+    out += low
+    return out

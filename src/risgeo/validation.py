@@ -351,8 +351,20 @@ def _check_optimizer_anchor(trials: int, seed: int) -> list[Part]:
     ]
 
 
+#: Parameter ranges of the criterion-8 optimizer instances, per SNR regime:
+#: access exponent a3, serving radius c, element budget eta, transmit power
+#: p_dbm, bounded-phase rho and reference path loss loss_db.
+OPTIMIZER_RANGES = {
+    "high": {"a3": (2.1, 3.9), "c": (2.0, 12.0), "eta": (1.0, 20.0),
+             "p_dbm": (25.0, 40.0), "rho": (0.0, 0.8), "loss_db": (25.0, 35.0)},
+    "low": {"a3": (2.1, 3.5), "c": (2.0, 4.0), "eta": (5.0, 20.0),
+            "p_dbm": (0.0, 6.0), "rho": (0.0, 0.5), "loss_db": (25.0, 35.0)},
+}
+
+
 def _optimizer_instances():
-    """A hand-picked high/bounded spot, then 20 seeded draws per regime."""
+    """A hand-picked high/bounded spot, then 20 seeded draws per regime over
+    `OPTIMIZER_RANGES`."""
     yield (
         deployment.OptimizerRegime(snr="high", phase="bounded"),
         10.0,
@@ -363,22 +375,13 @@ def _optimizer_instances():
     rng = np.random.default_rng(2718)
     for snr, phase in itertools.product(("high", "low"), ("bounded", "random")):
         regime = deployment.OptimizerRegime(snr=snr, phase=phase)
+        box = OPTIMIZER_RANGES[snr]
         for _ in range(20):
-            if snr == "high":
-                a3 = rng.uniform(2.1, 3.9)
-                c = rng.uniform(2.0, 12.0)
-                eta = rng.uniform(1.0, 20.0)
-                p_dbm = rng.uniform(25.0, 40.0)
-                rho = 1.0 if phase == "random" else rng.uniform(0.0, 0.8)
-            else:
-                a3 = rng.uniform(2.1, 3.5)
-                c = rng.uniform(2.0, 4.0)
-                eta = rng.uniform(5.0, 20.0)
-                p_dbm = rng.uniform(0.0, 6.0)
-                rho = 1.0 if phase == "random" else rng.uniform(0.0, 0.5)
+            a3, c, eta, p_dbm = (rng.uniform(*box[key]) for key in ("a3", "c", "eta", "p_dbm"))
+            rho = 1.0 if phase == "random" else rng.uniform(*box["rho"])
             params = _default_params(
                 tx_power_dbm=p_dbm,
-                beta_db=-rng.uniform(25.0, 35.0),
+                beta_db=-rng.uniform(*box["loss_db"]),
                 alpha_ris_ue=a3,
                 serve_radius=c,
             )
@@ -603,8 +606,8 @@ def _check_cosine(trials: int, seed: int) -> list[Part]:
     rng = substream(seed, 12345)
     worst = 0.0
     for rho in (0.25, 0.5, 1.0):
-        t1 = rng.uniform(-rho * math.pi, rho * math.pi, trials)
-        t2 = rng.uniform(-rho * math.pi, rho * math.pi, trials)
+        t1 = phase_error.sample_phase_errors(rho, trials, rng)
+        t2 = phase_error.sample_phase_errors(rho, trials, rng)
         vals = np.cos(t1 - t2)
         gap = vals.mean() - phase_error.expected_cos_diff(rho)
         worst = max(worst, _z_score(gap, vals.std(ddof=1) / math.sqrt(trials)))

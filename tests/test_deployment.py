@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import warnings
 from pathlib import Path
@@ -21,6 +23,7 @@ from risgeo.phase_error import attenuation_factor
 from risgeo.rate_loss import rate_loss_regime
 from risgeo.spatial_rate import annulus_distance_moment, array_gain_term, noise_residual_term
 from risgeo.special_math import exp_integral_ei, lower_incomplete_gamma
+from risgeo.validation import OPTIMIZER_RANGES, _optimizer_instances
 
 LN2 = math.log(2.0)
 
@@ -63,20 +66,11 @@ def criterion8_instances():
     """Eight seeded draws per regime over the criterion-8 parameter ranges."""
     rng = np.random.default_rng(42)
     for regime in (HIGH_BOUNDED, HIGH_RANDOM, LOW_BOUNDED, LOW_RANDOM):
+        box = OPTIMIZER_RANGES[regime.snr]
         for _ in range(8):
-            beta_db = -rng.uniform(25.0, 35.0)
-            if regime.snr == "high":
-                a3 = rng.uniform(2.1, 3.9)
-                c = rng.uniform(2.0, 12.0)
-                eta = rng.uniform(1.0, 20.0)
-                p_dbm = rng.uniform(25.0, 40.0)
-                rho = 1.0 if regime.phase == "random" else rng.uniform(0.0, 0.8)
-            else:
-                a3 = rng.uniform(2.1, 3.5)
-                c = rng.uniform(2.0, 4.0)
-                eta = rng.uniform(5.0, 20.0)
-                p_dbm = rng.uniform(0.0, 6.0)
-                rho = 1.0 if regime.phase == "random" else rng.uniform(0.0, 0.5)
+            beta_db = -rng.uniform(*box["loss_db"])
+            a3, c, eta, p_dbm = (rng.uniform(*box[key]) for key in ("a3", "c", "eta", "p_dbm"))
+            rho = 1.0 if regime.phase == "random" else rng.uniform(*box["rho"])
             params = make_params(
                 tx_power_dbm=p_dbm,
                 beta_db=beta_db,
@@ -84,6 +78,25 @@ def criterion8_instances():
                 serve_radius=c,
             )
             yield regime, rho, eta, params
+
+
+def test_criterion8_instances_unchanged():
+    # both instance lists read one range table, each with its own seed and
+    # draw order; the digests pin every instance as drawn before they shared it
+    def digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    def fields(params):
+        return [float(v).hex() for v in dataclasses.astuple(params)]
+
+    validated = [(regime.snr, regime.phase, float(eta).hex(), float(rho).hex(), fields(params), n_max(100))
+                 for regime, eta, rho, params, n_max in _optimizer_instances()]
+    tested = [(regime.snr, regime.phase, float(rho).hex(), float(eta).hex(), fields(params))
+              for regime, rho, eta, params in criterion8_instances()]
+    assert (len(validated), digest(validated)) == (
+        81, "5792b0e39391b5d4aee4dd8df894b1ee71324791d00e664f384a446464f84118")
+    assert (len(tested), digest(tested)) == (
+        32, "7638f0cffaec2d46386243b47915dbfe36e00b64ae8d860f71f28ec7b9abcad3")
 
 
 class TestObjectiveOffset:
@@ -688,6 +701,7 @@ CHECKED_CALLS = [
         pytest.param(10.0, 1.0, HIGH_BOUNDED, "bounded-phase regime requires rho < 1", id="bounded-rho-1"),
         pytest.param(0.0, 0.5, HIGH_BOUNDED, "element budget must be positive", id="eta-zero"),
         pytest.param(math.nan, 0.5, HIGH_BOUNDED, "element budget must be positive", id="eta-nan"),
+        pytest.param(math.inf, 0.5, HIGH_BOUNDED, "element budget must be positive and finite", id="eta-inf"),
     ],
 )
 def test_solve_inputs_checked_in_one_place(call, eta, rho, regime, message):

@@ -549,9 +549,11 @@ class TestCascadeKernel:
             [-math.pi, -math.pi / 2, -1e-10, 0.0, 5e-324, math.pi / 2, math.pi * (1 - 2.0**-53)]
         )
         size, n = 3, edges.size
-        monkeypatch.setattr(
-            monte_carlo, "sample_phase_errors", lambda rho, count, rng: np.tile(edges, size)
-        )
+
+        def edge_halves(rho, count, rng, out):  # the kernel draws tau/2, at rho/2
+            return np.multiply(np.tile(edges, (size, 1)), 0.5, out=out)
+
+        monkeypatch.setattr(monte_carlo, "sample_phase_errors", edge_halves)
         re, im, _ = _cascade(substream(29, 0), size, n, 1.0)
         e = substream(29, 0).standard_exponential((2, size, n))
         amp = np.sqrt(e[0] * e[1])
@@ -877,6 +879,114 @@ class TestBlockReduction:
         monkeypatch.setattr(_SpatialGeometry, "sample", recording_sample)
         simulate_spatial_bound(self.PARAMS, self.DEP, self.RHO, McConfig(trials=trials, workers=workers))
         assert sorted(seen) == sorted(blocks)
+
+
+class TestStatisticRows:
+    def test_each_statistic_summed_as_one_contiguous_row(self):
+        # a chunk of k statistics comes back k x size: each statistic's sum
+        # and sum of squares are the pairwise sums of its own row, as
+        # row.sum() gives them, added chunk by chunk in chunk order
+        trials = 2 * 4096 + 1000
+        chunks = []
+
+        def chunk(rngs, size):
+            (rng,) = rngs
+            values = np.stack([rng.standard_normal(size), rng.standard_exponential(size)])
+            chunks.append(values.copy())
+            return values
+
+        mean, stderr = monte_carlo._accumulate(chunk, McConfig(trials=trials, workers=1), max_rows=1)
+        total = np.add.accumulate([[row.sum() for row in values] for values in chunks])[-1]
+        total_sq = np.add.accumulate([[(row * row).sum() for row in values] for values in chunks])[-1]
+        assert mean.tolist() == (total / trials).tolist()
+        var = np.maximum(total_sq - trials * mean**2, 0.0) / (trials - 1)
+        assert stderr.tolist() == np.sqrt(var / trials).tolist()
+
+
+class TestPinnedRateEstimates:
+    """Every rate estimator's (value, std_error), bit for bit, over chunk
+    counts from one trial to ten chunks, with perfect, bounded and random
+    phases: a kernel, draw or reduction change that moves a rate fails here.
+    The values do not depend on the worker count."""
+
+    DEP = DeploymentParams(density=0.005, elements_per_ris=16)
+    ESTIMATORS = {
+        "fixed": lambda rho, mc: simulate_fixed_rate(make_params(), GEOM, 16, rho, mc),
+        "exact": lambda rho, mc: simulate_spatial_exact(make_params(), TestPinnedRateEstimates.DEP, rho, mc),
+        "bound": lambda rho, mc: simulate_spatial_bound(make_params(), TestPinnedRateEstimates.DEP, rho, mc),
+        "bound_full": lambda rho, mc: simulate_spatial_bound(
+            make_params(), TestPinnedRateEstimates.DEP, rho, dataclasses.replace(mc, window_policy="full_hppp")
+        ),
+    }
+    # (trials, rho, estimator): (value.hex(), std_error.hex()) at master seed 7
+    PINNED = {
+        (1, 0.0, "fixed"): ("0x1.01b4f74d1a6f7p-4", "0x0.0p+0"),
+        (1, 0.0, "exact"): ("0x1.093f6a8ce3fbep+1", "0x0.0p+0"),
+        (1, 0.0, "bound"): ("0x1.3d5d460c52cefp+0", "0x0.0p+0"),
+        (1, 0.0, "bound_full"): ("0x1.fb14702728439p-3", "0x0.0p+0"),
+        (1, 0.3, "fixed"): ("0x1.7ac473f6a9221p-3", "0x0.0p+0"),
+        (1, 0.3, "exact"): ("0x1.7b756bfc5cabcp+0", "0x0.0p+0"),
+        (1, 0.3, "bound"): ("0x1.13c659328cc21p+0", "0x0.0p+0"),
+        (1, 0.3, "bound_full"): ("0x1.da19a3b81ec70p-3", "0x0.0p+0"),
+        (1, 1.0, "fixed"): ("0x1.536d2742fb9b6p-4", "0x0.0p+0"),
+        (1, 1.0, "exact"): ("0x1.37dd09bb5ac2ap-2", "0x0.0p+0"),
+        (1, 1.0, "bound"): ("0x1.e6456da7a4602p-3", "0x0.0p+0"),
+        (1, 1.0, "bound_full"): ("0x1.28ac03ae42429p-3", "0x0.0p+0"),
+        (4095, 0.0, "fixed"): ("0x1.0d1df381f8cf0p-2", "0x1.6a17cf22c59c2p-9"),
+        (4095, 0.0, "exact"): ("0x1.f876dfbaa007ep-2", "0x1.43135366f01c4p-7"),
+        (4095, 0.0, "bound"): ("0x1.02ec8296b7485p-1", "0x1.2dd0727d39103p-7"),
+        (4095, 0.0, "bound_full"): ("0x1.0fc46e1562259p-1", "0x1.5f921c210c385p-7"),
+        (4095, 0.3, "fixed"): ("0x1.f7b5ba4de84d6p-3", "0x1.6560e956bbf11p-9"),
+        (4095, 0.3, "exact"): ("0x1.c90babe2bc43bp-2", "0x1.28c17e93053cep-7"),
+        (4095, 0.3, "bound"): ("0x1.d661ed84d243ap-2", "0x1.12044eb295fc6p-7"),
+        (4095, 0.3, "bound_full"): ("0x1.ee2ca147f97fdp-2", "0x1.4308d2fb61d16p-7"),
+        (4095, 1.0, "fixed"): ("0x1.4fb9c1498f576p-3", "0x1.2ff5dd00abc9cp-9"),
+        (4095, 1.0, "exact"): ("0x1.95d0625d5493dp-3", "0x1.0ec03905b5d69p-8"),
+        (4095, 1.0, "bound"): ("0x1.a71375fdc1575p-3", "0x1.a628f2f2dba64p-9"),
+        (4095, 1.0, "bound_full"): ("0x1.bc3e3a76e05acp-3", "0x1.1ffe4e49d97b7p-8"),
+        (4096, 0.0, "fixed"): ("0x1.0d073582fd32fp-2", "0x1.6a58eb12d60fep-9"),
+        (4096, 0.0, "exact"): ("0x1.f778148faa034p-2", "0x1.417711f17e766p-7"),
+        (4096, 0.0, "bound"): ("0x1.02f99cc648449p-1", "0x1.2e11d7384e568p-7"),
+        (4096, 0.0, "bound_full"): ("0x1.0ff18da4ee85fp-1", "0x1.6270befecec89p-7"),
+        (4096, 0.3, "fixed"): ("0x1.f630d6576a8e2p-3", "0x1.64a84f5e19b68p-9"),
+        (4096, 0.3, "exact"): ("0x1.c4bc215402e06p-2", "0x1.24e8fea784fdfp-7"),
+        (4096, 0.3, "bound"): ("0x1.d67e1e78a88fep-2", "0x1.1232e4e25c27cp-7"),
+        (4096, 0.3, "bound_full"): ("0x1.ee8fdbf59d3a1p-2", "0x1.45e8cc187f47dp-7"),
+        (4096, 1.0, "fixed"): ("0x1.4f27b43eb6a88p-3", "0x1.30b5ecf4393efp-9"),
+        (4096, 1.0, "exact"): ("0x1.8db957771efd9p-3", "0x1.0f4ac1ceb7fe2p-8"),
+        (4096, 1.0, "bound"): ("0x1.a71412958422ap-3", "0x1.a43a32c9459e3p-9"),
+        (4096, 1.0, "bound_full"): ("0x1.bd1818b6eca6fp-3", "0x1.27ff8b65e51e7p-8"),
+        (10000, 0.0, "fixed"): ("0x1.0ecd370fa8cf7p-2", "0x1.d1e5e022d0caap-10"),
+        (10000, 0.0, "exact"): ("0x1.fc2ab02f36e2bp-2", "0x1.ab22307e332e3p-8"),
+        (10000, 0.0, "bound"): ("0x1.05b897a0cfb84p-1", "0x1.96092701507a0p-8"),
+        (10000, 0.0, "bound_full"): ("0x1.0a917ec8cb536p-1", "0x1.a6f11267757c0p-8"),
+        (10000, 0.3, "fixed"): ("0x1.f69b0483d4062p-3", "0x1.ccf3150e1ac42p-10"),
+        (10000, 0.3, "exact"): ("0x1.c8cd5e1c1133dp-2", "0x1.8807aeac20e74p-8"),
+        (10000, 0.3, "bound"): ("0x1.dbcd284a50db1p-2", "0x1.7241b416abec8p-8"),
+        (10000, 0.3, "bound_full"): ("0x1.e47cd6c19c1a0p-2", "0x1.8339f14eb58ccp-8"),
+        (10000, 1.0, "fixed"): ("0x1.4efcec50c991ap-3", "0x1.8a88f2d92b85bp-10"),
+        (10000, 1.0, "exact"): ("0x1.8ffe879910f8fp-3", "0x1.73e1a21b65865p-9"),
+        (10000, 1.0, "bound"): ("0x1.ad44132278890p-3", "0x1.2ffd2c3502b89p-9"),
+        (10000, 1.0, "bound_full"): ("0x1.b35f39e929e94p-3", "0x1.4f1218579db0ep-9"),
+        (40000, 0.0, "fixed"): ("0x1.0bbd93bef0461p-2", "0x1.d4578e2f1ed8fp-11"),
+        (40000, 0.0, "exact"): ("0x1.01a57d56e320cp-1", "0x1.b2c9fbecfe9e8p-9"),
+        (40000, 0.0, "bound"): ("0x1.0a32d54135a92p-1", "0x1.a1032d634580ap-9"),
+        (40000, 0.0, "bound_full"): ("0x1.0a6872d3baef6p-1", "0x1.9e85c0f3cd232p-9"),
+        (40000, 0.3, "fixed"): ("0x1.f9ad58a9ff678p-3", "0x1.c9d0645ed2e68p-11"),
+        (40000, 0.3, "exact"): ("0x1.d3398359fca35p-2", "0x1.8ef2d93240391p-9"),
+        (40000, 0.3, "bound"): ("0x1.e395189447a5ep-2", "0x1.7d19759077e54p-9"),
+        (40000, 0.3, "bound_full"): ("0x1.e3f5935555282p-2", "0x1.7a40ff47df27dp-9"),
+        (40000, 1.0, "fixed"): ("0x1.511f26dcc012ep-3", "0x1.87a24ee6dcf70p-11"),
+        (40000, 1.0, "exact"): ("0x1.969cb4ceb1f15p-3", "0x1.864c4c016187ep-10"),
+        (40000, 1.0, "bound"): ("0x1.b010a97c32a9bp-3", "0x1.4e34e5ce75de2p-10"),
+        (40000, 1.0, "bound_full"): ("0x1.affacc6ee013ep-3", "0x1.3e22776fcfbf1p-10"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials, rho, estimator", list(PINNED))
+    def test_matches_pinned_bits(self, trials, rho, estimator, workers):
+        got = self.ESTIMATORS[estimator](rho, McConfig(trials=trials, master_seed=7, workers=workers))
+        assert (got.value.hex(), got.std_error.hex()) == self.PINNED[trials, rho, estimator]
 
 
 class TestReflectionMoments:

@@ -77,11 +77,26 @@ def test_system_params(field):
         dataclasses.replace(PARAMS, **{field: NAN})
 
 
+# an infinite parameter would pass a positivity check and come back as a
+# NaN or infinite rate (d_max = inf, density = inf, tx_power = inf)
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+def test_system_params_infinite(field):
+    with pytest.raises(DomainError):
+        dataclasses.replace(PARAMS, **{field: math.inf})
+
+
 @pytest.mark.parametrize("field", ["density", "elements_per_ris"])
 def test_deployment_params(field):
     dep = DeploymentParams(density=0.01, elements_per_ris=64)
     with pytest.raises(DomainError):
         dataclasses.replace(dep, **{field: NAN})
+
+
+@pytest.mark.parametrize("field", ["density", "elements_per_ris"])
+def test_deployment_params_infinite(field):
+    dep = DeploymentParams(density=0.01, elements_per_ris=64)
+    with pytest.raises(DomainError):
+        dataclasses.replace(dep, **{field: math.inf})
 
 
 @pytest.mark.parametrize("field", ["lambda_star", "n_star"])
@@ -96,6 +111,13 @@ def test_link_geometry(field):
     geom = LinkGeometry(d=200.0, l=200.0, r=10.0)
     with pytest.raises(DomainError):
         dataclasses.replace(geom, **{field: NAN})
+
+
+@pytest.mark.parametrize("field", ["d", "l", "r"])
+def test_link_geometry_infinite(field):
+    geom = LinkGeometry(d=200.0, l=200.0, r=10.0)
+    with pytest.raises(DomainError):
+        dataclasses.replace(geom, **{field: math.inf})
 
 
 @pytest.mark.parametrize("field", ["value", "std_error"])

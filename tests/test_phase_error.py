@@ -122,6 +122,34 @@ class TestSampling:
         tau = sample_phase_errors(0.3, 10**5, rng)
         assert np.all(np.abs(tau) <= 0.3 * math.pi)
 
+    @pytest.mark.parametrize("rho", [1e-6, 0.1, 0.25, 0.3, 0.5, 2.0 / 3.0, 1.0])
+    def test_out_buffer_matches_allocating_call_and_uniform(self, rho):
+        count = 7 * 14_287
+        buf = np.empty((14_287, 7))
+        got = sample_phase_errors(rho, count, substream(5, 0), out=buf)
+        assert got is buf
+        fresh = sample_phase_errors(rho, count, substream(5, 0))
+        uniform = substream(5, 0).uniform(-rho * math.pi, rho * math.pi, count)
+        assert buf.tobytes() == fresh.tobytes() == uniform.tobytes()
+
+    def test_out_buffer_of_another_size_is_rejected(self):
+        with pytest.raises(DomainError):
+            sample_phase_errors(0.4, 14, substream(5, 1), out=np.empty((3, 5)))
+
+    def test_zero_rho_fills_out_and_draws_nothing(self):
+        rng = substream(5, 2)
+        buf = np.full(8, np.nan)
+        assert np.all(sample_phase_errors(0.0, 8, rng, out=buf) == 0.0)
+        assert rng.random() == substream(5, 2).random()
+
+    def test_half_rho_draws_half_angles(self):
+        # the cascade kernel draws tau/2 as the errors at rho/2: halving is
+        # exact, so they are the errors at rho, halved, bit for bit
+        for rho in np.append(np.linspace(0.0, 1.0, 1001)[1:], [1e-9, 2.0**-20, 1.0 / 3.0]):
+            half = sample_phase_errors(rho / 2, 4096, substream(6, 0))
+            full = sample_phase_errors(rho, 4096, substream(6, 0))
+            assert half.tobytes() == (0.5 * full).tobytes(), rho
+
 
 class TestCrossoverSize:
     def test_anchor_values(self):
