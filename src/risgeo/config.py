@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import DomainError
 from .monte_carlo import usable_cores
-from .params import DeploymentParams, LinkGeometry, SystemParams, dbm_to_watts, db_to_linear
+from .params import (
+    DeploymentParams,
+    LinkGeometry,
+    SystemParams,
+    _is_count,
+    db_to_linear,
+    dbm_to_watts,
+)
 
 
 class ConfigError(Exception):
@@ -89,7 +96,7 @@ _KEYS = {
     "d_max": (float, _positive, 220.0),
     "serve_radius": (float, _positive, 10.0),
     "density": (float, _positive, 0.005),
-    "elements_per_ris": (int, lambda v: v >= 1, 200),
+    "elements_per_ris": (int, lambda v: _is_count(v, 1), 200),
     "element_budget": (float, _positive, 10.0),
     "rho": (float, lambda v: 0 <= v <= 1, 0.0),
     "quant_bits": (int, lambda v: v >= 1, None),

@@ -6,9 +6,12 @@ alone.  The density derivative of the reduced objective factors into a
 strictly positive prefactor exp(-pi lam C^2)/(lam ln 2) times a slope
 factor, so the slope factor's sign drives the search.  Closed-form roots
 exist in three special regimes; everywhere else a scan-and-bisect on the
-slope factor is used, guarded by a direct scan of the objective itself and
-by the budget boundary, because outside its derivation regime the objective
-can be bimodal.
+slope factor is used, guarded by the budget boundary and by a zoom on a
+direct scan of the objective, because outside its derivation regime the
+objective can be bimodal.  The zoom is skipped where the slope factor is
+exact and its root already sits in the bracket the zoom would refine: there
+the zoom could beat the root only by rounding, too little to count unless
+the objective is very large (`optimize_density`).
 
 One preparation per solve (`_prepare`) checks the element budget and the
 regime against rho, and binds the reduced objective and its slope factor as
@@ -77,6 +80,12 @@ _ZOOM_SNAP_REL = 1e-6
 #: wins are rounding noise on a flat maximum.
 _REFINE_MIN_GAIN = 1e-9
 
+#: Each zoom round keeps the best of _SCAN_POINTS scores, so on a flat
+#: maximum it may beat the bisected root by rounding alone; taking that noise
+#: as up to _SCAN_POINTS ulps of |objective|, it stays below _REFINE_MIN_GAIN
+#: for objectives under this size (about 7e4 bps/Hz).
+_ROUNDING_SAFE_OBJECTIVE = _REFINE_MIN_GAIN / (_SCAN_POINTS * np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class OptimizerRegime:
@@ -138,12 +147,14 @@ def objective_offset(params: SystemParams, regime: OptimizerRegime) -> float:
 
 @dataclass(frozen=True, slots=True)
 class _Prepared:
-    """One solve's objective offset, and its reduced objective and scaled
-    slope factor as functions of the density alone (`_prepare`)."""
+    """One solve's objective offset, its reduced objective and scaled slope
+    factor as functions of the density alone, and whether that slope factor
+    is exact (`_prepare`)."""
 
     offset: float
     objective: Callable
     slope: Callable
+    exact_slope: bool
 
 
 def _prepare(
@@ -152,7 +163,11 @@ def _prepare(
     """Check one solve's inputs and bind its objective and slope factor to them.
 
     The slope factor is scaled by exp(-pi lam C^2): same sign, safe from exp
-    overflow.  Neither function checks lam; both take a scalar or an array.
+    overflow.  Its sign is the objective's exact derivative sign at high SNR
+    and in the low-SNR random-phase regime (`exact_slope`); the low-SNR
+    bounded slope factor assumes an array size eta / lam well above the
+    crossover size (`phase_error.crossover_size`).  Neither function checks
+    lam; both take a scalar or an array.
     Each density-free constant is formed once, with the operations, in the
     order, of the formula written out per call, so values are bit-identical
     to it.  Likewise each evaluation forms pi lam, x = pi lam C^2, -x, e^-x
@@ -210,7 +225,7 @@ def _prepare(
                 scale = coef + (1.0 - m2) / per_element
             return x * np.exp(neg_x) * log_arg + scale * -np.expm1(neg_x)
 
-        return _Prepared(offset, objective, slope)
+        return _Prepared(offset, objective, slope, exact_slope=True)
 
     log_base = offset * _LN2 - a3 * math.log(c)
     s = a3 / 2.0 + 1.0
@@ -232,7 +247,7 @@ def _prepare(
         extra = (x**s * ex + q * gam) * k3 * lam**q / extra_denom
         return x * ex * log_arg + coef * -np.expm1(neg_x) + extra
 
-    return _Prepared(offset, objective, slope)
+    return _Prepared(offset, objective, slope, exact_slope=random)
 
 
 def deployment_objective(
@@ -276,10 +291,9 @@ def objective_slope(
 
     The derivative equals exp(-pi lam C^2) / (lam ln 2) times this value.
 
-    Exact for both high-SNR branches and the low-SNR random branch; the
-    low-SNR bounded branch assumes an array size eta / lam well above the
-    crossover size (`phase_error.crossover_size`), and both bounded branches
-    warn (RegimeWarning) below that.  Raises NumericError once
+    Exact where `_Prepared.exact_slope` holds (see `_prepare`); both bounded
+    branches warn (RegimeWarning) where the array size eta / lam is below
+    LARGE_ARRAY_MARGIN times the crossover size.  Raises NumericError once
     exp(pi*lam*C^2) overflows (pi*lam*C^2 > ~709.8); its estimate,
     copysign(inf, scaled slope), carries the sign only.
     """
@@ -324,18 +338,37 @@ def _scan_grid(eta: float) -> np.ndarray:
     return grid
 
 
+def _bracket(grid: np.ndarray, fvals: np.ndarray) -> tuple[int, float, float]:
+    """The argmax k of a scan, and the neighbours of grid[k] (or grid[k]
+    itself at an end): the bracket a zoom round rescans."""
+    k = int(np.argmax(fvals))
+    return k, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+
+
 def _zoom_max(f, grid: np.ndarray, fvals: np.ndarray) -> tuple[float, float]:
     """(lam, f(lam)) at the argmax of a log-spaced scan, refined by rescanning
     between the argmax's neighbours with one array call of f per round."""
-    k = int(np.argmax(fvals))
     while True:
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        k, lo, hi = _bracket(grid, fvals)
         if hi / lo < 1.0 + _ZOOM_REL_WIDTH:
             return float(grid[k]), float(fvals[k])
         grid = lo * (hi / lo) ** _ZOOM_STEPS
         grid[0], grid[-1] = lo, hi  # exact ends: no point may pass eta
         fvals = f(grid)
-        k = int(np.argmax(fvals))
+
+
+def _zoom_candidate(f, grid: np.ndarray, fvals: np.ndarray, eta: float):
+    """The zoom's refinement of a scan's argmax as (lam, f(lam), scalar),
+    put on an integer budget quotient within _ZOOM_SNAP_REL of it; `scalar`
+    is f(lam) if a scalar call made it (then `_finish` may reuse it), else
+    None."""
+    refined, f_refined = _zoom_max(f, grid, fvals)
+    n_near = round(eta / refined)
+    if 0.0 < abs(eta / refined - n_near) <= _ZOOM_SNAP_REL * n_near:
+        refined = eta / n_near
+        f_refined = float(f(refined))
+        return refined, f_refined, f_refined
+    return refined, f_refined, None
 
 
 def _finish(
@@ -375,10 +408,16 @@ def optimize_density(
     Dispatch: closed forms where they exist (ideal-exponent bounded branch,
     random-phase branches), otherwise a 64-point log scan of the slope
     factor bisected at its first sign change, cross-checked against the eta
-    boundary and a direct scan of the objective, whose argmax is refined by
-    zooming in with one array call per round and put on an integer budget
-    quotient within the zoom's resolution of it.  The returned array size is
-    the ceiling of the budget quotient.
+    boundary and a direct scan of the objective.  The scan's argmax is
+    refined by zooming in with one array call per round and put on an integer
+    budget quotient within the zoom's resolution of it, unless the slope
+    factor is exact (`_Prepared.exact_slope`), its root lies in the bracket
+    the zoom would refine, and the root's score is below
+    _ROUNDING_SAFE_OBJECTIVE.  Then the objective rises to the root and falls
+    after it across that bracket (short of two more sign changes between
+    neighbouring scan points), so the zoom could beat the root only by
+    rounding, which stays below _REFINE_MIN_GAIN: skipping it moves no
+    result.  The returned array size is the ceiling of the budget quotient.
     """
     prepared = _prepare(eta, params, rho, regime)
     c = params.serve_radius
@@ -411,10 +450,11 @@ def optimize_density(
             return _finish(eta, eta, params, rho, regime, prepared, "monotone_boundary")
 
     # Numerical branch: scan, bisect the first sign change of the slope, and guard
-    # with a direct objective scan plus the eta boundary (the single-crossing
-    # structure can fail outside the closed-form derivation regimes).  Every
-    # objective call goes through the module global, so a substitute or the
-    # benchmark tracer sees it, and passes the solve's preparation.
+    # with the eta boundary and, unless the root has settled it, a zoom on the
+    # objective scan (the single-crossing structure can fail outside the
+    # closed-form derivation regimes).  Every objective call goes through the
+    # module global, so a substitute or the benchmark tracer sees it, and
+    # passes the solve's preparation.
     def fobj(lam):
         return deployment_objective(lam, eta, params, rho, regime, prepared)
 
@@ -437,15 +477,18 @@ def optimize_density(
         root = min(math.sqrt(lo * hi), eta)
     # _finish reuses a candidate's score only if a scalar call made it: an
     # array call's value can differ in the last bit (module docstring)
-    refined, f_refined = _zoom_max(fobj, grid, fvals)
-    scalar_refined = None
-    n_near = round(eta / refined)
-    if 0.0 < abs(eta / refined - n_near) <= _ZOOM_SNAP_REL * n_near:
-        refined = eta / n_near
-        f_refined = scalar_refined = float(fobj(refined))
     f_root = scalar_root = -math.inf if root is None else float(fobj(root))
-    if f_refined > f_root + _REFINE_MIN_GAIN:
-        root, f_root, scalar_root = refined, f_refined, scalar_refined
+    _, lo, hi = _bracket(grid, fvals)
+    settled = (
+        prepared.exact_slope
+        and root is not None
+        and lo <= root <= hi
+        and abs(f_root) < _ROUNDING_SAFE_OBJECTIVE
+    )
+    if not settled:
+        refined, f_refined, scalar_refined = _zoom_candidate(fobj, grid, fvals, eta)
+        if f_refined > f_root + _REFINE_MIN_GAIN:
+            root, f_root, scalar_root = refined, f_refined, scalar_refined
     if f_root > fvals[-1] + _REFINE_MIN_GAIN:  # the scan ends at eta itself
         return _finish(root, eta, params, rho, regime, prepared, "bisection", scalar_root)
     return _finish(eta, eta, params, rho, regime, prepared, "boundary_eta")

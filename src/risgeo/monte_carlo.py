@@ -73,7 +73,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .params import DeploymentParams, LinkGeometry, RateEstimate, SystemParams
+from .params import DeploymentParams, LinkGeometry, RateEstimate, SystemParams, _is_count
 from .phase_error import attenuation_factor, sample_phase_errors
 from .rate_bounds import mean_power_gain
 from .streams import _is_index, substream
@@ -481,8 +481,8 @@ def simulate_fixed_rate(
 ) -> RateEstimate:
     """Exact ergodic rate of the fixed-geometry link, averaged over fading
     and phase error.  n_elements = 0 degenerates to the direct-only link."""
-    if not _is_index(n_elements, 0):
-        raise DomainError("n_elements must be an integer >= 0")
+    if not _is_count(n_elements, 0):
+        raise DomainError("n_elements must be an integer >= 0 that converts to a finite float")
     snr = params.snr_gain
     cascade = math.sqrt(params.beta_bs_ris(geom.l) * params.beta_ris_ue(geom.r))
     bd = params.beta_direct(geom.d)
@@ -551,8 +551,8 @@ def estimate_reflection_moments(
     n_elements: int, rho: float, mc: McConfig
 ) -> ReflectionMoments:
     """Empirical E{Re z} and E{|z|^2} of z = sum |g||h| e^{j tau}."""
-    if not _is_index(n_elements, 1):
-        raise DomainError("n_elements must be an integer >= 1")
+    if not _is_count(n_elements, 1):
+        raise DomainError("n_elements must be an integer >= 1 that converts to a finite float")
 
     def chunk(rngs: list[np.random.Generator], size: int) -> np.ndarray:
         (rng,) = rngs

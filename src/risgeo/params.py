@@ -36,6 +36,18 @@ def db_to_linear(db: float) -> float:
         raise DomainError(f"{db} dB overflows a float in linear units") from exc
 
 
+def _is_count(value, low: int) -> bool:
+    """Whether `value` is an integer of at least `low` (`streams._is_index`)
+    that converts to a finite float, as every formula takes a count."""
+    if not _is_index(value, low):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _check_finite(params, names) -> None:
     """DomainError naming the first of the positive fields `names` of
     `params` that is infinite."""
@@ -147,8 +159,10 @@ class DeploymentParams:
     def __post_init__(self):
         if not self.density > 0:
             raise DomainError("density must be positive")
-        if not _is_index(self.elements_per_ris, 1):
-            raise DomainError("elements_per_ris must be an integer >= 1")
+        if not _is_count(self.elements_per_ris, 1):
+            raise DomainError(
+                "elements_per_ris must be an integer >= 1 that converts to a finite float"
+            )
         _check_finite(self, ("density",))
 
 

@@ -18,9 +18,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .params import LinkGeometry, RateEstimate, SystemParams
+from .params import LinkGeometry, RateEstimate, SystemParams, _is_count
 from .phase_error import LARGE_ARRAY_MARGIN, attenuation_factor, crossover_size
-from .streams import _is_index
 
 
 def mean_power_gain(blbr, bd, m, n, out=None):
@@ -54,8 +53,8 @@ def rate_bound_ris(
     params: SystemParams, geom: LinkGeometry, n_elements: int, rho: float
 ) -> RateEstimate:
     """Upper bound on the ergodic rate of the reflector-assisted link (bps/Hz)."""
-    if not _is_index(n_elements, 1):
-        raise DomainError("n_elements must be an integer >= 1")
+    if not _is_count(n_elements, 1):
+        raise DomainError("n_elements must be an integer >= 1 that converts to a finite float")
     m = attenuation_factor(rho)
     bl = params.beta_bs_ris(geom.l)
     br = params.beta_ris_ue(geom.r)

@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
+from .params import _is_count
 from .phase_error import LARGE_ARRAY_MARGIN, attenuation_factor, crossover_size
 from .spatial_rate import _power_per_element, association_probability
-from .streams import _is_index
 
 _IDEAL_SQ = math.pi**2 / 16.0
 
 
 def rate_loss(n_elements: int, rho: float, lam: float, serve_radius: float) -> float:
     """Loss in bps/Hz relative to ideal phases at the same array size."""
-    if not _is_index(n_elements, 1):
-        raise DomainError("n_elements must be an integer >= 1")
+    if not _is_count(n_elements, 1):
+        raise DomainError("n_elements must be an integer >= 1 that converts to a finite float")
     m = attenuation_factor(rho)
     n = float(n_elements)
     ratio = _power_per_element(n, _IDEAL_SQ) / _power_per_element(n, m * m)

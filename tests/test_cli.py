@@ -345,13 +345,16 @@ class TestNonFiniteInputs:
             (["optimize"], "quant_bits = 0\n", "'quant_bits'"),
             (["optimize"], "quant_bits = 2.5\n", "'quant_bits'"),
             (["optimize"], "quant_bits = nan\n", "'quant_bits'"),
+            (["rate-spatial", "--trials", "10", "--sweep", "density:0.005:0.005:1"],
+             "elements_per_ris = 1" + "0" * 400 + "\n", "'elements_per_ris'"),
         ],
         ids=["tx_power_dbm", "noise_dbm", "beta_db", "rho_list_text", "rho_list_domain",
-             "quant_bits_zero", "quant_bits_fraction", "quant_bits_nan"],
+             "quant_bits_zero", "quant_bits_fraction", "quant_bits_nan", "elements_per_ris_huge"],
     )
     def test_unconvertible_value_exits_2(self, tmp_path, capsys, command, config, named):
         # a finite dB value whose linear value overflows, a rho_list entry that
-        # is no rho, or a quantizer bit count that is no positive integer
+        # is no rho, a quantizer bit count that is no positive integer, or an
+        # element count too large for a float
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         assert run_cli(command + ["--config", str(cfg)]) == 2

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import math
@@ -247,8 +248,8 @@ class TestObjectiveSlope:
 
 
 # One instance per regime, each off the closed-form roots; all but the high-SNR
-# random one (which meets the monotone condition) run the numeric scan,
-# bisection and zoom.
+# random one (which meets the monotone condition) run the numeric scan and
+# bisection, and the low-SNR bounded one, whose slope is approximate, the zoom.
 REGIME_CASES = [
     (HIGH_BOUNDED, 0.25, dict(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)),
     (HIGH_RANDOM, 1.0, dict(tx_power_dbm=30.0, alpha_ris_ue=2.5)),
@@ -507,6 +508,8 @@ class TestOptimizeDensity:
     def test_root_stable_under_special_function_noise(self, monkeypatch):
         # on a flat maximum the zoom refinement locates lambda* only to ~1e-8
         # relative; it must not displace the bisected root on rounding noise
+        # (forced: with its exact slope this solve would skip the zoom)
+        always_zoom(monkeypatch)
         params = make_params(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)
 
         def solve():
@@ -549,8 +552,10 @@ class TestOptimizeDensity:
         assert sizes[0] > sizes[1]
 
     def test_objective_evaluation_budget(self, monkeypatch):
-        # scan, zoom rounds, root score and the final score are each one call;
-        # the count goes through the module global the tracer wraps
+        # scan, root score, zoom rounds and the final score are each one call;
+        # the count goes through the module global the tracer wraps.  Where
+        # the slope is exact and its root lies in the zoom's bracket, the
+        # solve scores the scan and the root and nothing else.
         exact = deployment.deployment_objective
         calls = []
 
@@ -567,8 +572,8 @@ class TestOptimizeDensity:
                 opt = optimize_density(10.0, make_params(**kwargs), rho, regime)
             if opt.branch in ("bisection", "boundary_eta"):
                 counts[regime] = len(calls)
-        assert len(counts) == 3
-        assert max(counts.values()) <= 14
+        assert counts[HIGH_BOUNDED] == counts[LOW_RANDOM] == 2
+        assert counts[LOW_BOUNDED] <= 14
         # a closed form scores its optimum once, whatever the array size
         calls.clear()
         params = make_params(tx_power_dbm=30.0, alpha_ris_ue=4.0, serve_radius=5.0)
@@ -739,9 +744,21 @@ REFINEMENT_CASES = list(criterion8_instances()) + [
 ]
 
 
+def always_zoom(monkeypatch):
+    """Make every numerical solve zoom, exact slope or not."""
+    exact_prepare = deployment._prepare
+    monkeypatch.setattr(
+        deployment,
+        "_prepare",
+        lambda *args: dataclasses.replace(exact_prepare(*args), exact_slope=False),
+    )
+
+
 class TestZoomRefinement:
     @pytest.mark.parametrize("regime,rho,eta,params", REFINEMENT_CASES)
     def test_matches_golden_section_reference(self, monkeypatch, regime, rho, eta, params):
+        always_zoom(monkeypatch)  # else an exact-slope solve skips the zoom in both runs
+
         def golden_refinement(f, grid, fvals):
             # clamp: exp/log round-tripping at the eta edge can exceed it by 1 ulp
             lo, hi = scan_bracket(grid, fvals)
@@ -771,6 +788,93 @@ class TestZoomRefinement:
         assert lo <= lam <= hi
         assert f_lam == pytest.approx(fobj(lam), rel=1e-14)
         assert f_lam >= fobj(np.geomspace(lo, hi, 4097)).max() - 1e-12
+
+
+def wide_box_instances(count, seed):
+    """Seeded draws over a box much wider than the criterion-8 ranges, the four
+    regimes in turn: P -10..45 dBm, beta -20..-40 dB, every exponent 2-4,
+    C 1-20 m, eta 0.3-50, d_min 10-200 m, d_max - d_min 1-100 m, and rho
+    0-0.95 for bounded phases."""
+    rng = np.random.default_rng(seed)
+    regimes = (HIGH_BOUNDED, HIGH_RANDOM, LOW_BOUNDED, LOW_RANDOM)
+    for i in range(count):
+        regime = regimes[i % 4]
+        d_min = rng.uniform(10.0, 200.0)
+        params = SystemParams.from_engineering(
+            tx_power_dbm=rng.uniform(-10.0, 45.0),
+            noise_dbm=-80.0,
+            beta_db=-rng.uniform(20.0, 40.0),
+            alpha_direct=rng.uniform(2.0, 4.0),
+            alpha_bs_ris=rng.uniform(2.0, 4.0),
+            alpha_ris_ue=rng.uniform(2.0, 4.0),
+            d_min=d_min,
+            d_max=d_min + rng.uniform(1.0, 100.0),
+            serve_radius=rng.uniform(1.0, 20.0),
+        )
+        rho = 1.0 if regime.phase == "random" else rng.uniform(0.0, 0.95)
+        yield regime, rho, rng.uniform(0.3, 50.0), params
+
+
+def test_zoom_skip_moves_no_optimum(monkeypatch):
+    # A solve skips the zoom where the slope is exact, its root lies in the
+    # zoom's bracket and the root's score is small enough that rounding stays
+    # below _REFINE_MIN_GAIN.  Wherever it skips, the zoom run on its scan may
+    # not beat the root by more than that; in the exact regimes only a large
+    # score makes a solve with its root in the bracket zoom; and every optimum
+    # is the one a solve that always zooms returns, bit for bit.
+    exact_objective, exact_zoom = deployment.deployment_objective, deployment._zoom_max
+    calls, zooms = [], []
+
+    def recorded(*args):
+        value = exact_objective(*args)
+        calls.append((args[0], value))
+        return value
+
+    def counted(*args):
+        zooms.append(args)
+        return exact_zoom(*args)
+
+    def solve_all(check):
+        optima = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for regime, rho, eta, params in cases:
+                calls.clear()
+                zooms.clear()
+                opt = optimize_density(eta, params, rho, regime)
+                optima.append((opt.lambda_star.hex(), opt.n_star, opt.objective.hex(), opt.branch))
+                if check and opt.branch in ("bisection", "boundary_eta"):
+                    check_premise(regime, rho, eta, params)
+        return optima
+
+    def check_premise(regime, rho, eta, params):
+        (grid, fvals), (root, f_root) = calls[:2]  # the scan, then the root if any
+        has_root = isinstance(root, float)
+        _, lo, hi = deployment._bracket(grid, fvals)
+        if zooms:
+            if regime != LOW_BOUNDED and has_root and lo <= root <= hi:
+                assert abs(f_root) >= deployment._ROUNDING_SAFE_OBJECTIVE
+                guarded[regime] += 1
+            return
+        assert regime != LOW_BOUNDED and has_root and lo <= root <= hi
+        skipped[regime] += 1
+
+        def fobj(lam):
+            return exact_objective(lam, eta, params, rho, regime)
+
+        _, f_refined, _ = deployment._zoom_candidate(fobj, grid, fvals, eta)
+        assert f_refined <= f_root + deployment._REFINE_MIN_GAIN, (regime, eta, rho)
+
+    monkeypatch.setattr(deployment, "deployment_objective", recorded)
+    monkeypatch.setattr(deployment, "_zoom_max", counted)
+    cases = list(wide_box_instances(400, 2024))
+    skipped, guarded = collections.Counter(), collections.Counter()
+    optima = solve_all(check=True)
+    assert set(skipped) == {HIGH_BOUNDED, HIGH_RANDOM, LOW_RANDOM}
+    assert sum(skipped.values()) >= 100
+    assert sum(guarded.values()) >= 1
+    always_zoom(monkeypatch)
+    assert solve_all(check=False) == optima
 
 
 class TestGridSearchOracle:

@@ -6,11 +6,13 @@ An ordered comparison with NaN is False, so a check written as `x <= 0`
 would let NaN through and build a wrong object or return NaN; the checks
 are written as `not x > 0` instead.  A float count would reach numpy and
 raise TypeError there, and a negative seed would alias a large key.  A bool is an int to Python
-(`operator.index(True)` is 1), so it is rejected by type.
+(`operator.index(True)` is 1), so it is rejected by type.  An element count
+enters every formula as a float, so one too large to convert is rejected too.
 """
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +56,8 @@ from risgeo.special_math import exp_integral_ei, lower_incomplete_gamma, power_i
 from risgeo.streams import substream
 
 NAN = math.nan
+#: An integer element count that no float can hold.
+HUGE = 10**400
 
 PARAMS = SystemParams(
     tx_power=0.01,
@@ -217,6 +221,14 @@ def test_rate_estimate(field):
             lambda: simulate_fixed_rate(PARAMS, GEOM, 2.5, 0.5, MC), id="simulate_fixed_rate-n_elements-fraction"
         ),
         pytest.param(lambda: DeploymentParams(0.01, 2.5), id="DeploymentParams-elements_per_ris-fraction"),
+        pytest.param(lambda: DeploymentParams(0.005, HUGE), id="DeploymentParams-elements_per_ris-huge"),
+        pytest.param(lambda: rate_loss(HUGE, 0.5, 0.01, 10.0), id="rate_loss-n-huge"),
+        pytest.param(lambda: rate_loss_regime(HUGE, 0.5, 0.01, 10.0), id="rate_loss_regime-n-huge"),
+        pytest.param(lambda: rate_bound_ris(PARAMS, GEOM, HUGE, 0.5), id="rate_bound_ris-n-huge"),
+        pytest.param(lambda: simulate_fixed_rate(PARAMS, GEOM, HUGE, 0.5, MC), id="simulate_fixed_rate-n-huge"),
+        pytest.param(
+            lambda: estimate_reflection_moments(HUGE, 0.5, MC), id="estimate_reflection_moments-n-huge"
+        ),
         pytest.param(lambda: dbm_to_watts(NAN), id="dbm_to_watts"),
         pytest.param(lambda: db_to_linear(NAN), id="db_to_linear"),
         pytest.param(lambda: sample_phase_errors(0.5, NAN, substream(0, 0)), id="sample_phase_errors-count"),
@@ -232,6 +244,16 @@ def test_rate_estimate(field):
 def test_function(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_largest_float_element_count_accepted():
+    # the bound is the float range itself: the largest integer that converts
+    # to a finite float is an element count, the next power of ten is not
+    largest = int(sys.float_info.max)
+    assert DeploymentParams(0.005, largest).elements_per_ris == largest
+    assert DeploymentParams(0.005, np.int64(2**62)).elements_per_ris == 2**62
+    with pytest.raises(DomainError, match="converts to a finite float"):
+        DeploymentParams(0.005, largest * 10)
 
 
 # The value checks of the analytic hot path read a float (np.float64 included)
