@@ -9,9 +9,11 @@ exist in three special regimes; everywhere else a scan-and-bisect on the
 slope factor is used, guarded by the budget boundary and by a zoom on a
 direct scan of the objective, because outside its derivation regime the
 objective can be bimodal.  The zoom is skipped where the slope factor is
-exact and its root already sits in the bracket the zoom would refine: there
-the zoom could beat the root only by rounding, too little to count unless
-the objective is very large (`optimize_density`).
+exact and it has settled the bracket the zoom would refine: either its root
+sits in that bracket, or the scan peaks at eta with the slope positive at
+both ends of the last interval.  There the zoom could beat the root, or eta,
+only by rounding, too little to count unless the objective is very large
+(`optimize_density`).
 
 One preparation per solve (`_prepare`) checks the element budget and the
 regime against rho, and binds the reduced objective and its slope factor as
@@ -411,13 +413,21 @@ def optimize_density(
     boundary and a direct scan of the objective.  The scan's argmax is
     refined by zooming in with one array call per round and put on an integer
     budget quotient within the zoom's resolution of it, unless the slope
-    factor is exact (`_Prepared.exact_slope`), its root lies in the bracket
-    the zoom would refine, and the root's score is below
-    _ROUNDING_SAFE_OBJECTIVE.  Then the objective rises to the root and falls
-    after it across that bracket (short of two more sign changes between
-    neighbouring scan points), so the zoom could beat the root only by
-    rounding, which stays below _REFINE_MIN_GAIN: skipping it moves no
-    result.  The returned array size is the ceiling of the budget quotient.
+    factor is exact (`_Prepared.exact_slope`) and has settled the bracket the
+    zoom would refine, in one of two ways:
+
+    - its root lies in that bracket and scores below
+      _ROUNDING_SAFE_OBJECTIVE: the objective rises to the root and falls
+      after it across the bracket;
+    - the scan peaks at eta, the slope is positive at both ends of the last
+      interval and |objective at eta| is below _ROUNDING_SAFE_OBJECTIVE: the
+      objective rises across the bracket [grid[-2], eta] into eta.
+
+    Either holds short of two more sign changes between neighbouring scan
+    points, so the zoom could beat the root, or eta, only by rounding, which
+    stays below _REFINE_MIN_GAIN: skipping it moves no result.  The root and
+    eta are compared as before.  The returned array size is the ceiling of
+    the budget quotient.
     """
     prepared = _prepare(eta, params, rho, regime)
     c = params.serve_radius
@@ -450,7 +460,7 @@ def optimize_density(
             return _finish(eta, eta, params, rho, regime, prepared, "monotone_boundary")
 
     # Numerical branch: scan, bisect the first sign change of the slope, and guard
-    # with the eta boundary and, unless the root has settled it, a zoom on the
+    # with the eta boundary and, unless the slope has settled it, a zoom on the
     # objective scan (the single-crossing structure can fail outside the
     # closed-form derivation regimes).  Every objective call goes through the
     # module global, so a substitute or the benchmark tracer sees it, and
@@ -478,12 +488,13 @@ def optimize_density(
     # _finish reuses a candidate's score only if a scalar call made it: an
     # array call's value can differ in the last bit (module docstring)
     f_root = scalar_root = -math.inf if root is None else float(fobj(root))
-    _, lo, hi = _bracket(grid, fvals)
-    settled = (
-        prepared.exact_slope
-        and root is not None
-        and lo <= root <= hi
-        and abs(f_root) < _ROUNDING_SAFE_OBJECTIVE
+    k, lo, hi = _bracket(grid, fvals)
+    settled = prepared.exact_slope and (
+        # the root settles its bracket ...
+        (root is not None and lo <= root <= hi and abs(f_root) < _ROUNDING_SAFE_OBJECTIVE)
+        # ... or the objective rises across the last interval into eta
+        or (k == _SCAN_POINTS - 1 and signs[-2] > 0 and signs[-1] > 0
+            and abs(fvals[-1]) < _ROUNDING_SAFE_OBJECTIVE)
     )
     if not settled:
         refined, f_refined, scalar_refined = _zoom_candidate(fobj, grid, fvals, eta)

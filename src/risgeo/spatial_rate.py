@@ -196,13 +196,32 @@ def _disk_moment(p: float, pi_lam, x):
     return lower_incomplete_gamma(p / 2.0 + 1.0, x) / pi_lam ** (p / 2.0)
 
 
+def _check_elements(n_elements) -> None:
+    """Raise DomainError unless every element count in `n_elements` (a scalar
+    or an array) is positive and converts to a finite float.
+
+    A Python number costs one conversion and two comparisons, an array one
+    conversion and two reductions; a NaN fails both comparisons.
+    """
+    try:
+        if isinstance(n_elements, (int, float)):
+            n = float(n_elements)
+            inside = 0.0 < n < math.inf
+        else:
+            n = np.asarray(n_elements, dtype=float)
+            inside = n.min(initial=np.inf) > 0.0 and n.max(initial=-np.inf) < np.inf
+    except OverflowError:  # an integer beyond the float range
+        inside = False
+    if not inside:
+        raise DomainError("n_elements must be positive and finite")
+
+
 def array_gain_term(n_elements, rho: float, lam, serve_radius: float):
     """Association-weighted array gain: P(served) * log2(N (m^2 N + 1 - m^2)).
 
     `n_elements` and `lam` may be arrays of matching shape.
     """
-    if not (np.asarray(n_elements) > 0).all():
-        raise DomainError("n_elements must be positive")
+    _check_elements(n_elements)
     m = attenuation_factor(rho)
     return _array_gain(
         n_elements, _power_per_element(n_elements, m * m), association_probability(lam, serve_radius)
@@ -232,8 +251,7 @@ def cascade_residual_term(
     Decreasing in N; negligible against the array-gain term only for large
     arrays (the crossover depends strongly on density and serving radius).
     """
-    if not n_elements > 0:
-        raise DomainError("n_elements must be positive")
+    _check_elements(n_elements)
     m = attenuation_factor(rho)
     n = float(n_elements)
     c = params.serve_radius
@@ -257,8 +275,7 @@ def noise_residual_term(n_elements, rho: float, lam, params: SystemParams):
 
     `n_elements` and `lam` may be arrays of matching shape.
     """
-    if not (np.asarray(n_elements) > 0).all():
-        raise DomainError("n_elements must be positive")
+    _check_elements(n_elements)
     m = attenuation_factor(rho)
     moment = _radial_moment(params.alpha_ris_ue, lam, 0.0, params.serve_radius)
     return _noise_residual(

@@ -484,22 +484,40 @@ GOLDEN_RATE_LOSS = (
 #: The `optimize` CSVs at the default config (its auto regime is low) and at
 #: --regime high: the optimum line, the first and last of the 512 curve rows,
 #: and the SHA-256 of the whole file.  --regime low must give the default's bytes.
+# case: (flags, config text, optimum line, first row, last row, line count,
+# SHA-256 of the CSV)
 GOLDEN_OPTIMIZE = {
     "default": (
         [],
+        "",
         "# optimum: lambda_star=0.00881197223418 n_star=1135 branch=bisection "
         "objective=12.8054147872 d_constant=-5.5089003659 regime=low",
         "1,7.10465084868",
         "512,12.2775818868",
+        515,
         "6158b74de1897c28951961e57034c79b7b8510f6d8638524c5a0f81dd8383b27",
     ),
     "high": (
         ["--regime", "high"],
+        "",
         "# optimum: lambda_star=0.0104661682859 n_star=956 branch=bisection "
         "objective=12.645591887 d_constant=7.6462630929 regime=high",
         "1,6.21678028045",
         "512,12.2576228504",
+        515,
         "01147bb92a50d0a2d7d890e360bdb3777838b805d7d0e255d02f292bc10f3652",
+    ),
+    # an exact-slope optimum on the element-budget boundary (high SNR, random
+    # phases): the objective rises into lambda = eta past a lower local maximum
+    "boundary": (
+        ["--regime", "high"],
+        "rho = 1\nelement_budget = 5\nalpha_ris_ue = 3.5\nserve_radius = 10\n",
+        "# optimum: lambda_star=5 n_star=1 branch=boundary_eta "
+        "objective=6.95349239263 d_constant=7.6462630929 regime=high",
+        "1,6.95349239263",
+        "64,2.45349239281",
+        67,
+        "f35cb6a6b8c2c8be2408198b50a6c1148fd9f697f04ce1a852c9c84e69adc6f5",
     ),
 }
 
@@ -522,11 +540,12 @@ class TestGoldenCsv:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_OPTIMIZE))
     def test_optimize(self, tmp_path, case):
-        flags, optimum, first, last, digest = GOLDEN_OPTIMIZE[case]
-        out = tmp_path / "optimize.csv"
-        assert run_cli(["optimize", *flags, "--out", str(out)]) == 0
+        flags, config, optimum, first, last, count, digest = GOLDEN_OPTIMIZE[case]
+        out, cfg = tmp_path / "optimize.csv", tmp_path / "optimize.cfg"
+        cfg.write_text(config)
+        assert run_cli(["optimize", "--config", str(cfg), *flags, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert (lines[1], lines[3], lines[-1], len(lines)) == (optimum, first, last, 515)
+        assert (lines[1], lines[3], lines[-1], len(lines)) == (optimum, first, last, count)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_optimize_low_regime_is_the_default(self, tmp_path):

@@ -574,6 +574,25 @@ class TestOptimizeDensity:
                 counts[regime] = len(calls)
         assert counts[HIGH_BOUNDED] == counts[LOW_RANDOM] == 2
         assert counts[LOW_BOUNDED] <= 14
+        # an exact slope rising into eta settles the boundary as well: the
+        # scan, the root's score if there is a root, and the score at eta
+        boundary_cases = [  # the first is the boundary golden CSV's solve
+            (HIGH_RANDOM, 1.0, 5.0, dict(tx_power_dbm=10.0, alpha_ris_ue=3.5, serve_radius=10.0), True),
+            (LOW_RANDOM, 1.0, 1.0, dict(tx_power_dbm=3.0, alpha_ris_ue=3.2, serve_radius=1.0), False),
+        ]
+        for regime, rho, eta, kwargs, has_root in boundary_cases:
+            calls.clear()
+            opt = optimize_density(eta, make_params(**kwargs), rho, regime)
+            assert (opt.branch, opt.n_star) == ("boundary_eta", 1)
+            assert isinstance(calls[0], np.ndarray) and calls[-1] == eta
+            assert len(calls) == 2 + has_root
+            # with no objective small enough for rounding to count as a tie,
+            # the same solve zooms
+            with monkeypatch.context() as patch:
+                patch.setattr(deployment, "_ROUNDING_SAFE_OBJECTIVE", 0.0)
+                calls.clear()
+                assert optimize_density(eta, make_params(**kwargs), rho, regime) == opt
+                assert len(calls) > 2 + has_root
         # a closed form scores its optimum once, whatever the array size
         calls.clear()
         params = make_params(tx_power_dbm=30.0, alpha_ris_ue=4.0, serve_radius=5.0)
@@ -816,11 +835,13 @@ def wide_box_instances(count, seed):
 
 
 def test_zoom_skip_moves_no_optimum(monkeypatch):
-    # A solve skips the zoom where the slope is exact, its root lies in the
-    # zoom's bracket and the root's score is small enough that rounding stays
-    # below _REFINE_MIN_GAIN.  Wherever it skips, the zoom run on its scan may
-    # not beat the root by more than that; in the exact regimes only a large
-    # score makes a solve with its root in the bracket zoom; and every optimum
+    # A solve skips the zoom where the slope is exact and has settled the
+    # zoom's bracket, with a score small enough that rounding stays below
+    # _REFINE_MIN_GAIN: a root skip has its root in the bracket, a boundary
+    # skip has the scan peak at eta with the slope positive at both ends of
+    # the last interval.  Wherever it skips, the zoom run on its scan may not
+    # beat the candidates it compares by more than that; in the exact regimes
+    # only a large score makes a solve that would skip zoom; and every optimum
     # is the one a solve that always zooms returns, bit for bit.
     exact_objective, exact_zoom = deployment.deployment_objective, deployment._zoom_max
     calls, zooms = [], []
@@ -848,30 +869,43 @@ def test_zoom_skip_moves_no_optimum(monkeypatch):
         return optima
 
     def check_premise(regime, rho, eta, params):
-        (grid, fvals), (root, f_root) = calls[:2]  # the scan, then the root if any
-        has_root = isinstance(root, float)
-        _, lo, hi = deployment._bracket(grid, fvals)
+        grid, fvals = calls[0]  # the scan; the root's score follows it if there is a root
+        signs = prepared_slope(grid, eta, params, rho, regime)
+        has_root = bool(np.any((signs[:-1] > 0) & (signs[1:] <= 0)))
+        root, f_root = calls[1] if has_root else (None, -math.inf)
+        k, lo, hi = deployment._bracket(grid, fvals)
+        exact = regime != LOW_BOUNDED
+        root_settled = exact and has_root and lo <= root <= hi
+        boundary_settled = exact and k == len(grid) - 1 and signs[-2] > 0 and signs[-1] > 0
         if zooms:
-            if regime != LOW_BOUNDED and has_root and lo <= root <= hi:
+            if root_settled:
                 assert abs(f_root) >= deployment._ROUNDING_SAFE_OBJECTIVE
                 guarded[regime] += 1
+            if boundary_settled:
+                assert abs(fvals[-1]) >= deployment._ROUNDING_SAFE_OBJECTIVE
+                guarded[regime] += 1
             return
-        assert regime != LOW_BOUNDED and has_root and lo <= root <= hi
-        skipped[regime] += 1
+        assert root_settled or boundary_settled, (regime, eta, rho)
 
         def fobj(lam):
             return exact_objective(lam, eta, params, rho, regime)
 
         _, f_refined, _ = deployment._zoom_candidate(fobj, grid, fvals, eta)
-        assert f_refined <= f_root + deployment._REFINE_MIN_GAIN, (regime, eta, rho)
+        if root_settled:
+            root_skips[regime] += 1
+            assert f_refined <= f_root + deployment._REFINE_MIN_GAIN, (regime, eta, rho)
+        else:
+            boundary_skips[regime] += 1
+            assert f_refined <= max(f_root, fvals[-1]) + deployment._REFINE_MIN_GAIN, (regime, eta, rho)
 
     monkeypatch.setattr(deployment, "deployment_objective", recorded)
     monkeypatch.setattr(deployment, "_zoom_max", counted)
     cases = list(wide_box_instances(400, 2024))
-    skipped, guarded = collections.Counter(), collections.Counter()
+    root_skips, boundary_skips, guarded = (collections.Counter() for _ in range(3))
     optima = solve_all(check=True)
-    assert set(skipped) == {HIGH_BOUNDED, HIGH_RANDOM, LOW_RANDOM}
-    assert sum(skipped.values()) >= 100
+    exact_regimes = {HIGH_BOUNDED, HIGH_RANDOM, LOW_RANDOM}
+    assert set(root_skips) == set(boundary_skips) == exact_regimes
+    assert sum(root_skips.values()) >= 100
     assert sum(guarded.values()) >= 1
     always_zoom(monkeypatch)
     assert solve_all(check=False) == optima

@@ -183,6 +183,22 @@ def test_rate_estimate(field):
         ),
         pytest.param(lambda: cascade_residual_term(NAN, 0.5, 0.01, PARAMS), id="cascade_residual_term-n"),
         pytest.param(lambda: noise_residual_term(NAN, 0.5, 0.01, PARAMS), id="noise_residual_term-n"),
+        pytest.param(lambda: array_gain_term(math.inf, 0.5, 0.01, 10.0), id="array_gain_term-n-inf"),
+        pytest.param(
+            lambda: array_gain_term(np.array([64.0, math.inf]), 0.5, 0.01, 10.0),
+            id="array_gain_term-n-inf-array",
+        ),
+        pytest.param(
+            lambda: cascade_residual_term(math.inf, 0.5, 0.01, PARAMS), id="cascade_residual_term-n-inf"
+        ),
+        pytest.param(lambda: noise_residual_term(math.inf, 0.5, 0.01, PARAMS), id="noise_residual_term-n-inf"),
+        pytest.param(
+            lambda: noise_residual_term(np.array([64.0, math.inf]), 0.5, 0.01, PARAMS),
+            id="noise_residual_term-n-inf-array",
+        ),
+        pytest.param(lambda: array_gain_term(HUGE, 0.5, 0.01, 10.0), id="array_gain_term-n-huge"),
+        pytest.param(lambda: cascade_residual_term(HUGE, 0.5, 0.01, PARAMS), id="cascade_residual_term-n-huge"),
+        pytest.param(lambda: noise_residual_term(HUGE, 0.5, 0.01, PARAMS), id="noise_residual_term-n-huge"),
         pytest.param(lambda: error_difference_pdf(0.5, NAN), id="error_difference_pdf-z"),
         pytest.param(lambda: objective_slope(NAN, 10.0, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-lam"),
         pytest.param(lambda: objective_slope(0.01, NAN, PARAMS, 0.5, HIGH_BOUNDED), id="objective_slope-eta"),
