@@ -4,15 +4,12 @@ With a fixed number of reflecting elements per unit area (density * array
 size = budget), the spatially averaged rate is maximized over the density
 alone.  The density derivative of the reduced objective factors into a
 strictly positive prefactor exp(-pi lam C^2)/(lam ln 2) times a slope
-factor, so the slope factor's sign drives the search.  Closed-form roots
-exist in three special regimes; everywhere else a scan-and-bisect on the
-slope factor is used, guarded by the budget boundary and by a zoom on a
-direct scan of the objective, because outside its derivation regime the
-objective can be bimodal.  The zoom is skipped where the slope factor is
-exact and it has settled the bracket the zoom would refine: either its root
-sits in that bracket, or the scan peaks at eta with the slope positive at
-both ends of the last interval.  There the zoom could beat the root, or eta,
-only by rounding, too little to count unless the objective is very large
+factor, so the slope factor's sign drives the search.  One exact slope
+factor covers all four regimes.  Closed-form roots exist in three special
+regimes; everywhere else a scan of the slope factor lists every local
+maximum it resolves: each + to - sign change (bisected), the budget
+boundary eta, and the scan floor where the slope is not positive there.
+One scalar objective call scores each, and the best wins
 (`optimize_density`).
 
 One preparation per solve (`_prepare`) checks the element budget and the
@@ -24,10 +21,11 @@ Which evaluation paths agree bit for bit.  An array call and a scalar call of
 numpy's exp, log, log1p, expm1 and log2, and of scipy's expi and gammainc,
 gave the same bits on all 20,000 points of a log-uniform test set (1e-6 to
 1e2).  numpy's array `power` and Python's float `**` differed in the last bit
-on 5.3% of them, and the low-SNR objective uses both, so a density scored
-inside an array (the scan, a zoom round) is scored again by a scalar call
-before it is reported.  The `math` functions differ from numpy's (exp on 6.4%
-of the points, log1p on 3.5%), so the scalar paths stay on numpy.
+on 5.3% of them, and the low-SNR objective uses both, so a solve scores its
+candidates with scalar calls only, and reports the score of the same call
+path a public scalar call takes.  The `math` functions differ from numpy's
+(exp on 6.4% of the points, log1p on 3.5%), so the scalar paths stay on
+numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, RegimeWarning
 from .params import SystemParams
-from .phase_error import LARGE_ARRAY_MARGIN, attenuation_factor, crossover_size
+from .phase_error import attenuation_factor
 from .spatial_rate import (
     _array_gain,
     _disk_moment,
@@ -55,38 +53,26 @@ from .streams import _is_index
 
 _LN2 = math.log(2.0)
 
-#: Scan resolution for bracketing the root of J.
+#: Scan resolution for bracketing the slope factor's sign changes.
 _SCAN_POINTS = 64
 _SCAN_FLOOR = 1e-12
 #: The scan's exponent steps 0, 1, ..., _SCAN_POINTS - 1 (see `_scan_grid`).
 _SCAN_RAMP = np.arange(_SCAN_POINTS, dtype=float)
 
-#: Bisection of the bracketed root stops after this many halvings, or once
+#: Bisection of a bracketed root stops after this many halvings, or once
 #: the bracket ratio hi/lo falls below 1 + _BISECT_REL_WIDTH.
 _BISECT_MAX_STEPS = 500
 _BISECT_REL_WIDTH = 1e-10
 
-#: The zoom refining the objective scan's argmax rescans 64 log-spaced points
-#: per round until hi/lo < 1 + _ZOOM_REL_WIDTH, about sqrt(machine eps): no
-#: finer location of a flat maximum survives rounding.
-_ZOOM_STEPS = np.linspace(0.0, 1.0, _SCAN_POINTS)
-_ZOOM_REL_WIDTH = 1e-8
+#: A winner within this (relative) of an integer budget quotient is put on
+#: it, so the side of a flat maximum the bisection ended on cannot move the
+#: array size; ten times the bisection's final bracket width.
+_SNAP_REL = 1e-9
 
-#: Rounding leaves a flat maximum up to ~1e-7 (relative) to either side of
-#: the true one; a zoom result this close to an integer budget quotient is put
-#: on it, so the side it fell on cannot move the array size.
-_ZOOM_SNAP_REL = 1e-6
-
-#: A later candidate (eta boundary, bisected root, zoom refinement) displaces
-#: an earlier one only if it scores higher by more than this (bps/Hz); smaller
-#: wins are rounding noise on a flat maximum.
+#: A later candidate (bisected root, scan floor) displaces an earlier one
+#: (the eta boundary first) only if it scores higher by more than this
+#: (bps/Hz); smaller wins are rounding noise on a flat maximum.
 _REFINE_MIN_GAIN = 1e-9
-
-#: Each zoom round keeps the best of _SCAN_POINTS scores, so on a flat
-#: maximum it may beat the bisected root by rounding alone; taking that noise
-#: as up to _SCAN_POINTS ulps of |objective|, it stays below _REFINE_MIN_GAIN
-#: for objectives under this size (about 7e4 bps/Hz).
-_ROUNDING_SAFE_OBJECTIVE = _REFINE_MIN_GAIN / (_SCAN_POINTS * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -119,7 +105,9 @@ class DeploymentOptimum:
     lambda_star: float
     n_star: int
     objective: float
-    branch: str  # bounded_closed_form | random_closed_form | monotone_boundary | bisection | boundary_eta | grid
+    # bounded_closed_form | random_closed_form | monotone_boundary | bisection
+    # | boundary_eta | scan_floor | grid
+    branch: str
     d_constant: float
 
     def __post_init__(self):
@@ -149,14 +137,12 @@ def objective_offset(params: SystemParams, regime: OptimizerRegime) -> float:
 
 @dataclass(frozen=True, slots=True)
 class _Prepared:
-    """One solve's objective offset, its reduced objective and scaled slope
-    factor as functions of the density alone, and whether that slope factor
-    is exact (`_prepare`)."""
+    """One solve's objective offset, and its reduced objective and scaled
+    slope factor as functions of the density alone (`_prepare`)."""
 
     offset: float
     objective: Callable
     slope: Callable
-    exact_slope: bool
 
 
 def _prepare(
@@ -164,12 +150,21 @@ def _prepare(
 ) -> _Prepared:
     """Check one solve's inputs and bind its objective and slope factor to them.
 
-    The slope factor is scaled by exp(-pi lam C^2): same sign, safe from exp
-    overflow.  Its sign is the objective's exact derivative sign at high SNR
-    and in the low-SNR random-phase regime (`exact_slope`); the low-SNR
-    bounded slope factor assumes an array size eta / lam well above the
-    crossover size (`phase_error.crossover_size`).  Neither function checks
-    lam; both take a scalar or an array.
+    The slope factor is lam ln2 dO/dlam, the objective's derivative scaled by
+    lam ln2 (and so by exp(-pi lam C^2) against the prefactor): same sign, safe
+    from exp overflow, and exact in every regime.  With x = pi lam C^2,
+    N = eta / lam, pe = m^2 N + 1 - m^2, s = a3/2 + 1 and
+    L = edge ln2 - a3 ln C,
+
+        x e^-x (L + ln(N pe)) + (1 - e^-x) (a3/2 - 2 + (1 - m^2) / pe)
+
+    plus, at low SNR, the noise residual's share
+
+        k3 (pi lam)^(-a3/2) / (snr beta^2 N pe)
+        * (x^s e^-x + (1 - a3/2 + m^2 N / pe) gamma(s, x)).
+
+    m = 0 gives the random-phase forms.  Neither function checks lam; both
+    take a scalar or an array.
     Each density-free constant is formed once, with the operations, in the
     order, of the formula written out per call, so values are bit-identical
     to it.  Likewise each evaluation forms pi lam, x = pi lam C^2, -x, e^-x
@@ -186,16 +181,21 @@ def _prepare(
     c = params.serve_radius
     beta = params.beta_ref
     a3 = params.alpha_ris_ue
-    high, random = regime.snr == "high", regime.phase == "random"
+    high = regime.snr == "high"
     offset = objective_offset(params, regime)
     edge = offset + math.log2(beta) if high else offset  # weight of -exp(-pi lam C^2)
     ln_c2 = math.log(c * c)
     ei_coef = -a3 / (2.0 * _LN2)
-    coef = a3 / 2.0 - 1.0 if random else a3 / 2.0 - 2.0
+    # L = edge ln2 - a3 ln C, with ln beta taken directly at high SNR
+    log_base = offset * _LN2 + (math.log(beta) if high else 0.0) - a3 * math.log(c)
+    coef = a3 / 2.0 - 2.0
     if not high:  # the low-SNR noise residual's constants
         k3 = annulus_distance_moment(params.alpha_bs_ris, params.d_min, params.d_max)
         snr_beta = params.snr_gain * beta
         beta_ln2 = beta * _LN2
+        s = a3 / 2.0 + 1.0
+        q = 1.0 - a3 / 2.0
+        k3_snr = k3 / (params.snr_gain * beta**2)
 
     def objective(lam):
         pi_lam = np.pi * lam
@@ -211,45 +211,21 @@ def _prepare(
         moment = _disk_moment(a3, pi_lam, x)
         return value + _noise_residual(n, per_element, moment, k3, snr_beta, beta_ln2)
 
-    if high:
-        log_base = offset * _LN2 + math.log(beta) - a3 * math.log(c)
-
-        def slope(lam):
-            x = np.pi * lam * c * c
-            neg_x = -x
-            n = eta / lam
-            # log argument: 2^D * beta * C^-a3 * N * (m^2 N + 1 - m^2), in log space
-            log_arg = log_base + np.log(n)
-            scale = coef  # random: m = 0 collapses the bounded form to this
-            if not random:
-                per_element = _power_per_element(n, m2)
-                log_arg += np.log(per_element)
-                scale = coef + (1.0 - m2) / per_element
-            return x * np.exp(neg_x) * log_arg + scale * -np.expm1(neg_x)
-
-        return _Prepared(offset, objective, slope, exact_slope=True)
-
-    log_base = offset * _LN2 - a3 * math.log(c)
-    s = a3 / 2.0 + 1.0
-    snr_beta_sq = params.snr_gain * beta**2
-    if random:
-        q = 1.0 - a3 / 2.0
-        extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * eta
-    else:
-        q = 2.0 - a3 / 2.0
-        extra_denom = snr_beta_sq * math.pi ** (a3 / 2.0) * m * m * eta**2
-
     def slope(lam):
-        x = np.pi * lam * c * c
+        pi_lam = np.pi * lam
+        x = pi_lam * c * c
         neg_x = -x
-        n = eta / lam
         ex = np.exp(neg_x)
-        gam = lower_incomplete_gamma(s, x)
-        log_arg = log_base + np.log(n if random else m2 * n * n)
-        extra = (x**s * ex + q * gam) * k3 * lam**q / extra_denom
-        return x * ex * log_arg + coef * -np.expm1(neg_x) + extra
+        n = eta / lam
+        per_element = _power_per_element(n, m2)
+        log_arg = log_base + np.log(n) + np.log(per_element)
+        value = x * ex * log_arg + (coef + (1.0 - m2) / per_element) * -np.expm1(neg_x)
+        if high:
+            return value
+        shape = x**s * ex + (q + m2 * n / per_element) * lower_incomplete_gamma(s, x)
+        return value + k3_snr * pi_lam ** -(a3 / 2.0) / (n * per_element) * shape
 
-    return _Prepared(offset, objective, slope, exact_slope=random)
+    return _Prepared(offset, objective, slope)
 
 
 def deployment_objective(
@@ -289,29 +265,16 @@ def objective_slope(
     rho: float,
     regime: OptimizerRegime,
 ) -> float:
-    """Sign-carrier of the objective's density derivative.
+    """Sign-carrier of the objective's density derivative, exact in every
+    regime (`_prepare`).
 
     The derivative equals exp(-pi lam C^2) / (lam ln 2) times this value.
-
-    Exact where `_Prepared.exact_slope` holds (see `_prepare`); both bounded
-    branches warn (RegimeWarning) where the array size eta / lam is below
-    LARGE_ARRAY_MARGIN times the crossover size.  Raises NumericError once
-    exp(pi*lam*C^2) overflows (pi*lam*C^2 > ~709.8); its estimate,
-    copysign(inf, scaled slope), carries the sign only.
+    Raises NumericError once exp(pi*lam*C^2) overflows (pi*lam*C^2 > ~709.8);
+    its estimate, copysign(inf, scaled slope), carries the sign only.
     """
     slope = _prepare(eta, params, rho, regime).slope
     if not lam > 0:
         raise DomainError("lam must be positive")
-    if regime.phase == "bounded":
-        # the array size eta / lam must sit well above the crossover size
-        cap = eta / (LARGE_ARRAY_MARGIN * crossover_size(rho))
-        if lam > cap:
-            warnings.warn(
-                f"lam={lam:.3g} outside the bounded-branch regime "
-                f"(lam <= {cap:.3g}); slope is a regime approximation there",
-                RegimeWarning,
-                stacklevel=2,
-            )
     x = math.pi * lam * params.serve_radius**2
     scaled = slope(lam)
     try:
@@ -338,39 +301,6 @@ def _scan_grid(eta: float) -> np.ndarray:
     grid = np.power(10.0, exponents)
     grid[0], grid[-1] = lo, eta
     return grid
-
-
-def _bracket(grid: np.ndarray, fvals: np.ndarray) -> tuple[int, float, float]:
-    """The argmax k of a scan, and the neighbours of grid[k] (or grid[k]
-    itself at an end): the bracket a zoom round rescans."""
-    k = int(np.argmax(fvals))
-    return k, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-
-
-def _zoom_max(f, grid: np.ndarray, fvals: np.ndarray) -> tuple[float, float]:
-    """(lam, f(lam)) at the argmax of a log-spaced scan, refined by rescanning
-    between the argmax's neighbours with one array call of f per round."""
-    while True:
-        k, lo, hi = _bracket(grid, fvals)
-        if hi / lo < 1.0 + _ZOOM_REL_WIDTH:
-            return float(grid[k]), float(fvals[k])
-        grid = lo * (hi / lo) ** _ZOOM_STEPS
-        grid[0], grid[-1] = lo, hi  # exact ends: no point may pass eta
-        fvals = f(grid)
-
-
-def _zoom_candidate(f, grid: np.ndarray, fvals: np.ndarray, eta: float):
-    """The zoom's refinement of a scan's argmax as (lam, f(lam), scalar),
-    put on an integer budget quotient within _ZOOM_SNAP_REL of it; `scalar`
-    is f(lam) if a scalar call made it (then `_finish` may reuse it), else
-    None."""
-    refined, f_refined = _zoom_max(f, grid, fvals)
-    n_near = round(eta / refined)
-    if 0.0 < abs(eta / refined - n_near) <= _ZOOM_SNAP_REL * n_near:
-        refined = eta / n_near
-        f_refined = float(f(refined))
-        return refined, f_refined, f_refined
-    return refined, f_refined, None
 
 
 def _finish(
@@ -408,26 +338,21 @@ def optimize_density(
     """Maximize the reduced objective over density in (0, eta].
 
     Dispatch: closed forms where they exist (ideal-exponent bounded branch,
-    random-phase branches), otherwise a 64-point log scan of the slope
-    factor bisected at its first sign change, cross-checked against the eta
-    boundary and a direct scan of the objective.  The scan's argmax is
-    refined by zooming in with one array call per round and put on an integer
-    budget quotient within the zoom's resolution of it, unless the slope
-    factor is exact (`_Prepared.exact_slope`) and has settled the bracket the
-    zoom would refine, in one of two ways:
+    random-phase branches), otherwise a candidate search on a 64-point log
+    scan of the exact slope factor.  Every local maximum the scan resolves
+    is a candidate:
 
-    - its root lies in that bracket and scores below
-      _ROUNDING_SAFE_OBJECTIVE: the objective rises to the root and falls
-      after it across the bracket;
-    - the scan peaks at eta, the slope is positive at both ends of the last
-      interval and |objective at eta| is below _ROUNDING_SAFE_OBJECTIVE: the
-      objective rises across the bracket [grid[-2], eta] into eta.
+    - eta, the budget boundary (branch boundary_eta);
+    - each + to - sign change of the slope, bisected (branch bisection);
+    - the scan floor _SCAN_FLOOR * eta where the slope there is not
+      positive (branch scan_floor, with a RegimeWarning: the objective
+      still rises toward zero density, so this is no interior optimum).
 
-    Either holds short of two more sign changes between neighbouring scan
-    points, so the zoom could beat the root, or eta, only by rounding, which
-    stays below _REFINE_MIN_GAIN: skipping it moves no result.  The root and
-    eta are compared as before.  The returned array size is the ceiling of
-    the budget quotient.
+    One scalar objective call scores each, in that order, and a later
+    candidate displaces the best so far only if it scores higher by more
+    than _REFINE_MIN_GAIN.  The winner is put on an integer budget quotient
+    within _SNAP_REL of it.  The returned array size is the ceiling of the
+    budget quotient.
     """
     prepared = _prepare(eta, params, rho, regime)
     c = params.serve_radius
@@ -459,50 +384,51 @@ def optimize_density(
         if regime.snr == "high" and math.log(eta) >= log_threshold:
             return _finish(eta, eta, params, rho, regime, prepared, "monotone_boundary")
 
-    # Numerical branch: scan, bisect the first sign change of the slope, and guard
-    # with the eta boundary and, unless the slope has settled it, a zoom on the
-    # objective scan (the single-crossing structure can fail outside the
-    # closed-form derivation regimes).  Every objective call goes through the
-    # module global, so a substitute or the benchmark tracer sees it, and
-    # passes the solve's preparation.
+    # Numerical branch.  Every objective call goes through the module global,
+    # so a substitute or the benchmark tracer sees it, and passes the solve's
+    # preparation.
     def fobj(lam):
-        return deployment_objective(lam, eta, params, rho, regime, prepared)
+        return float(deployment_objective(lam, eta, params, rho, regime, prepared))
 
     grid = _scan_grid(eta)
     signs = prepared.slope(grid)
-    fvals = fobj(grid)
+    candidates = [
+        (_bisect(prepared.slope, grid[k], grid[k + 1], eta), "bisection")
+        for k in np.flatnonzero((signs[:-1] > 0) & (signs[1:] <= 0)).tolist()
+    ]
+    if signs[0] <= 0:
+        candidates.append((float(grid[0]), "scan_floor"))
+    lam_star, f_star, branch = eta, fobj(eta), "boundary_eta"
+    for lam, name in candidates:
+        score = fobj(lam)
+        if score > f_star + _REFINE_MIN_GAIN:
+            lam_star, f_star, branch = lam, score, name
+    n_near = round(eta / lam_star)
+    if 0.0 < abs(eta / lam_star - n_near) <= _SNAP_REL * n_near:
+        lam_star, f_star = eta / n_near, None  # _finish scores it
+    if branch == "scan_floor":
+        warnings.warn(
+            f"lam={lam_star:.3g} is the scan floor {_SCAN_FLOOR:g} * eta: the objective "
+            "still rises toward zero density there, so no interior optimum was found "
+            "(is the SNR regime right for this link?)",
+            RegimeWarning,
+            stacklevel=2,
+        )
+    return _finish(lam_star, eta, params, rho, regime, prepared, branch, f_star)
 
-    root = None
-    crossings = np.nonzero((signs[:-1] > 0) & (signs[1:] <= 0))[0]
-    if crossings.size:
-        lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
-        for _ in range(_BISECT_MAX_STEPS):
-            mid = math.sqrt(lo * hi)
-            if prepared.slope(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1.0 + _BISECT_REL_WIDTH:
-                break
-        root = min(math.sqrt(lo * hi), eta)
-    # _finish reuses a candidate's score only if a scalar call made it: an
-    # array call's value can differ in the last bit (module docstring)
-    f_root = scalar_root = -math.inf if root is None else float(fobj(root))
-    k, lo, hi = _bracket(grid, fvals)
-    settled = prepared.exact_slope and (
-        # the root settles its bracket ...
-        (root is not None and lo <= root <= hi and abs(f_root) < _ROUNDING_SAFE_OBJECTIVE)
-        # ... or the objective rises across the last interval into eta
-        or (k == _SCAN_POINTS - 1 and signs[-2] > 0 and signs[-1] > 0
-            and abs(fvals[-1]) < _ROUNDING_SAFE_OBJECTIVE)
-    )
-    if not settled:
-        refined, f_refined, scalar_refined = _zoom_candidate(fobj, grid, fvals, eta)
-        if f_refined > f_root + _REFINE_MIN_GAIN:
-            root, f_root, scalar_root = refined, f_refined, scalar_refined
-    if f_root > fvals[-1] + _REFINE_MIN_GAIN:  # the scan ends at eta itself
-        return _finish(root, eta, params, rho, regime, prepared, "bisection", scalar_root)
-    return _finish(eta, eta, params, rho, regime, prepared, "boundary_eta")
+
+def _bisect(slope, lo: float, hi: float, eta: float) -> float:
+    """The root of `slope` in [lo, hi], where it goes from + to -, by
+    log-bisection; at most eta."""
+    for _ in range(_BISECT_MAX_STEPS):
+        mid = math.sqrt(lo * hi)
+        if slope(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1.0 + _BISECT_REL_WIDTH:
+            break
+    return min(math.sqrt(lo * hi), eta)
 
 
 def grid_search_oracle(

@@ -12,7 +12,7 @@ import pytest
 from risgeo import validation
 from risgeo.cli import main
 from risgeo.config import ConfigError, parse_sweep, read_config_file, resolve
-from risgeo.errors import DomainError
+from risgeo.errors import DomainError, RegimeWarning
 from risgeo.params import SystemParams
 from risgeo.phase_error import attenuation_factor
 from risgeo.rate_loss import rate_loss
@@ -490,12 +490,12 @@ GOLDEN_OPTIMIZE = {
     "default": (
         [],
         "",
-        "# optimum: lambda_star=0.00881197223418 n_star=1135 branch=bisection "
+        "# optimum: lambda_star=0.00881197249713 n_star=1135 branch=bisection "
         "objective=12.8054147872 d_constant=-5.5089003659 regime=low",
         "1,7.10465084868",
         "512,12.2775818868",
         515,
-        "6158b74de1897c28951961e57034c79b7b8510f6d8638524c5a0f81dd8383b27",
+        "5a1379f5cee48616112e536ee2f8eaa07663ad29af90c1994a9e0fb36dc0a94b",
     ),
     "high": (
         ["--regime", "high"],
@@ -674,6 +674,16 @@ class TestRegimeDispatch:
         assert code == 0
         report = next(l for l in captured.out.splitlines() if l.startswith("# optimum:"))
         assert report.endswith(f" regime={regime}")
+
+    def test_optimize_low_forced_on_high_link_warns_at_scan_floor(self, tmp_path, capsys):
+        # the low-SNR objective still rises toward zero density at 45 dBm: the
+        # optimum is the scan floor 1e-12 * eta, no interior one, and it warns
+        with pytest.warns(RegimeWarning, match="scan floor"):
+            code, captured = self._optimize_header(tmp_path, 45, "low", capsys)
+        assert code == 0
+        report = next(l for l in captured.out.splitlines() if l.startswith("# optimum:"))
+        assert report.startswith("# optimum: lambda_star=1e-11 n_star=1000000000000 branch=scan_floor ")
+        assert report.endswith(" regime=low")
 
     def test_integral_regime_in_file_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "i.cfg"
