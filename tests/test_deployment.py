@@ -454,6 +454,20 @@ class TestOptimizeDensity:
         want = deployment_objective(opt.lambda_star, 10.0, params, 0.3, HIGH_BOUNDED)
         assert opt.objective == pytest.approx(want, abs=1e-9)
 
+    def test_root_stable_under_special_function_noise(self, monkeypatch):
+        # on a flat maximum the objective scores the candidates only to
+        # rounding; noise there must not displace the bisected root
+        params = make_params(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)
+        base = optimize_density(10.0, params, 0.25, HIGH_BOUNDED)
+        assert (base.branch, base.n_star) == ("bisection", 341)
+        exact = deployment.exp_integral_ei
+        for eps in (-1e-11, 1e-11, 1e-10):
+            monkeypatch.setattr(deployment, "exp_integral_ei", lambda x, e=eps: exact(x) + e)
+            opt = optimize_density(10.0, params, 0.25, HIGH_BOUNDED)
+            assert (opt.branch, opt.n_star) == (base.branch, base.n_star)
+            assert opt.lambda_star == pytest.approx(base.lambda_star, rel=1e-9)
+            assert opt.objective == pytest.approx(base.objective, abs=1e-8)
+
     @pytest.mark.parametrize("p_dbm,eta", [(3.0, 1.0), (0.0, 20.0)])
     def test_boundary_maximum_returns_eta(self, p_dbm, eta):
         # the objective peaks at eta; a candidate scoring the same up to
@@ -645,6 +659,65 @@ CHECKED_CALLS = [
 def test_solve_inputs_checked_in_one_place(call, eta, rho, regime, message):
     with pytest.raises(DomainError, match=message):
         call(eta, rho, regime)
+
+
+def golden_section_max(f, lo, hi, iters=80):
+    """Reference maximizer: the scalar golden-section search on a log axis."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(lo), math.log(hi)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(math.exp(c)), f(math.exp(d))
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(math.exp(d))
+    return math.exp(0.5 * (a + b))
+
+
+def scan_bracket(grid, fvals):
+    k = int(np.argmax(fvals))
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+
+
+class TestOptimumAgainstReferences:
+    # The candidate search scores no point but eta, the bisected roots and
+    # the scan floor; on every pinned solve its optimum is the one a dense
+    # scan and a golden-section search of the objective find.
+
+    @pytest.mark.parametrize("regime,rho,eta,params", SOLVE_CASES)
+    def test_matches_golden_section_reference(self, regime, rho, eta, params):
+        def f(lam):
+            return float(deployment_objective(lam, eta, params, rho, regime))
+
+        grid = np.geomspace(deployment._SCAN_FLOOR * eta, eta, 4097)
+        lo, hi = scan_bracket(grid, deployment_objective(grid, eta, params, rho, regime))
+        # clamp: exp/log round-tripping at the eta edge can exceed it by 1 ulp
+        lam = min(golden_section_max(lambda l: f(min(l, eta)), lo, hi), eta)
+        if f(eta) >= f(lam):
+            lam = eta
+        opt = optimize_density(eta, params, rho, regime)
+        assert opt.n_star == math.ceil(eta / lam - 1e-12)
+        assert abs(opt.objective - f(lam)) <= 1e-12
+
+    @pytest.mark.parametrize("regime,rho,eta,params", SOLVE_CASES)
+    def test_beats_dense_scan(self, regime, rho, eta, params):
+        def fobj(lam):
+            return deployment_objective(lam, eta, params, rho, regime)
+
+        opt = optimize_density(eta, params, rho, regime)
+        assert opt.objective >= fobj(np.geomspace(deployment._SCAN_FLOOR * eta, eta, 4097)).max() - 1e-12
+        # and a fine scan between the coarse scan's neighbours of the optimum
+        grid = deployment._scan_grid(eta)
+        k = int(np.searchsorted(grid, opt.lambda_star))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        assert lo <= opt.lambda_star <= hi
+        assert opt.objective >= fobj(np.geomspace(lo, hi, 4097)).max() - 1e-12
 
 
 def wide_box_instances(count, seed):
