@@ -7,10 +7,12 @@ strictly positive prefactor exp(-pi lam C^2)/(lam ln 2) times a slope
 factor, so the slope factor's sign drives the search.  One exact slope
 factor covers all four regimes.  Closed-form roots exist in three special
 regimes; everywhere else a scan of the slope factor lists every local
-maximum it resolves: each + to - sign change (bisected), the budget
-boundary eta, and the scan floor where the slope is not positive there.
-One scalar objective call scores each, and the best wins
-(`optimize_density`).
+maximum it resolves: each + to - sign change, its root found by false
+position in ln lam (`_false_position`), the budget boundary eta, and the
+scan floor where the slope is not positive there.  One scalar objective
+call scores each, and the best wins (`optimize_density`).  The branch label
+`bisection` names the candidate kind, a + to - crossing of the slope, not
+the algorithm that finds its root.
 
 One preparation per solve (`_prepare`) checks the element budget and the
 regime against rho, and binds the reduced objective and its slope factor as
@@ -59,17 +61,19 @@ _SCAN_FLOOR = 1e-12
 #: The scan's exponent steps 0, 1, ..., _SCAN_POINTS - 1 (see `_scan_grid`).
 _SCAN_RAMP = np.arange(_SCAN_POINTS, dtype=float)
 
-#: Bisection of a bracketed root stops after this many halvings, or once
-#: the bracket ratio hi/lo falls below 1 + _BISECT_REL_WIDTH.
-_BISECT_MAX_STEPS = 500
+#: The search for a bracketed root stops once the bracket ratio hi/lo falls
+#: below 1 + _BISECT_REL_WIDTH, as bisection did: _LOG_WIDTH is the same stop
+#: in t = ln lam.  Bisection reaches it in 33 halvings of a scan bracket, and
+#: the false-position search (`_false_position`) takes at most two steps more.
 _BISECT_REL_WIDTH = 1e-10
+_LOG_WIDTH = math.log1p(_BISECT_REL_WIDTH)
 
 #: A winner within this (relative) of an integer budget quotient is put on
-#: it, so the side of a flat maximum the bisection ended on cannot move the
-#: array size; ten times the bisection's final bracket width.
+#: it, so the side of a flat maximum the root search ended on cannot move the
+#: array size; ten times the search's widest final bracket.
 _SNAP_REL = 1e-9
 
-#: A later candidate (bisected root, scan floor) displaces an earlier one
+#: A later candidate (slope root, scan floor) displaces an earlier one
 #: (the eta boundary first) only if it scores higher by more than this
 #: (bps/Hz); smaller wins are rounding noise on a flat maximum.
 _REFINE_MIN_GAIN = 1e-9
@@ -343,7 +347,9 @@ def optimize_density(
     is a candidate:
 
     - eta, the budget boundary (branch boundary_eta);
-    - each + to - sign change of the slope, bisected (branch bisection);
+    - each + to - sign change of the slope, its root found by false
+      position from the scan's slope values at the bracket ends (branch
+      bisection, which names the + to - crossing, not the algorithm);
     - the scan floor _SCAN_FLOOR * eta where the slope there is not
       positive (branch scan_floor, with a RegimeWarning: the objective
       still rises toward zero density, so this is no interior optimum).
@@ -393,7 +399,7 @@ def optimize_density(
     grid = _scan_grid(eta)
     signs = prepared.slope(grid)
     candidates = [
-        (_bisect(prepared.slope, grid[k], grid[k + 1], eta), "bisection")
+        (_false_position(prepared.slope, grid[k], grid[k + 1], signs[k], signs[k + 1], eta), "bisection")
         for k in np.flatnonzero((signs[:-1] > 0) & (signs[1:] <= 0)).tolist()
     ]
     if signs[0] <= 0:
@@ -417,18 +423,58 @@ def optimize_density(
     return _finish(lam_star, eta, params, rho, regime, prepared, branch, f_star)
 
 
-def _bisect(slope, lo: float, hi: float, eta: float) -> float:
-    """The root of `slope` in [lo, hi], where it goes from + to -, by
-    log-bisection; at most eta."""
-    for _ in range(_BISECT_MAX_STEPS):
-        mid = math.sqrt(lo * hi)
-        if slope(mid) > 0:
-            lo = mid
+def _false_position(
+    slope, lo: float, hi: float, slope_lo: float, slope_hi: float, eta: float
+) -> float:
+    """The root of `slope` in [lo, hi], where it goes from + (slope_lo, its
+    value at lo) to - (slope_hi <= 0, its value at hi); at most eta.
+
+    Anderson-Bjorck false position (BIT 13, 1973) on t = ln lam.  Each step
+    puts the root where the line through the two ends crosses zero, and
+    replaces the end whose slope has the new point's sign, so the bracket
+    keeps + at its left end and - at its right, as bisection's does, and
+    ends on a + to - crossing.  When one end moves twice in a row, the value
+    held for the other end is scaled by m = 1 - f_new / f_old (by 0.5 where
+    that is not positive), so the stale end moves too.  Two guards bound the
+    step:
+
+    - it lands at least half the stopping width inside the bracket, so a
+      root at one end closes the bracket on the next step;
+    - it lands where, whichever end moves, the bracket left could still be
+      halved below the stopping width in the steps that remain of
+      bisection's count plus two.  So no root costs more slope calls than
+      bisection's plus two.
+
+    A zero counts as -, as in the scan.  The search stops at bisection's
+    width, _BISECT_REL_WIDTH, and returns the geometric midpoint.
+    """
+    a, b = math.log(lo), math.log(hi)
+    fa, fb = float(slope_lo), float(slope_hi)
+    # bisection's step count: (b - a) / 2^n < _LOG_WIDTH <= (b - a) / 2^(n - 1)
+    steps = math.frexp((b - a) / _LOG_WIDTH)[1] + 2
+    # after each step the bracket is at most cap, which the steps left can
+    # still halve below _LOG_WIDTH
+    cap = math.ldexp(_LOG_WIDTH, steps)
+    inset = 0.5 * _LOG_WIDTH
+    moved = 0  # +1 after a step that moved a, -1 after one that moved b
+    for _ in range(steps):
+        cap *= 0.5
+        t = b - fb * (b - a) / (fb - fa)
+        t = min(max(t, a + inset, b - cap), b - inset, a + cap)
+        f = float(slope(math.exp(t)))
+        if f > 0:
+            if moved > 0:
+                m = 1.0 - f / fa
+                fb *= m if m > 0 else 0.5
+            a, fa, moved = t, f, 1
         else:
-            hi = mid
-        if hi / lo < 1.0 + _BISECT_REL_WIDTH:
+            if moved < 0:
+                m = 1.0 - f / fb if fb else 0.5
+                fa *= m if m > 0 else 0.5
+            b, fb, moved = t, f, -1
+        if b - a < _LOG_WIDTH:
             break
-    return min(math.sqrt(lo * hi), eta)
+    return min(math.exp(0.5 * (a + b)), eta)
 
 
 def grid_search_oracle(

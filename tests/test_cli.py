@@ -490,22 +490,22 @@ GOLDEN_OPTIMIZE = {
     "default": (
         [],
         "",
-        "# optimum: lambda_star=0.00881197249713 n_star=1135 branch=bisection "
+        "# optimum: lambda_star=0.00881197249694 n_star=1135 branch=bisection "
         "objective=12.8054147872 d_constant=-5.5089003659 regime=low",
         "1,7.10465084868",
         "512,12.2775818868",
         515,
-        "5a1379f5cee48616112e536ee2f8eaa07663ad29af90c1994a9e0fb36dc0a94b",
+        "b588cd8a120657e80b2ae5bc8eeb88225abd8cd4ad637065fa18c67b4450bd4e",
     ),
     "high": (
         ["--regime", "high"],
         "",
-        "# optimum: lambda_star=0.0104661682859 n_star=956 branch=bisection "
+        "# optimum: lambda_star=0.0104661682854 n_star=956 branch=bisection "
         "objective=12.645591887 d_constant=7.6462630929 regime=high",
         "1,6.21678028045",
         "512,12.2576228504",
         515,
-        "01147bb92a50d0a2d7d890e360bdb3777838b805d7d0e255d02f292bc10f3652",
+        "1774f86bac4128f13e63307a6529293256d80b63bc9c68f361f9439daa339663",
     ),
     # an exact-slope optimum on the element-budget boundary (high SNR, random
     # phases): the objective rises into lambda = eta past a lower local maximum

@@ -163,7 +163,7 @@ class TestObjectiveSlope:
         assert opt.branch == "bounded_closed_form"
         assert slope(lam1) == pytest.approx(
             x * math.exp(-x) * math.log1p(eps) - math.expm1(-x) * eps / (1.0 + eps), rel=1e-9)
-        root = deployment._bisect(slope, lam1, 2.0 * lam1, eta)
+        root = deployment._false_position(slope, lam1, 2.0 * lam1, slope(lam1), slope(2.0 * lam1), eta)
         assert 0.0 < root / lam1 - 1.0 <= 2.0 * eps
 
     @pytest.mark.parametrize(
@@ -232,7 +232,7 @@ class TestObjectiveSlope:
 
 # One instance per regime, each off the closed-form roots; all but the high-SNR
 # random one (which meets the monotone condition) run the numeric scan and
-# bisection.
+# root search.
 REGIME_CASES = [
     (HIGH_BOUNDED, 0.25, dict(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)),
     (HIGH_RANDOM, 1.0, dict(tx_power_dbm=30.0, alpha_ris_ue=2.5)),
@@ -340,7 +340,7 @@ class TestOptimizeDensity:
     @pytest.mark.parametrize("regime,rho,kwargs", REGIME_CASES)
     def test_offset_computed_once_per_solve(self, monkeypatch, regime, rho, kwargs):
         # the offset depends only on (params, regime) and the other constants
-        # on (eta, params, rho, regime); the scan, bisection, candidate scores
+        # on (eta, params, rho, regime); the scan, root search, candidate scores
         # and finishing step all reuse one preparation
         calls, prepared = [], []
         exact = deployment.objective_offset
@@ -456,7 +456,7 @@ class TestOptimizeDensity:
 
     def test_root_stable_under_special_function_noise(self, monkeypatch):
         # on a flat maximum the objective scores the candidates only to
-        # rounding; noise there must not displace the bisected root
+        # rounding; noise there must not displace the slope's root
         params = make_params(tx_power_dbm=30.0, alpha_ris_ue=3.0, serve_radius=6.0)
         base = optimize_density(10.0, params, 0.25, HIGH_BOUNDED)
         assert (base.branch, base.n_star) == ("bisection", 341)
@@ -481,7 +481,7 @@ class TestOptimizeDensity:
     def test_maximum_on_integer_quotient_keeps_its_size(self, rho, n_opt, p_dbm, eta):
         # the continuous optimum sits on eta / n_opt (N* = 3 (1 - m^2) / m^2
         # here) and the objective is flat to rounding over ~1e-7 around it;
-        # the side the bisection ends on must not round n_star up to n_opt + 1
+        # the side the root search ends on must not round n_star up to n_opt + 1
         params = make_params(tx_power_dbm=p_dbm, alpha_ris_ue=3.5, serve_radius=10.0)
         opt = optimize_density(eta, params, rho, LOW_BOUNDED)
         assert (opt.branch, opt.n_star) == ("bisection", n_opt)
@@ -509,7 +509,7 @@ class TestOptimizeDensity:
         ],
     )
     def test_objective_evaluation_budget(self, monkeypatch, regime, rho, eta, kwargs, branch, count):
-        # one scalar objective call per candidate (eta, each bisected root,
+        # one scalar objective call per candidate (eta, each slope root,
         # the scan floor where the slope there is not positive) and one more
         # for a winner put on an integer budget quotient; a closed form or the
         # monotone boundary is scored once.  The count goes through the module
@@ -547,15 +547,15 @@ SOLVE_CASES = list(criterion8_instances()) + [
 # lambda_star and the objective as float.hex: a faster objective or slope may
 # not move a bit.
 PINNED_OPTIMA = [
-    ("0x1.f93f5c991e051p-8", 1849, "0x1.24ab92e2bd215p+3", "bisection"),
+    ("0x1.f93f5c98d61e1p-8", 1849, "0x1.24ab92e2bd215p+3", "bisection"),
     ("0x1.31d5aba35e911p+3", 1, "0x1.1406711be7b98p+3", "boundary_eta"),
-    ("0x1.9d0d0eba8cbdcp-6", 211, "0x1.03e9087744eddp+3", "bisection"),
+    ("0x1.9d0d0ebab3a2dp-6", 211, "0x1.03e9087744edcp+3", "bisection"),
     ("0x1.ef1a8409d3d60p+2", 1, "0x1.dcce1c1bbe47cp+2", "boundary_eta"),
-    ("0x1.67079965563d9p-7", 168, "0x1.8b40078a618efp+2", "bisection"),
+    ("0x1.67079965303dep-7", 168, "0x1.8b40078a618f0p+2", "bisection"),
     ("0x1.013d4ff48690dp+3", 1, "0x1.1e5444680a530p+3", "boundary_eta"),
-    ("0x1.d0cb2dd4394eep-5", 242, "0x1.18fa94ae21a93p+3", "bisection"),
-    ("0x1.4f4d56e13e6a6p-7", 1593, "0x1.aec1346ba06d9p+3", "bisection"),
-    ("0x1.d279fccab3ceep-8", 161, "0x1.34a8c253cb7f0p+1", "bisection"),
+    ("0x1.d0cb2dd425e78p-5", 242, "0x1.18fa94ae21a92p+3", "bisection"),
+    ("0x1.4f4d56e1050c5p-7", 1593, "0x1.aec1346ba06dcp+3", "bisection"),
+    ("0x1.d279fccb00004p-8", 161, "0x1.34a8c253cb7eep+1", "bisection"),
     ("0x1.37055297f1d55p+3", 1, "0x1.09e5c984bc5b4p+3", "boundary_eta"),
     ("0x1.3e6d2eaacde48p+3", 1, "0x1.6e7fa6f4d5fafp+2", "monotone_boundary"),
     ("0x1.73ff79e557107p+3", 1, "0x1.0d4a4973344a1p+3", "boundary_eta"),
@@ -563,26 +563,26 @@ PINNED_OPTIMA = [
     ("0x1.a5028ffa9bdd7p+2", 1, "0x1.344895db8e938p+2", "monotone_boundary"),
     ("0x1.17154d5d98c90p+3", 1, "0x1.0c4cefe353c33p+3", "boundary_eta"),
     ("0x1.d731c9c7951a9p+3", 1, "0x1.7af716147028ep+2", "monotone_boundary"),
-    ("0x1.3077839a2ce02p-3", 104, "0x1.58d243301bfb4p+3", "bisection"),
-    ("0x1.3476c0ce3dd5dp+1", 3, "0x1.35845bbe4d3e6p+3", "bisection"),
-    ("0x1.5e1474cfd6110p+3", 2, "0x1.8bd340a16a078p+3", "bisection"),
-    ("0x1.10b09dab4d5d0p-3", 140, "0x1.743baa22c3bd4p+3", "bisection"),
-    ("0x1.21f2866a6141cp-3", 127, "0x1.582af27f484d2p+3", "bisection"),
-    ("0x1.06537ab2b09b7p-4", 231, "0x1.69b31d1cd3b55p+3", "bisection"),
-    ("0x1.6905c12748756p-4", 82, "0x1.1bdb494db5469p+3", "bisection"),
-    ("0x1.706eaaad90962p-4", 114, "0x1.3b204ab38801dp+3", "bisection"),
-    ("0x1.c0be918c391e4p-4", 57, "0x1.a93e0eecf4c10p+7", "bisection"),
-    ("0x1.f10f9577790a6p-4", 100, "0x1.cc58220cb5e56p+4", "bisection"),
-    ("0x1.628c11bc31d2dp-3", 31, "0x1.66bd446976e83p+3", "bisection"),
-    ("0x1.7729a0619e8d3p-3", 37, "0x1.4636cc436b9c6p+6", "bisection"),
-    ("0x1.d6c03707b6942p-4", 144, "0x1.7f6e4689b4c42p+3", "bisection"),
-    ("0x1.835a5ef70a9dfp-2", 36, "0x1.f8d77e99e4a44p+5", "bisection"),
-    ("0x1.6c34dcd99a61cp-3", 109, "0x1.b750d487caab0p+5", "bisection"),
-    ("0x1.b4fe53ce2b8ebp-4", 71, "0x1.3272c974dba70p+5", "bisection"),
-    ("0x1.e0d3e96ec1169p-6", 341, "0x1.4f66b29fc11f7p+3", "bisection"),
+    ("0x1.3077839a139ddp-3", 104, "0x1.58d243301bfb3p+3", "bisection"),
+    ("0x1.3476c0ce47d03p+1", 3, "0x1.35845bbe4d3e6p+3", "bisection"),
+    ("0x1.5e1474cf927b7p+3", 2, "0x1.8bd340a16a078p+3", "bisection"),
+    ("0x1.10b09dab47537p-3", 140, "0x1.743baa22c3bd4p+3", "bisection"),
+    ("0x1.21f2866a390d6p-3", 127, "0x1.582af27f484d3p+3", "bisection"),
+    ("0x1.06537ab298379p-4", 231, "0x1.69b31d1cd3b54p+3", "bisection"),
+    ("0x1.6905c1273aeafp-4", 82, "0x1.1bdb494db546ap+3", "bisection"),
+    ("0x1.706eaaad71d1bp-4", 114, "0x1.3b204ab38801cp+3", "bisection"),
+    ("0x1.c0be918be51e8p-4", 57, "0x1.a93e0eecf4c10p+7", "bisection"),
+    ("0x1.f10f95772c27fp-4", 100, "0x1.cc58220cb5e56p+4", "bisection"),
+    ("0x1.628c11bbf549ap-3", 31, "0x1.66bd446976e84p+3", "bisection"),
+    ("0x1.7729a061657edp-3", 37, "0x1.4636cc436b9c7p+6", "bisection"),
+    ("0x1.d6c03707f8c09p-4", 144, "0x1.7f6e4689b4c42p+3", "bisection"),
+    ("0x1.835a5ef6c6fcfp-2", 36, "0x1.f8d77e99e4a44p+5", "bisection"),
+    ("0x1.6c34dcd97679dp-3", 109, "0x1.b750d487caaafp+5", "bisection"),
+    ("0x1.b4fe53cde5932p-4", 71, "0x1.3272c974dba6ep+5", "bisection"),
+    ("0x1.e0d3e96e82157p-6", 341, "0x1.4f66b29fc11f8p+3", "bisection"),
     ("0x1.4000000000000p+3", 1, "0x1.8ddfba65bcb84p+2", "monotone_boundary"),
     ("0x1.4000000000000p+3", 1, "0x1.5555652c40db2p+3", "boundary_eta"),
-    ("0x1.1e999aa48f8f3p-3", 72, "0x1.65245f9a89da5p+4", "bisection"),
+    ("0x1.1e999aa4a1b73p-3", 72, "0x1.65245f9a89da6p+4", "bisection"),
 ]
 
 
@@ -686,7 +686,7 @@ def scan_bracket(grid, fvals):
 
 
 class TestOptimumAgainstReferences:
-    # The candidate search scores no point but eta, the bisected roots and
+    # The candidate search scores no point but eta, the slope's roots and
     # the scan floor; on every pinned solve its optimum is the one a dense
     # scan and a golden-section search of the objective find.
 
@@ -762,6 +762,101 @@ def test_optimum_beats_grid_on_wide_box():
     assert {regime for regime, branch in branches if branch == "bisection"} == {
         HIGH_BOUNDED, HIGH_RANDOM, LOW_BOUNDED, LOW_RANDOM}
     assert {regime for regime, branch in branches if branch == "scan_floor"} == {LOW_BOUNDED, LOW_RANDOM}
+
+
+def bisect_to_adjacent_floats(slope, lo, hi):
+    """Reference root: log-bisection of a + to - bracket until no float lies
+    strictly between its ends."""
+    while True:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            return mid
+        if slope(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestFalsePosition:
+    def test_roots_match_bisection_within_bound_on_wide_box(self):
+        # every + to - bracket of the scan: the root agrees with a bisection
+        # run to adjacent floats within half the stopping width, and costs no
+        # more slope calls than bisection's 33 halvings of a scan bracket
+        # (ratio 10^(12/63) down to 1 + 1e-10) plus two
+        halvings, width = 0, math.log(10.0 ** (12.0 / 63.0))
+        while width >= math.log1p(deployment._BISECT_REL_WIDTH):
+            halvings, width = halvings + 1, width / 2.0
+        assert halvings == 33
+        calls, errors = [], []
+        for regime, rho, eta, params in wide_box_instances(3000, 2024):
+            slope = deployment._prepare(eta, params, rho, regime).slope
+            grid = deployment._scan_grid(eta)
+            signs = slope(grid)
+            for k in np.flatnonzero((signs[:-1] > 0) & (signs[1:] <= 0)).tolist():
+                counted = []
+
+                def counting(lam):
+                    counted.append(lam)
+                    return slope(lam)
+
+                root = deployment._false_position(counting, grid[k], grid[k + 1], signs[k], signs[k + 1], eta)
+                want = min(bisect_to_adjacent_floats(slope, grid[k], grid[k + 1]), eta)
+                calls.append(len(counted))
+                errors.append(abs(root / want - 1.0))
+        assert len(calls) > 2000
+        assert max(calls) <= halvings + 2
+        assert max(errors) <= 5e-11
+        # the point of the search: far fewer slope calls than bisection (a
+        # search that lets a root at one end creep in reads p99 35 here)
+        assert np.percentile(calls, 99) <= 8
+
+    @pytest.mark.parametrize(
+        "roots", [(0.5, 1.5, 2.5), (0.1, 1.5, 2.9), (1.4, 1.5, 1.6), (0.01, 0.02, 2.99), (0.2, 2.8, 2.9)]
+    )
+    def test_keeps_plus_to_minus_orientation(self, roots):
+        # a slope with three sign changes (+ - + -) in one bracket, in t = ln
+        # lam: the search ends on a + to - crossing (a local maximum of the
+        # objective), never on the - to + one between them (a local minimum)
+        r1, r2, r3 = roots
+
+        def slope(lam):
+            t = math.log(lam)
+            return -(t - r1) * (t - r2) * (t - r3)
+
+        lo, hi = 1.0, math.exp(3.0)
+        root = math.log(deployment._false_position(slope, lo, hi, slope(lo), slope(hi), hi))
+        assert min(abs(root - r1), abs(root - r3)) < 1e-9
+        assert slope(math.exp(root) * (1.0 - 1e-9)) > 0.0 > slope(math.exp(root) * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("r", [0.3, 0.77])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda d: d**3,  # a triple root
+            lambda d: d * abs(d) ** 9,  # below 1e-10 within 0.1 of the root
+            lambda d: math.expm1(40.0 * d),  # 2e17 times steeper at one end
+            lambda d: -math.expm1(-40.0 * d),
+            lambda d: math.tanh(1e4 * d),  # a smoothed step
+        ],
+        ids=["cubic", "flat", "convex", "concave", "step"],
+    )
+    def test_step_guard_bounds_slope_calls(self, shape, r):
+        # slopes on which false position alone converges slowly or stalls
+        # (unguarded, the convex and concave ones ran 500 steps without
+        # closing the bracket): the guards hold every root to bisection's step
+        # count on the bracket (34 halvings of ln(e / 1) = 1) plus two
+        calls = []
+
+        def slope(lam):
+            calls.append(lam)
+            return shape(r - math.log(lam))
+
+        lo, hi = 1.0, math.e
+        ends = slope(lo), slope(hi)
+        calls.clear()
+        root = deployment._false_position(slope, lo, hi, *ends, hi)
+        assert len(calls) <= 34 + 2
+        assert abs(math.log(root) - r) <= 0.5 * math.log1p(deployment._BISECT_REL_WIDTH)
 
 
 class TestGridSearchOracle:
