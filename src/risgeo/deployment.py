@@ -20,14 +20,17 @@ functions of the density; every evaluation in the solve then checks only the
 densities.  A public call given no preparation makes its own.
 
 Which evaluation paths agree bit for bit.  An array call and a scalar call of
-numpy's exp, log, log1p, expm1 and log2, and of scipy's expi and gammainc,
-gave the same bits on all 20,000 points of a log-uniform test set (1e-6 to
-1e2).  numpy's array `power` and Python's float `**` differed in the last bit
-on 5.3% of them, and the low-SNR objective uses both, so a solve scores its
-candidates with scalar calls only, and reports the score of the same call
-path a public scalar call takes.  The `math` functions differ from numpy's
-(exp on 6.4% of the points, log1p on 3.5%), so the scalar paths stay on
-numpy.
+numpy's exp, log, log1p, expm1 and log2, and of scipy's gammainc, gave the
+same bits on all 20,000 points of a log-uniform test set (1e-6 to 1e2).  So
+does `exp_integral_ei`, whose table runs the same coefficients through the
+same operations, with numpy's exp and log, on both paths: on the 20,000
+points negated, and on 6,300 more from -1e-300 to -760 that include each
+table edge and its neighbours.  numpy's array `power` and Python's float `**`
+differed in the last bit on 5.3% of the 20,000 points, and the low-SNR
+objective uses both, so a solve scores its candidates with scalar calls
+only, and reports the score of the same call path a public scalar call
+takes.  The `math` functions differ from numpy's (exp on 6.4% of the points,
+log1p on 3.5%), so the scalar paths stay on numpy.
 """
 
 from __future__ import annotations

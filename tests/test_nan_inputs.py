@@ -283,12 +283,19 @@ VALUE_FORMS = [
 ]
 
 
+def _negated(value):
+    """-value in value's own form: unary minus turns a 0-d array into np.float64."""
+    return np.array(-value) if isinstance(value, np.ndarray) else -value
+
+
 @pytest.mark.parametrize("form", VALUE_FORMS)
 @pytest.mark.parametrize(
     "check, bad",
     [
         pytest.param(lambda x: lower_incomplete_gamma(1.5, x), (NAN, -1.0, -1e-300), id="lower_incomplete_gamma"),
-        pytest.param(exp_integral_ei, (NAN, 0.0, -0.0), id="exp_integral_ei"),
+        # negated in its own form, so the array form's filler 1.0 becomes the
+        # in-domain -1.0 and a 0-d array stays a 0-d array
+        pytest.param(lambda x: exp_integral_ei(_negated(x)), (NAN, 0.0, -0.0, -1e-300), id="exp_integral_ei"),
         pytest.param(lambda lam: association_probability(lam, 10.0), (NAN, -1.0, 0.0), id="association_probability"),
         pytest.param(
             lambda lam: deployment_objective(lam, 10.0, PARAMS, 0.5, HIGH_BOUNDED),
@@ -309,6 +316,6 @@ def test_value_checks_accept_domain_edges(form):
         return np.ravel(value)[-1]
 
     assert last(lower_incomplete_gamma(1.5, form(0.0))) == 0.0
-    assert math.isfinite(last(exp_integral_ei(form(-1e-300))))
+    assert math.isfinite(last(exp_integral_ei(_negated(form(1e-300)))))
     assert last(association_probability(form(1e-300), 10.0)) >= 0.0
     assert math.isfinite(last(deployment_objective(form(10.0), 10.0, PARAMS, 0.5, HIGH_BOUNDED)))

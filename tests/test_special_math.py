@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from risgeo import special_math
 from risgeo.errors import DomainError
 from risgeo.special_math import (
     exp_integral_ei,
@@ -13,11 +14,40 @@ from risgeo.special_math import (
     upper_incomplete_gamma,
 )
 
+#: Every table edge and underflow cutoff of exp_integral_ei, as x < 0.
+EI_EDGES = -np.array(special_math._E1_EDGES + (special_math._E1_UNDERFLOW,))
+
 
 def ei_quadrature(x):
     # Ei(x) = -int_{-x}^inf e^{-u}/u du for x < 0
     val, _ = integrate.quad(lambda u: math.exp(-u) / u, -x, np.inf, epsabs=1e-13, epsrel=1e-13)
     return -val
+
+
+def ulps(got, want):
+    """|got - want| for an mpmath want, in units in the last place of float(want)."""
+    return float(abs(float(got) - want) / math.ulp(float(want)))
+
+
+def fit_e1_row(mp, f, lo, hi, degree):
+    """One row of the E1 table: interpolate f at the degree + 1 Chebyshev points
+    of [lo, hi], expand the interpolant in powers of v = var - mid and round;
+    returns (mid, a_degree, ..., a_0) as doubles."""
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    n = degree + 1
+    angles = [mp.pi * (2 * j + 1) / (2 * n) for j in range(n)]
+    values = [f(mid + half * mp.cos(a)) for a in angles]
+    cheb = [2 * mp.fsum(y * mp.cos(k * a) for y, a in zip(values, angles)) / n for k in range(n)]
+    cheb[0] /= 2
+    basis = [[mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]]  # T_k in powers of u = v / half
+    while len(basis) < n:
+        nxt = [mp.mpf(0)] + [2 * c for c in basis[-1]]
+        for i, c in enumerate(basis[-2]):
+            nxt[i] -= c
+        basis.append(nxt)
+    power = [mp.fsum(cheb[k] * basis[k][i] for k in range(i, n)) for i in range(n)]
+    return (float(mid), *(float(power[i] / half**i) for i in reversed(range(n))))
 
 
 def gamma_quadrature(a, x):
@@ -62,7 +92,22 @@ class TestExpIntegral:
         with pytest.raises(DomainError):
             exp_integral_ei(0.0)
         with pytest.raises(DomainError):
-            exp_integral_ei(np.array([-1.0, 0.0, 2.0]))
+            exp_integral_ei(np.array([-1.0, 0.0, -2.0]))
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 0.5, 1.0, 40.0, 800.0, np.inf])
+    @pytest.mark.parametrize(
+        "form",
+        [float, np.float64, np.array, lambda v: np.array([-1.0, v])],
+        ids=["float", "float64", "0d-array", "array"],
+    )
+    def test_positive_axis_raises(self, x, form):
+        # no rate expression reaches x > 0, so the table covers x < 0 only
+        with pytest.raises(DomainError):
+            exp_integral_ei(form(x))
+
+    def test_minus_infinity_is_zero(self):
+        assert exp_integral_ei(-np.inf) == 0.0
+        np.testing.assert_array_equal(exp_integral_ei(np.array([-np.inf, -800.0])), [0.0, 0.0])
 
     def test_signed_zero_raises(self):
         # -0.0 == 0.0: the singularity check must not read the sign bit
@@ -72,10 +117,46 @@ class TestExpIntegral:
             exp_integral_ei(np.array([np.nan, -1.0, -0.0]))
 
     def test_array_matches_scalar(self):
-        x = np.concatenate([-np.geomspace(1e-8, 60.0, 40), np.geomspace(1e-8, 60.0, 40)])
-        np.testing.assert_allclose(
-            exp_integral_ei(x), [exp_integral_ei(float(v)) for v in x], rtol=1e-15, atol=0.0
-        )
+        # each table edge and the floats on either side of it pick neighbouring rows
+        edges = np.concatenate([np.nextafter(EI_EDGES, 0.0), EI_EDGES, np.nextafter(EI_EDGES, -np.inf)])
+        tiny = [-5e-324, -1e-310, -np.inf]
+        x = np.concatenate([-np.geomspace(1e-300, 1e-3, 100), -np.geomspace(1e-3, 800.0, 2000), edges, tiny])
+        scalar = [exp_integral_ei(float(v)) for v in x]
+        np.testing.assert_array_equal(exp_integral_ei(x), scalar)
+        np.testing.assert_array_equal(np.signbit(exp_integral_ei(x)), np.signbit(scalar))
+
+    def test_within_four_ulp_of_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        # the underflow to 0 starts near x = -737.8, where E1 falls below 2^-1075
+        x = np.concatenate([-np.geomspace(1e-300, 745.0, 6000), -np.linspace(736.0, 760.0, 200)])
+        got = exp_integral_ei(x)
+        with mp.workdps(30):
+            worst = max(ulps(g, -mp.e1(-mp.mpf(v))) for g, v in zip(got, x))
+        assert worst <= 4.0
+
+    def test_agrees_with_scipy_expi(self):
+        # normal results only: below 2.2e-308 a relative tolerance counts subnormal ulps
+        x = -np.geomspace(1e-300, 700.0, 4000)
+        np.testing.assert_allclose(exp_integral_ei(x), special.expi(x), rtol=2e-15, atol=0.0)
+
+    def test_table_rebuilds_from_mpmath(self):
+        # the method stated at special_math._E1_ROWS, rerun from its edges
+        mp = pytest.importorskip("mpmath")
+        edges = special_math._E1_EDGES
+        degree = len(special_math._E1_ROWS[0]) - 2
+        with mp.workdps(40):
+
+            def scaled(t):  # t e^t E1(t)
+                return t * mp.exp(t) * mp.e1(t)
+
+            rows = [fit_e1_row(mp, lambda t: mp.e1(t) + mp.log(t), 0, edges[0], degree)]
+            rows += [fit_e1_row(mp, scaled, lo, hi, degree) for lo, hi in zip(edges, edges[1:])]
+            rows.append(fit_e1_row(mp, lambda s: scaled(1 / s), 0, 1 / mp.mpf(edges[-1]), degree))
+        assert len(rows) == len(special_math._E1_ROWS)
+        for rebuilt, committed in zip(rows, special_math._E1_ROWS):
+            assert len(rebuilt) == len(committed)
+            for r, c in zip(rebuilt, committed):
+                assert abs(r - c) <= math.ulp(c)
 
 
 class TestLowerIncompleteGamma:
